@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -57,7 +58,21 @@ def _get(d: dict, key: str, path: str, required: bool = True, default=None):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {path} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"config key {path} must be finite, got {value!r}")
+    return number
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config key {path} must be an integer, got {value!r}")
+    return value
 
 
 def _complex_matrix(entries, path: str) -> np.ndarray:
@@ -161,7 +176,7 @@ def parse_integrator(cfg: dict, path: str = "integrator") -> dynamics.Integrator
             dt=_number(_get(spec, "dt", f"{path}."), f"{path}.dt"),
             t_final=_number(_get(spec, "t_final", f"{path}."), f"{path}.t_final"),
             scheme=spec.get("scheme", "midpoint"),
-            record_every=int(spec.get("record_every", 1)),
+            record_every=_integer(spec.get("record_every", 1), f"{path}.record_every"),
         )
     except DomainError as exc:
         raise ConfigError(f"config key {path}: {exc}")
@@ -472,15 +487,13 @@ def _run_ensemble(cfg: dict, report: RunReport):
     system = _get(cfg, "system", "")
     h = parse_hamiltonian(_get(system, "hamiltonian", "system."), "system.hamiltonian", 2)
     f = parse_deformation(cfg)
+    sizes = {n: _integer(spec.get(n, 32), f"ensemble.{n}") for n in ("n_lam", "n_phi", "n_psi")}
     try:
-        espec = ensemble.EnsembleSpec(
-            weight=ensemble.WEIGHTS[weight_name], f=f, h=h,
-            n_lam=int(spec.get("n_lam", 32)), n_phi=int(spec.get("n_phi", 32)),
-            n_psi=int(spec.get("n_psi", 32)))
+        espec = ensemble.EnsembleSpec(weight=ensemble.WEIGHTS[weight_name], f=f, h=h, **sizes)
     except NvneError as exc:
         raise ConfigError(f"config key ensemble: {exc}")
     mu = espec.mu
-    times = [float(t) for t in cfg.get("times", [0.0, 1.0, 5.0, 20.0])]
+    times = [_number(t, "times") for t in cfg.get("times", [0.0, 1.0, 5.0, 20.0])]
     lam_density = None if weight_name == "sin-psi-half" else (lambda lam: 2.0 * lam)
 
     available: dict = {}
@@ -500,8 +513,9 @@ def _run_ensemble(cfg: dict, report: RunReport):
     if decay:
         t_late = _number(_get(decay, "t_late", "decay."), "decay.t_late")
         window = decay.get("window", [0.0, 20.0])
-        samples = int(decay.get("samples", 201))
-        grid = np.linspace(float(window[0]), float(window[1]), samples)
+        samples = _integer(decay.get("samples", 201), "decay.samples")
+        grid = np.linspace(_number(window[0], "decay.window"), _number(window[1], "decay.window"),
+                           samples)
         offs = []
         for t in grid:
             off = ensemble.offdiagonal_magnitude(ensemble.ensemble_average(espec, float(t)))
@@ -516,7 +530,7 @@ def _run_ensemble(cfg: dict, report: RunReport):
 
     node_check = cfg.get("node_check")
     if node_check:
-        count = int(node_check.get("count", 4))
+        count = _integer(node_check.get("count", 4), "node_check.count")
         t_end = _number(node_check.get("t_final", 20.0), "node_check.t_final")
         dt = _number(node_check.get("dt", 1e-3), "node_check.dt")
         # the spectrum-drift probe runs the full window; the closed-form

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DomainError
 
 # eigenvalue pairs closer than this use the derivative limit of the
-# divided difference
+# divided difference of a CoefficientSeries (PowerLaw needs no threshold)
 DEGENERACY_TOL = 1e-10
 
 _ENDPOINT_TOL = 1e-12
@@ -29,7 +29,12 @@ class DeformationFunction:
         raise NotImplementedError
 
     def divided_difference(self, a, b):
-        """(f(a) - f(b)) / (a - b), with f'((a+b)/2) on near-degenerate pairs.
+        """(f(a) - f(b)) / (a - b) elementwise, with the derivative limit f'
+        on degenerate pairs.
+
+        PowerLaw evaluates the ratio without cancellation and takes f' only
+        where a == b; other functions take f' at the midpoint of pairs
+        closer than DEGENERACY_TOL.
 
         Where the derivative limit itself diverges (power law with q < 1 at
         zero) the entry is set to 0; the commutator it feeds vanishes there
@@ -38,18 +43,20 @@ class DeformationFunction:
         eigenvalues to exactly 0, because a pair such as (0, 2e-19) would
         take the finite limit f'(1e-19), of order 1e9 at q = 0.5.
         """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+        out = self._divided_difference(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        if out.ndim == 0:
+            return float(out)
+        return out
+
+    def _divided_difference(self, a, b):
+        # pairs closer than DEGENERACY_TOL take f' at their midpoint
         diff = a - b
         safe = np.where(diff == 0.0, 1.0, diff)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = (self.f(a) - self.f(b)) / safe
             limit = self.fprime((a + b) / 2.0)
         limit = np.where(np.isfinite(limit), limit, 0.0)
-        out = np.where(np.abs(diff) > DEGENERACY_TOL, ratio, limit)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return np.where(np.abs(diff) > DEGENERACY_TOL, ratio, limit)
 
 
 @dataclass(frozen=True)
@@ -66,16 +73,37 @@ class PowerLaw(DeformationFunction):
     def is_identity(self) -> bool:
         return abs(self.q - 1.0) < 1e-14
 
-    def f(self, x):
+    def _domain(self, x):
+        """x itself for integer q; for non-integer q, x >= 0 up to a
+        round-off window that is clipped to 0."""
         x = np.asarray(x, dtype=float)
         if float(self.q) == int(self.q):
-            return x ** self.q
+            return x
         if np.any(x < -_ENDPOINT_TOL):
             raise DomainError(
                 f"x**q with non-integer q={self.q} needs x >= 0; "
                 f"got min {float(np.min(x)):.3e}"
             )
-        return np.clip(x, 0.0, None) ** self.q
+        return np.clip(x, 0.0, None)
+
+    def f(self, x):
+        return self._domain(x) ** self.q
+
+    def _divided_difference(self, a, b):
+        # With hi = max(a, b) and r = (lo - hi)/hi in [-1, 0], the ratio is
+        # hi**(q-1) * ((1 + r)**q - 1) / r; expm1(q*log1p(r)) gives the
+        # numerator without cancellation, so no pair needs a threshold.
+        a, b = self._domain(a), self._domain(b)
+        hi, lo = np.maximum(a, b), np.minimum(a, b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (lo - hi) / hi
+            scale = hi ** (self.q - 1.0)
+            out = scale * np.expm1(self.q * np.log1p(r)) / r
+            if np.any(lo < 0.0):
+                # negative arguments (integer q only): plain ratio
+                out = np.where(lo < 0.0, (self.f(a) - self.f(b)) / (a - b), out)
+            limit = self.q * scale  # f'(a) where a == b
+        return np.where(a == b, np.where(np.isfinite(limit), limit, 0.0), out)
 
     def fprime(self, x):
         x = np.asarray(x, dtype=float)

@@ -34,6 +34,9 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        if not (np.isfinite(self.dt) and np.isfinite(self.t_final)):
+            raise DomainError(f"dt and t_final must be finite, got dt={self.dt}, "
+                              f"t_final={self.t_final}")
         if self.dt <= 0:
             raise DomainError(f"dt must be positive, got {self.dt}")
         if self.t_final <= 0:

@@ -6,6 +6,15 @@ quadrature. Each node evolves isospectrally; for H = -mu sigma_z the
 closed-form node motion (phi, lam frozen, psi(t) = psi0 - omega(lam) t)
 is used, with the integrator as fallback and cross-check.
 
+The closed form needs no per-node work at a given time. Since omega
+depends on lam only and cos(psi - omega t) = cos psi cos omega t +
+sin psi sin omega t, the phi and psi sums are taken once per spec: the
+per-lam moments A_c(lam) = sum w c sin(phi) cos(psi) and A_s(lam) (same
+with sin psi, c = lam - 1/2), the sigma_z coefficient and the total
+weight. EnsembleSpec.moments() memoises them on first use, after which
+an average costs O(n_lam). The integrated fallback steps every node with
+n = ceil(t/dt) steps of size t/n, so it ends at t exactly.
+
 Note on the shipped sin(psi/2) weight: the transverse components of its
 average vanish identically for every power-law deformation, because the
 lam integrand is odd about lam = 1/2 while omega(lam) is even. The
@@ -14,6 +23,7 @@ breaks that symmetry and exhibits genuine dephasing decay.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -50,9 +60,18 @@ def tilted_weight(lam, phi, psi):
 WEIGHTS = {"sin-psi-half": sin_psi_half_weight, "tilted-lambda": tilted_weight}
 
 
+@functools.lru_cache(maxsize=64)
 def gauss_legendre(n: int, a: float, b: float):
+    """n-point Gauss-Legendre nodes and weights on [a, b].
+
+    Rules are cached per (n, a, b) and shared between callers, so the
+    arrays are read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(int(n))
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    nodes, weights = 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -65,7 +84,7 @@ class EnsembleSpec:
     n_lam: int = 32
     n_phi: int = 32
     n_psi: int = 32
-    _grids: dict = field(default_factory=dict, repr=False, compare=False)
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=complex)
@@ -90,45 +109,53 @@ class EnsembleSpec:
             self._grids.update(lam=big_l, phi=big_p, psi=big_s, w=weights)
         return self._grids
 
+    def moments(self):
+        """Time-independent parts of the closed-form average, memoised in
+        the grids() dict on first use: omega and the moments A_c, A_s on the
+        lam nodes, the sigma_z coefficient and the total weight."""
+        g = self.grids()
+        if "omega" not in g:
+            lam = g["lam"][:, 0, 0]
+            wc = g["w"] * (g["lam"] - 0.5)
+            w_sin = wc * np.sin(g["phi"])
+            g.update(
+                omega=2.0 * self.mu * self.f.divided_difference(lam, 1.0 - lam),
+                a_c=np.sum(w_sin * np.cos(g["psi"]), axis=(1, 2)),
+                a_s=np.sum(w_sin * np.sin(g["psi"]), axis=(1, 2)),
+                coeff_z=float(np.sum(wc * np.cos(g["phi"]))),
+                total=float(np.sum(g["w"])),
+            )
+        return g
+
     def normalization(self) -> float:
         return float(np.sum(self.grids()["w"]))
 
     @property
     def mu(self) -> float:
         """Field strength for H = -mu sigma_z (closed-form node motion)."""
-        h = self.h
-        if abs(h[0, 1]) > 1e-12 or abs(h[0, 0] + h[1, 1]) > 1e-12:
+        if not self.uses_closed_form():
             raise DomainError("closed-form node evolution needs H = -mu*sigma_z")
-        return float(-h[0, 0].real)
+        return float(-self.h[0, 0].real)
 
     def uses_closed_form(self) -> bool:
         h = self.h
         return bool(abs(h[0, 1]) <= 1e-12 and abs(h[0, 0] + h[1, 1]) <= 1e-12)
 
 
-def node_frequencies(spec: EnsembleSpec) -> np.ndarray:
-    lam = spec.grids()["lam"]
-    return 2.0 * spec.mu * spec.f.divided_difference(lam, 1.0 - lam)
-
-
 def ensemble_average(spec: EnsembleSpec, t: float, cfg: IntegratorConfig | None = None) -> DensityMatrix:
     """Quadrature-weighted average of the node states at time t."""
     if t < 0:
         raise DomainError(f"time must be nonnegative, got {t}")
-    g = spec.grids()
     if spec.uses_closed_form():
-        psi_t = g["psi"] - node_frequencies(spec) * t
-        w = g["w"]
-        c = 0.5 * (2.0 * g["lam"] - 1.0)
-        coeff_z = float(np.sum(w * c * np.cos(g["phi"])))
-        coeff_x = float(-np.sum(w * c * np.sin(g["phi"]) * np.cos(psi_t)))
-        coeff_y = float(-np.sum(w * c * np.sin(g["phi"]) * np.sin(psi_t)))
-        total = float(np.sum(w))
+        m = spec.moments()
+        cos_wt, sin_wt = np.cos(m["omega"] * t), np.sin(m["omega"] * t)
+        coeff_x = -float(np.sum(m["a_c"] * cos_wt + m["a_s"] * sin_wt))
+        coeff_y = -float(np.sum(m["a_s"] * cos_wt - m["a_c"] * sin_wt))
         avg = (
-            0.5 * total * IDENTITY_2
+            0.5 * m["total"] * IDENTITY_2
             + coeff_x * SIGMA_X
             + coeff_y * SIGMA_Y
-            + coeff_z * SIGMA_Z
+            + m["coeff_z"] * SIGMA_Z
         )
         return validate_density(avg)
     if cfg is None:
@@ -142,16 +169,17 @@ def _ensemble_average_integrated(spec: EnsembleSpec, t: float, cfg: IntegratorCo
     phi = g["phi"].ravel()
     psi = g["psi"].ravel()
     w = g["w"].ravel()
+    run_cfg = None
+    if t > 0:
+        # n whole steps of size t/n, so the run ends at t, not at ceil(t/dt)*dt
+        n = max(1, int(np.ceil(t / cfg.dt - 1e-12)))
+        run_cfg = IntegratorConfig(dt=t / n, t_final=t, scheme=cfg.scheme, record_every=10**9)
     acc = np.zeros((2, 2), dtype=complex)
-    run_cfg = IntegratorConfig(dt=cfg.dt, t_final=max(t, cfg.dt), scheme=cfg.scheme,
-                               record_every=10**9)
     for k in range(lam.size):
-        rho0 = bloch_state(lam=lam[k], phi=phi[k], psi=psi[k])
-        if t < cfg.dt / 2:
-            acc += w[k] * rho0.matrix
-            continue
-        traj = evolve(rho0, spec.h, spec.f, run_cfg)
-        acc += w[k] * traj.states[-1].matrix
+        state = bloch_state(lam=lam[k], phi=phi[k], psi=psi[k])
+        if run_cfg is not None:
+            state = evolve(state, spec.h, spec.f, run_cfg).states[-1]
+        acc += w[k] * state.matrix
     return validate_density(acc)
 
 

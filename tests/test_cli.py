@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nvne
 from nvne import presets
 from nvne.cli import load_config, main, run_scenario
 from nvne.errors import ConfigError
@@ -100,6 +105,46 @@ class TestExitCodes:
         }
         path = write_config(tmp_path, cfg)
         assert main(["run", str(path)]) == 3
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("integrator", "dt", float("nan")),
+        ("integrator", "t_final", float("inf")),
+        ("integrator", "record_every", "x"),
+        (None, "q", float("nan")),
+    ])
+    def test_malformed_value_exit_2_names_key(self, tmp_path, section, key, value):
+        # a separate process, so that an uncaught exception shows on stderr
+        cfg = tiny_evolve_config()
+        (cfg[section] if section else cfg)[key] = value
+        path = write_config(tmp_path, cfg)
+        src = str(Path(nvne.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        proc = subprocess.run([sys.executable, "-m", "nvne", "run", str(path), "--quiet"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert f"config key {section + '.' if section else ''}{key} " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("key, edit", [
+        ("times", lambda cfg: cfg.update(times=[1.0, float("nan")])),
+        ("ensemble.n_lam", lambda cfg: cfg["ensemble"].update(n_lam="x")),
+        ("decay.samples", lambda cfg: cfg["decay"].update(samples=2.5)),
+    ], ids=["times-nan", "n_lam-string", "samples-fraction"])
+    def test_malformed_ensemble_value_exit_2_names_key(self, tmp_path, capsys, key, edit):
+        # a NaN time used to give a NaN average that passed every assertion
+        cfg = {
+            "kind": "ensemble",
+            "system": {"hamiltonian": {"preset": "spin-z", "mu": 1.0}},
+            "q": 3.0,
+            "ensemble": {"weight": "tilted-lambda", "n_lam": 16, "n_phi": 16, "n_psi": 16},
+            "times": [0.0, 1.0],
+            "decay": {"t_late": 30.0, "window": [0.0, 10.0], "samples": 21},
+            "assertions": {"analytic_match": 1e-4},
+        }
+        edit(cfg)
+        assert main(["run", str(write_config(tmp_path, cfg)), "--quiet"]) == 2
+        assert f"config key {key} " in capsys.readouterr().err
 
     def test_out_flag_overrides_env(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "env_out"

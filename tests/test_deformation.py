@@ -52,6 +52,23 @@ class TestDividedDifference:
         f = PowerLaw(q=q)
         assert f.divided_difference(a, b) == pytest.approx(f.divided_difference(b, a), rel=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.floats(0.1, 5.0),
+        b=st.floats(1e-3, 1.0),
+        gap=st.one_of(st.just(0.0), st.floats(1e-12, 1e-2)),
+    )
+    def test_close_pairs_match_high_precision(self, q, b, gap):
+        # no cancellation near the diagonal: the ratio branch used to lose
+        # up to 5e-7 relative just above the old degeneracy threshold
+        mpmath = pytest.importorskip("mpmath")
+        a = b + gap
+        with mpmath.workdps(40):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            exact = q * mb ** (q - 1) if a == b else (ma**q - mb**q) / (ma - mb)
+            rel = abs((PowerLaw(q=q).divided_difference(a, b) - exact) / exact)
+        assert rel < 1e-12
+
     def test_separated_pair_is_ratio(self):
         f = PowerLaw(q=2.0)
         assert f.divided_difference(0.75, 0.25) == pytest.approx(1.0)

@@ -33,6 +33,11 @@ class TestIntegratorConfig:
         with pytest.raises(DomainError):
             IntegratorConfig(dt=2.0, t_final=1.0)
 
+    @pytest.mark.parametrize("dt, t_final", [(float("nan"), 1.0), (1e-3, float("inf"))])
+    def test_rejects_non_finite(self, dt, t_final):
+        with pytest.raises(DomainError, match="finite"):
+            IntegratorConfig(dt=dt, t_final=t_final)
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(DomainError):
             IntegratorConfig(dt=0.1, t_final=1.0, scheme="rk4")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,25 @@ from nvne.ensemble import (
     transverse_coefficients,
 )
 from nvne.errors import DomainError
-from nvne.hermitian import SIGMA_X, SIGMA_Z, bloch_state
+from nvne.hermitian import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state
 
 
 def make_spec(weight=sin_psi_half_weight, q=3.0, n=16, mu=1.0):
     return EnsembleSpec(weight=weight, f=PowerLaw(q=q), h=-mu * SIGMA_Z,
                         n_lam=n, n_phi=n, n_psi=n)
+
+
+def direct_node_sum(spec, t):
+    """Closed-form average as a sum over every (lam, phi, psi) node at time t."""
+    g = spec.grids()
+    psi_t = g["psi"] - 2.0 * spec.mu * spec.f.divided_difference(g["lam"], 1.0 - g["lam"]) * t
+    w = g["w"]
+    c = 0.5 * (2.0 * g["lam"] - 1.0)
+    coeff_z = np.sum(w * c * np.cos(g["phi"]))
+    coeff_x = -np.sum(w * c * np.sin(g["phi"]) * np.cos(psi_t))
+    coeff_y = -np.sum(w * c * np.sin(g["phi"]) * np.sin(psi_t))
+    return (0.5 * np.sum(w) * IDENTITY_2 + coeff_x * SIGMA_X + coeff_y * SIGMA_Y
+            + coeff_z * SIGMA_Z)
 
 
 class TestEnsembleSpec:
@@ -38,6 +53,14 @@ class TestEnsembleSpec:
         # degree-5 polynomial integrated exactly by 3 nodes
         x, w = gauss_legendre(3, 0.0, 1.0)
         assert np.sum(w * x**5) == pytest.approx(1.0 / 6.0, abs=1e-14)
+
+    def test_gauss_legendre_rule_is_read_only(self):
+        x, w = gauss_legendre(5, 0.0, 1.0)
+        assert gauss_legendre(5, 0.0, 1.0)[0] is x
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
 
     def test_mu_extraction(self):
         assert make_spec(mu=1.7).mu == pytest.approx(1.7)
@@ -103,6 +126,24 @@ class TestQuadratureAgainstAnalytic:
         assert abs(late_cx) + abs(late_cy) < 0.1 * early
 
 
+class TestClosedFormMoments:
+    @pytest.mark.parametrize("weight", [sin_psi_half_weight, tilted_weight])
+    def test_matches_direct_node_sum(self, weight):
+        spec = make_spec(weight=weight, n=32)
+        for t in (0.0, 0.7, 40.0):
+            avg = ensemble_average(spec, t)
+            assert np.max(np.abs(avg.matrix - direct_node_sum(spec, t))) < 1e-14
+
+    def test_memo_is_per_spec(self):
+        spec = make_spec(weight=tilted_weight, q=3.0)
+        first = ensemble_average(spec, 5.0).matrix
+        other = dataclasses.replace(spec, f=PowerLaw(q=2.5))
+        second = ensemble_average(other, 5.0).matrix
+        assert np.max(np.abs(first - second)) > 1e-3
+        assert np.max(np.abs(second - direct_node_sum(other, 5.0))) < 1e-14
+        assert np.array_equal(ensemble_average(spec, 5.0).matrix, first)
+
+
 class TestNodes:
     def test_closed_form_matches_integrator(self):
         # midpoint phase error grows like dt^2 * t, so the 1e-8 cross-check
@@ -165,6 +206,18 @@ class TestIntegratorFallback:
         direct = ensemble_average(spec, t)
         integrated = _ensemble_average_integrated(spec, t, cfg)
         assert np.max(np.abs(direct.matrix - integrated.matrix)) < 1e-5
+
+
+    def test_integrated_path_ends_at_requested_time(self):
+        # dt does not divide t: the run takes ceil(t/dt) steps of size t/n
+        # and must still end at t, not at ceil(t/dt)*dt = 1.2
+        from nvne.ensemble import _ensemble_average_integrated
+
+        spec = EnsembleSpec(weight=tilted_weight, f=PowerLaw(q=3.0), h=-SIGMA_Z,
+                            n_lam=6, n_phi=6, n_psi=6)
+        cfg = IntegratorConfig(dt=0.3, t_final=1.0)
+        integrated = _ensemble_average_integrated(spec, 1.0, cfg)
+        assert np.max(np.abs(ensemble_average(spec, 1.0).matrix - integrated.matrix)) < 1e-3
 
 
 class TestAnalyticFormula:
