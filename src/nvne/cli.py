@@ -31,7 +31,6 @@ from .hermitian import (
     SIGMA_Z,
     DensityMatrix,
     bloch_state,
-    bloch_vector,
     pure_state,
     random_density_matrix,
     random_hermitian,
@@ -67,12 +66,20 @@ def _number(value, path: str) -> float:
     return number
 
 
-def _integer(value, path: str) -> int:
+def _integer(value, path: str, minimum: int | None = None) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"config key {path} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"config key {path} must be at least {minimum}, got {value!r}")
     return value
+
+
+def _numbers(values, path: str) -> list:
+    if not isinstance(values, list):
+        raise ConfigError(f"config key {path} must be a list of numbers, got {values!r}")
+    return [_number(x, path) for x in values]
 
 
 def _complex_matrix(entries, path: str) -> np.ndarray:
@@ -110,12 +117,13 @@ def parse_hamiltonian(spec, path: str, dim: int | None = None) -> np.ndarray:
         return m
     if "random" in spec:
         sub = spec["random"]
-        seed = int(_get(sub, "seed", f"{path}.random."))
+        seed = _integer(_get(sub, "seed", f"{path}.random."), f"{path}.random.seed", 0)
         norm = sub.get("spectral_norm")
         if dim is None:
             raise ConfigError(f"config key {path}.random needs system.dim")
-        return random_hermitian(dim, np.random.default_rng(seed),
-                                spectral_norm=None if norm is None else float(norm))
+        return random_hermitian(
+            dim, np.random.default_rng(seed),
+            spectral_norm=None if norm is None else _number(norm, f"{path}.random.spectral_norm"))
     raise ConfigError(f"config key {path} needs one of: preset, matrix, random")
 
 
@@ -144,7 +152,7 @@ def parse_state(spec, path: str, dim: int | None = None) -> DensityMatrix:
             raise ConfigError(f"config key {path}.pure must be a list of [re, im] pairs")
         return pure_state(vec[:, 0] + 1j * vec[:, 1])
     if "random" in spec:
-        seed = int(_get(spec["random"], "seed", f"{path}.random."))
+        seed = _integer(_get(spec["random"], "seed", f"{path}.random."), f"{path}.random.seed", 0)
         if dim is None:
             raise ConfigError(f"config key {path}.random needs system.dim")
         return random_density_matrix(dim, np.random.default_rng(seed))
@@ -247,7 +255,7 @@ def _apply_assertions(report: RunReport, cfg: dict, available: dict) -> None:
 
 def _run_evolve(cfg: dict, report: RunReport) -> dynamics.Trajectory:
     system = _get(cfg, "system", "")
-    dim = int(_get(system, "dim", "system."))
+    dim = _integer(_get(system, "dim", "system."), "system.dim", 1)
     h = parse_hamiltonian(_get(system, "hamiltonian", "system."), "system.hamiltonian", dim)
     f = parse_deformation(cfg)
     state = parse_state(_get(cfg, "state", ""), "state", dim)
@@ -272,7 +280,14 @@ def _run_evolve(cfg: dict, report: RunReport) -> dynamics.Trajectory:
     available["hermiticity"] = (inv.max_hermiticity_defect, "<=")
 
     if "precession" in measure:
-        element = tuple(measure["precession"].get("element", (0, 1)))
+        element = measure["precession"].get("element", [0, 1])
+        if not isinstance(element, list) or len(element) != 2:
+            raise ConfigError(
+                f"config key measure.precession.element must be [i, j], got {element!r}")
+        element = tuple(_integer(x, "measure.precession.element", 0) for x in element)
+        if max(element) >= dim:
+            raise ConfigError(
+                f"config key measure.precession.element {list(element)} is outside dim {dim}")
         omega_meas = dynamics.precession_frequency(traj, element)
         report.headline["omega_measured"] = omega_meas
         if "bloch" in cfg.get("state", {}) and "preset" in system.get("hamiltonian", {}):
@@ -282,14 +297,13 @@ def _run_evolve(cfg: dict, report: RunReport) -> dynamics.Trajectory:
             report.headline["omega_predicted"] = omega_pred
             rel = abs(omega_meas - omega_pred) / max(abs(omega_pred), 1e-12)
             available["omega_relative_error"] = (rel, "<=")
-        sz = np.array([bloch_vector(s)[2] for s in traj.states]) if state.dim == 2 else None
-        if sz is not None:
-            available["sz_drift"] = (float(np.max(np.abs(sz - sz[0]))), "<=")
+        if dim == 2:
+            available["sz_drift"] = (_sz_drift(traj), "<=")
 
     if measure.get("compare_linear"):
         compare = measure["compare_linear"]
         q_values = (
-            [float(x) for x in compare.get("q_values", [])]
+            _numbers(compare.get("q_values", []), "measure.compare_linear.q_values")
             if isinstance(compare, dict)
             else []
         )
@@ -310,8 +324,9 @@ def _run_evolve(cfg: dict, report: RunReport) -> dynamics.Trajectory:
 
     if "larmor_grid" in measure:
         g = measure["larmor_grid"]
-        lams = [float(x) for x in _get(g, "lams", "measure.larmor_grid.")]
-        q_values = [float(x) for x in _get(g, "q_values", "measure.larmor_grid.")]
+        lams = _numbers(_get(g, "lams", "measure.larmor_grid."), "measure.larmor_grid.lams")
+        q_values = _numbers(_get(g, "q_values", "measure.larmor_grid."),
+                            "measure.larmor_grid.q_values")
         if "preset" not in system.get("hamiltonian", {}) or "bloch" not in cfg.get("state", {}):
             raise ConfigError(
                 "config key measure.larmor_grid needs a spin-z preset and a bloch state")
@@ -328,8 +343,7 @@ def _run_evolve(cfg: dict, report: RunReport) -> dynamics.Trajectory:
                 omega_meas = dynamics.precession_frequency(t_q, (0, 1))
                 omega_pred = dynamics.larmor_frequency(lam, f_q, mu)
                 rel = abs(omega_meas - omega_pred) / abs(omega_pred)
-                sz = np.array([bloch_vector(s)[2] for s in t_q.states])
-                sz_drift = float(np.max(np.abs(sz - sz[0])))
+                sz_drift = _sz_drift(t_q)
                 worst_rel = max(worst_rel, rel)
                 worst_sz = max(worst_sz, sz_drift)
                 grid_rows.append({"q": qv, "lam": lam, "omega_measured": omega_meas,
@@ -354,7 +368,8 @@ def _run_evolve(cfg: dict, report: RunReport) -> dynamics.Trajectory:
         conv = measure["convergence"]
         dt0 = _number(_get(conv, "dt", "measure.convergence."), "measure.convergence.dt")
         t_end = _number(_get(conv, "t_final", "measure.convergence."), "measure.convergence.t_final")
-        divisor = int(conv.get("reference_divisor", 10))
+        divisor = _integer(conv.get("reference_divisor", 10),
+                           "measure.convergence.reference_divisor", 1)
 
         def end_state(dt):
             c = dynamics.IntegratorConfig(dt=dt, t_final=t_end, scheme=icfg.scheme,
@@ -374,12 +389,20 @@ def _run_evolve(cfg: dict, report: RunReport) -> dynamics.Trajectory:
     return traj
 
 
+def _sz_drift(traj: dynamics.Trajectory) -> float:
+    """Largest change of the Bloch z component (rho_00 - rho_11) over a
+    2x2 trajectory."""
+    m = traj.matrices
+    sz = (m[:, 0, 0] - m[:, 1, 1]).real
+    return float(np.max(np.abs(sz - sz[0])))
+
+
 def _run_composite(cfg: dict, report: RunReport) -> dynamics.Trajectory:
     system = _get(cfg, "system", "")
     dims = _get(system, "dims", "system.")
     if (not isinstance(dims, list)) or len(dims) != 2:
         raise ConfigError("config key system.dims must be [dim_I, dim_II]")
-    d1, d2 = int(dims[0]), int(dims[1])
+    d1, d2 = (_integer(x, "system.dims", 1) for x in dims)
     h1 = parse_hamiltonian(_get(system, "h1", "system."), "system.h1", d1)
     h2 = parse_hamiltonian(_get(system, "h2", "system."), "system.h2", d2)
     q1 = _number(_get(system, "q1", "system."), "system.q1")
@@ -439,7 +462,7 @@ def _run_equilibrium(cfg: dict, report: RunReport) -> None:
         g = cfg["gibbs_check"]
         beta = _number(_get(g, "beta", "gibbs_check."), "gibbs_check.beta")
         mu = _number(_get(g, "mu", "gibbs_check."), "gibbs_check.mu")
-        eps = float(g.get("epsilon", 1e-6))
+        eps = _number(g.get("epsilon", 1e-6), "gibbs_check.epsilon")
         target = float(np.exp(beta * mu) / (2.0 * np.cosh(beta * mu)))
         worst = 0.0
         for q_near in (1.0 + eps, 1.0 - eps):
@@ -451,15 +474,13 @@ def _run_equilibrium(cfg: dict, report: RunReport) -> None:
 
     if "grid" in cfg:
         grid = cfg["grid"]
-        q_values = grid.get("q_values", [])
-        products = grid.get("domain_products", [])
+        q_values = _numbers(grid.get("q_values", []), "grid.q_values")
+        products = _numbers(grid.get("domain_products", []), "grid.domain_products")
         min_curv = np.inf
         max_stat = 0.0
         count = 0
         for qv in q_values:
             for c in products:
-                c = float(c)
-                qv = float(qv)
                 if abs(qv - 1.0) < 1e-8 or not 0.0 < c < 1.0:
                     raise ConfigError(
                         "config key grid: q_values must exclude 1 and "
@@ -565,11 +586,11 @@ def _run_ensemble(cfg: dict, report: RunReport):
 
 
 def _run_bracket_check(cfg: dict, report: RunReport) -> None:
-    dim = int(cfg.get("dim", 3))
-    seed = int(cfg.get("seed", 0))
-    n_f = int(cfg.get("n_functionals", 20))
-    casimir_orders = int(cfg.get("casimir_orders", 4))
-    average_orders = int(cfg.get("average_orders", 3))
+    dim = _integer(cfg.get("dim", 3), "dim", 1)
+    seed = _integer(cfg.get("seed", 0), "seed", 0)
+    n_f = _integer(cfg.get("n_functionals", 20), "n_functionals")
+    casimir_orders = _integer(cfg.get("casimir_orders", 4), "casimir_orders")
+    average_orders = _integer(cfg.get("average_orders", 3), "average_orders")
     rng = np.random.default_rng(seed)
 
     worst_casimir = 0.0

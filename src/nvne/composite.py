@@ -17,19 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import PowerLaw
-from .dynamics import IntegratorConfig, Trajectory, invariant_report
+from .dynamics import IntegratorConfig, Trajectory, _with_invariants, invariant_report
 from .errors import DimensionMismatch, DomainError
 from .hermitian import (
     DensityMatrix,
     _zero_round_off,
-    hermiticity_defect,
     partial_trace,
     partial_trace_matrix,
     require_hermitian,
     trace_norm,
     validate_density,
 )
-from .structure import _divided_difference_transform
+from .structure import _divided_difference_transform, _eigenbasis_diagonal
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,12 @@ def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorC
             times.append(k * cfg.dt)
             mats.append(m)
     states = tuple(validate_density(x) for x in mats)
-    return _with_composite_invariants(np.asarray(times), states, sys)
+    matrices = np.stack([s.matrix for s in states])
+    times = np.asarray(times)
+    for a in (times, matrices):
+        a.setflags(write=False)
+    return _with_invariants(times, states, matrices,
+                            lambda block: [composite_energy(s, sys) for s in block])
 
 
 def composite_energy(state: DensityMatrix, sys: CompositeSystem) -> float:
@@ -102,34 +106,9 @@ def composite_energy(state: DensityMatrix, sys: CompositeSystem) -> float:
     dims = (sys.dim_1, sys.dim_2)
     r1 = partial_trace(state, dims, "I")
     r2 = partial_trace(state, dims, "II")
-    e1 = float(np.sum(sys.f1.f(r1.eigenvalues)
-                      * np.einsum("ij,jk,ki->i", r1.eigenvectors.conj().T, sys.h1,
-                                  r1.eigenvectors).real))
-    e2 = float(np.sum(sys.f2.f(r2.eigenvalues)
-                      * np.einsum("ij,jk,ki->i", r2.eigenvectors.conj().T, sys.h2,
-                                  r2.eigenvectors).real))
+    e1 = float(np.sum(sys.f1.f(r1.eigenvalues) * _eigenbasis_diagonal(r1.eigenvectors, sys.h1)))
+    e2 = float(np.sum(sys.f2.f(r2.eigenvalues) * _eigenbasis_diagonal(r2.eigenvectors, sys.h2)))
     return e1 + e2
-
-
-def _with_composite_invariants(times, states, sys) -> Trajectory:
-    dim = states[0].dim
-    log = {
-        "eigenvalues": np.empty((len(states), dim)),
-        "Hq": np.empty(len(states)),
-        "hermiticity": np.empty(len(states)),
-        "min_eigenvalue": np.empty(len(states)),
-    }
-    for n in range(1, 6):
-        log[f"C{n}"] = np.empty(len(states))
-    for k, s in enumerate(states):
-        ev = np.sort(np.linalg.eigvalsh(s.matrix))
-        log["eigenvalues"][k] = ev
-        for n in range(1, 6):
-            log[f"C{n}"][k] = float(np.sum(ev**n))
-        log["Hq"][k] = composite_energy(s, sys)
-        log["hermiticity"][k] = hermiticity_defect(s.matrix)
-        log["min_eigenvalue"][k] = float(ev[0])
-    return Trajectory(times=times, states=states, invariant_log=log)
 
 
 @dataclass(frozen=True)

@@ -144,8 +144,8 @@ class EnsembleSpec:
 
 def ensemble_average(spec: EnsembleSpec, t: float, cfg: IntegratorConfig | None = None) -> DensityMatrix:
     """Quadrature-weighted average of the node states at time t."""
-    if t < 0:
-        raise DomainError(f"time must be nonnegative, got {t}")
+    if not (np.isfinite(t) and t >= 0):
+        raise DomainError(f"time must be finite and nonnegative, got {t}")
     if spec.uses_closed_form():
         m = spec.moments()
         cos_wt, sin_wt = np.cos(m["omega"] * t), np.sin(m["omega"] * t)

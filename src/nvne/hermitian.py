@@ -31,7 +31,8 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    """(A + A^dagger)/2 of a matrix or of each matrix in a stack."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -118,13 +119,15 @@ def validate_density(matrix: np.ndarray, tol: float = TOL_HERM) -> DensityMatrix
     The matrix is symmetrized, eigenvalues in [-tol, tol] become exactly 0,
     and the trace is renormalized to 1. Anything worse is an error, not a
     silent repair: NotHermitian beyond tol, NotPositive below -tol,
-    ZeroTrace when |Tr| < tol.
+    ZeroTrace when |Tr| < tol, DomainError on NaN or infinite entries.
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"state must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("state has NaN or infinite entries")
     defect = hermiticity_defect(m)
     if defect > tol:
         raise NotHermitian(f"state deviates from Hermiticity by {defect:.3e} (tol {tol:.1e})")

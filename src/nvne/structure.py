@@ -32,19 +32,23 @@ def _as_matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
-def hamiltonian_function(rho, h: np.ndarray, f: DeformationFunction) -> float:
+def hamiltonian_function(rho, h: np.ndarray, f: DeformationFunction):
     """Energy (Tr rho) * Tr[f(rho / Tr rho) H].
 
     Accepts a DensityMatrix or any Hermitian PSD matrix with positive
-    trace; 1-homogeneous under rho -> c*rho.
+    trace; 1-homogeneous under rho -> c*rho. A sequence of DensityMatrix
+    gives the array of their energies from one batched eigenbasis diagonal.
     """
-    m = _as_matrix(rho)
     h = np.asarray(h, dtype=complex)
+    if isinstance(rho, (list, tuple)):
+        w = np.array([s.eigenvalues for s in rho])
+        v = np.array([s.eigenvectors for s in rho])
+        return np.sum(f.f(w) * _eigenbasis_diagonal(v, h), axis=1)
     if isinstance(rho, DensityMatrix):
         w, v = rho.eigenvalues, rho.eigenvectors
         tau = 1.0
     else:
-        m = require_hermitian(m, what="state")
+        m = require_hermitian(_as_matrix(rho), what="state")
         w, v = np.linalg.eigh(m)
         tau = float(np.sum(w))
         if tau < 1e-12:
@@ -52,8 +56,12 @@ def hamiltonian_function(rho, h: np.ndarray, f: DeformationFunction) -> float:
         if np.min(w) < -1e-12 * max(tau, 1.0):
             raise DomainError(f"state must be PSD, min eigenvalue {np.min(w):.3e}")
         w = np.clip(w, 0.0, None) / tau
-    ht_diag = np.einsum("ij,jk,ki->i", v.conj().T, h, v).real
-    return float(tau * np.sum(f.f(w) * ht_diag))
+    return float(tau * np.sum(f.f(w) * _eigenbasis_diagonal(v, h)))
+
+
+def _eigenbasis_diagonal(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Real diagonal of V^dagger H V, for one eigenvector matrix or a stack."""
+    return np.einsum("...ji,jk,...ki->...i", v.conj(), h, v).real
 
 
 def _divided_difference_transform(
@@ -94,7 +102,7 @@ def effective_hamiltonian(rho: DensityMatrix, h: np.ndarray, f: DeformationFunct
             "on the kernel of rho"
         )
     g = _divided_difference_transform(w, rho.eigenvectors, h, f)
-    ht_diag = np.einsum("ij,jk,ki->i", rho.eigenvectors.conj().T, h, rho.eigenvectors).real
+    ht_diag = _eigenbasis_diagonal(rho.eigenvectors, h)
     scalar = float(np.sum(f.f(w) * ht_diag) - np.sum(w * f.fprime(w) * ht_diag))
     return hermitian_part(g + scalar * np.eye(rho.dim))
 
@@ -218,7 +226,7 @@ def q_average_functional(h: np.ndarray, q: float) -> ObservableFunctional:
         if float(q) == int(q):
             return float(np.trace(np.linalg.matrix_power(m, int(q)) @ h).real)
         w, v = np.linalg.eigh(hermitian_part(m))
-        diag = np.einsum("ij,jk,ki->i", v.conj().T, h, v).real
+        diag = _eigenbasis_diagonal(v, h)
         return float(np.sum(f.f(np.clip(w, 0.0, None)) * diag))
 
     def grad(rho) -> np.ndarray:

@@ -35,6 +35,70 @@ def tiny_evolve_config(out_dir=None):
     return cfg
 
 
+def run_in_subprocess(path):
+    """`nvne run --quiet` in a separate process, so that an uncaught
+    exception shows on stderr."""
+    src = str(Path(nvne.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    return subprocess.run([sys.executable, "-m", "nvne", "run", str(path), "--quiet"],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+# smallest valid config of each kind that reaches the keys below
+CAST_BASES = {
+    "evolve": {
+        "kind": "evolve",
+        "system": {"dim": 2, "hamiltonian": {"random": {"seed": 1, "spectral_norm": 1.0}}},
+        "q": 2.0,
+        "state": {"random": {"seed": 2}},
+        "integrator": {"dt": 1e-2, "t_final": 0.1},
+        "measure": {"compare_linear": {"q_values": [1.5]},
+                    "convergence": {"dt": 2e-2, "t_final": 0.1}},
+    },
+    "larmor": {**tiny_evolve_config(),
+               "measure": {"precession": {"element": [0, 1]},
+                           "larmor_grid": {"lams": [0.75], "q_values": [2.0]}}},
+    "composite": {
+        "kind": "composite",
+        "system": {"dims": [2, 2], "h1": {"preset": "spin-z", "mu": 1.0},
+                   "h2": {"preset": "spin-z", "mu": 0.7}, "q1": 1.5, "q2": 2.5},
+        "state": {"random": {"seed": 3}},
+        "integrator": {"dt": 1e-2, "t_final": 0.1},
+    },
+    "equilibrium": {
+        "kind": "equilibrium",
+        "thermo": {"q": 2.0, "beta": 0.5, "mu": 1.0},
+        "gibbs_check": {"beta": 0.5, "mu": 1.0},
+        "grid": {"q_values": [2.0], "domain_products": [0.5]},
+    },
+    "bracket-check": {"kind": "bracket-check", "n_functionals": 4, "casimir_orders": 2,
+                      "average_orders": 2},
+}
+
+MALFORMED_CASTS = [
+    ("evolve", "system.dim", "x"),
+    ("evolve", "system.dim", 0),
+    ("evolve", "system.hamiltonian.random.seed", "x"),
+    ("evolve", "system.hamiltonian.random.spectral_norm", "x"),
+    ("evolve", "state.random.seed", -1),
+    ("evolve", "measure.convergence.reference_divisor", "x"),
+    ("evolve", "measure.compare_linear.q_values", ["x"]),
+    ("larmor", "measure.precession.element", ["x", 1]),
+    ("larmor", "measure.precession.element", [0, 2]),
+    ("larmor", "measure.larmor_grid.lams", ["x"]),
+    ("larmor", "measure.larmor_grid.q_values", "x"),
+    ("composite", "system.dims", ["x", 2]),
+    ("equilibrium", "gibbs_check.epsilon", "x"),
+    ("equilibrium", "grid.q_values", ["x"]),
+    ("bracket-check", "dim", "x"),
+    ("bracket-check", "seed", "x"),
+    ("bracket-check", "n_functionals", 2.5),
+    ("bracket-check", "casimir_orders", "x"),
+    ("bracket-check", "average_orders", "x"),
+]
+
+
 class TestConfigValidation:
     def test_missing_kind(self, tmp_path):
         path = write_config(tmp_path, {"label": "x"})
@@ -113,17 +177,25 @@ class TestExitCodes:
         (None, "q", float("nan")),
     ])
     def test_malformed_value_exit_2_names_key(self, tmp_path, section, key, value):
-        # a separate process, so that an uncaught exception shows on stderr
         cfg = tiny_evolve_config()
         (cfg[section] if section else cfg)[key] = value
-        path = write_config(tmp_path, cfg)
-        src = str(Path(nvne.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-        proc = subprocess.run([sys.executable, "-m", "nvne", "run", str(path), "--quiet"],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_in_subprocess(write_config(tmp_path, cfg))
         assert proc.returncode == 2, proc.stderr
         assert f"config key {section + '.' if section else ''}{key} " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind, key, value", MALFORMED_CASTS,
+                             ids=[f"{kind}:{key}={value}" for kind, key, value in MALFORMED_CASTS])
+    def test_malformed_cast_exit_2_names_key(self, tmp_path, kind, key, value):
+        cfg = json.loads(json.dumps(CAST_BASES[kind]))
+        *parents, leaf = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+        proc = run_in_subprocess(write_config(tmp_path, cfg))
+        assert proc.returncode == 2, proc.stderr
+        assert f"config key {key} " in proc.stderr
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("key, edit", [

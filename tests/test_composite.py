@@ -11,6 +11,7 @@ from nvne.dynamics import IntegratorConfig
 from nvne.errors import DimensionMismatch, DomainError
 from nvne.hermitian import (
     SIGMA_Z,
+    hermiticity_defect,
     partial_trace,
     pure_state,
     random_density_matrix,
@@ -91,6 +92,30 @@ class TestEvolveComposite:
         traj = evolve_composite(rho, spin_system(), cfg)
         hq = traj.invariant_log["Hq"]
         assert np.max(np.abs(hq - hq[0])) < 1e-8
+
+    @pytest.mark.parametrize("dims, record_every", [((2, 2), 1), ((2, 3), 4)])
+    def test_log_matches_per_state_oracle(self, rng, dims, record_every):
+        # the composite run shares the block logger of evolve; the oracle is
+        # the per-state loop it replaced
+        sys_ = CompositeSystem(dim_1=dims[0], dim_2=dims[1],
+                               h1=random_hermitian(dims[0], rng),
+                               h2=random_hermitian(dims[1], rng), q1=1.5, q2=0.7)
+        rho = random_density_matrix(dims[0] * dims[1], rng)
+        traj = evolve_composite(rho, sys_, IntegratorConfig(dt=1e-2, t_final=0.3,
+                                                            record_every=record_every))
+        oracle = {key: [] for key in traj.invariant_log}
+        for s in traj.states:
+            ev = np.sort(np.linalg.eigvalsh(s.matrix))
+            oracle["eigenvalues"].append(ev)
+            for n in range(1, 6):
+                oracle[f"C{n}"].append(float(np.sum(ev**n)))
+            oracle["Hq"].append(composite_energy(s, sys_))
+            oracle["hermiticity"].append(hermiticity_defect(s.matrix))
+            oracle["min_eigenvalue"].append(float(ev[0]))
+        for key, value in oracle.items():
+            assert np.array_equal(traj.invariant_log[key], np.asarray(value)), key
+        assert np.array_equal(traj.matrices, np.array([s.matrix for s in traj.states]))
+        assert not traj.matrices.flags.writeable
 
     def test_purity_of_reductions_constant(self, rng):
         rho = random_density_matrix(4, rng)

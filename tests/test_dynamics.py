@@ -3,7 +3,9 @@ import pytest
 
 from nvne.deformation import PowerLaw
 from nvne.dynamics import (
+    RECORD_BLOCK_BYTES,
     IntegratorConfig,
+    _step_spectral,
     evolve,
     invariant_report,
     larmor_frequency,
@@ -15,13 +17,49 @@ from nvne.hermitian import (
     SIGMA_Z,
     bloch_state,
     bloch_vector,
+    density_from_spectrum,
+    hermiticity_defect,
     pure_state,
     random_density_matrix,
     random_hermitian,
     trace_distance,
     validate_density,
 )
-from nvne.structure import generator
+from nvne.structure import generator, hamiltonian_function
+
+
+def per_state_evolve(rho0, h, f, cfg):
+    """The integrator with one density_from_spectrum, eigvalsh and energy
+    call per recorded state: the oracle for the recorded stack and the
+    block pass of evolve."""
+    w, v = rho0.eigenvalues, rho0.eigenvectors
+    kernel = f.divided_difference(w[:, None], w[None, :])
+    times, states = [0.0], [rho0]
+    n = cfg.n_steps
+    for k in range(1, n + 1):
+        w, v = _step_spectral(w, v, h, kernel, cfg.dt, cfg.scheme)
+        if k % cfg.record_every == 0 or k == n:
+            times.append(k * cfg.dt)
+            states.append(density_from_spectrum(w, v))
+    log = {key: [] for key in ("eigenvalues", "Hq", "hermiticity", "min_eigenvalue",
+                               "C1", "C2", "C3", "C4", "C5")}
+    for s in states:
+        ev = np.sort(np.linalg.eigvalsh(s.matrix))
+        log["eigenvalues"].append(ev)
+        for n in range(1, 6):
+            log[f"C{n}"].append(float(np.sum(ev**n)))
+        log["Hq"].append(hamiltonian_function(s, h, f))
+        log["hermiticity"].append(hermiticity_defect(s.matrix))
+        log["min_eigenvalue"].append(float(ev[0]))
+    return np.asarray(times), states, {key: np.asarray(x) for key, x in log.items()}
+
+
+def seeded_problem(dim, pure, seed):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(dim, rng, spectral_norm=1.0)
+    if pure:
+        return pure_state(rng.normal(size=dim) + 1j * rng.normal(size=dim)), h
+    return random_density_matrix(dim, rng), h
 
 
 class TestIntegratorConfig:
@@ -191,6 +229,66 @@ class TestEvolve:
         err1 = np.linalg.norm(end_state(4e-3) - ref)
         err2 = np.linalg.norm(end_state(2e-3) - ref)
         assert err1 / err2 == pytest.approx(2.0, rel=0.2)
+
+
+class TestRecordedStack:
+    @pytest.mark.parametrize("record_every", [1, 7])
+    @pytest.mark.parametrize("scheme", ["midpoint", "euler"])
+    @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+    @pytest.mark.parametrize("q", [0.5, 2.0])
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    def test_matches_per_state_oracle(self, dim, q, pure, scheme, record_every):
+        rho, h = seeded_problem(dim, pure, seed=10 * dim + int(4 * q))
+        f = PowerLaw(q=q)
+        cfg = IntegratorConfig(dt=1e-2, t_final=0.3, scheme=scheme, record_every=record_every)
+        traj = evolve(rho, h, f, cfg)
+        times, states, log = per_state_evolve(rho, h, f, cfg)
+        assert np.array_equal(traj.times, times)
+        assert set(traj.invariant_log) == set(log)
+        for key, value in log.items():
+            assert np.array_equal(traj.invariant_log[key], value), key
+        assert np.array_equal(traj.matrices, np.array([s.matrix for s in states]))
+        for got, want in zip(traj.states, states, strict=True):
+            assert np.array_equal(got.matrix, want.matrix)
+            assert np.array_equal(got.eigenvalues, want.eigenvalues)
+            assert np.array_equal(got.eigenvectors, want.eigenvectors)
+
+    def test_block_boundary_at_d16(self):
+        # more recorded states than fit in one block
+        per_block = RECORD_BLOCK_BYTES // (16 * 16 * 16)
+        rho, h = seeded_problem(16, False, seed=5)
+        f = PowerLaw(q=1.5)
+        cfg = IntegratorConfig(dt=1e-2, t_final=(2 * per_block + 3) * 1e-2)
+        traj = evolve(rho, h, f, cfg)
+        assert len(traj) > 2 * per_block
+        _, states, log = per_state_evolve(rho, h, f, cfg)
+        for key, value in log.items():
+            assert np.array_equal(traj.invariant_log[key], value), key
+        assert np.array_equal(traj.matrices, np.array([s.matrix for s in states]))
+
+    def test_stack_is_read_only_and_backs_the_states(self, rng):
+        rho = random_density_matrix(3, rng)
+        traj = evolve(rho, random_hermitian(3, rng), PowerLaw(q=2.0),
+                      IntegratorConfig(dt=1e-2, t_final=0.1, record_every=3))
+        assert traj.matrices.shape == (len(traj), 3, 3)
+        assert not traj.matrices.flags.writeable
+        with pytest.raises(ValueError):
+            traj.matrices[0, 0, 0] = 1.0
+        assert traj.states[0] is rho
+        for s in traj.states[1:]:
+            assert np.shares_memory(s.matrix, traj.matrices)
+            assert not s.matrix.flags.writeable
+            assert not s.eigenvectors.flags.writeable
+        assert np.array_equal(traj.element(0, 1), [s.matrix[0, 1] for s in traj.states])
+
+    def test_sequence_energy_equals_per_state_floats(self, rng):
+        h = random_hermitian(4, rng)
+        f = PowerLaw(q=0.7)
+        states = [random_density_matrix(4, rng) for _ in range(5)]
+        states.append(pure_state(rng.normal(size=4) + 1j * rng.normal(size=4)))
+        energies = hamiltonian_function(tuple(states), h, f)
+        assert energies.shape == (len(states),)
+        assert np.array_equal(energies, [hamiltonian_function(s, h, f) for s in states])
 
 
 class TestLarmorLaw:

@@ -186,6 +186,11 @@ class TestNodes:
         purities = [ensemble_average(spec, t).purity() for t in (0.0, 5.0, 50.0)]
         assert np.allclose(purities, 0.5, atol=1e-10)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_or_negative_time(self, t):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            ensemble_average(make_spec(n=8), t)
+
 
 class TestIntegratorFallback:
     def test_non_spin_z_field_requires_config(self):

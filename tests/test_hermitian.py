@@ -87,6 +87,19 @@ class TestValidateDensity:
             assert np.isclose(np.trace(rho.matrix).real, 1.0, atol=1e-12)
             assert np.min(np.linalg.eigvalsh(rho.matrix)) >= -1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, np.nan)],
+                             ids=["nan", "inf", "nan-imaginary"])
+    def test_non_finite_entries_rejected(self, bad):
+        # every other check compares with <, which is False for NaN
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(DomainError, match="NaN or infinite"):
+            validate_density(m)
+
+    def test_all_nan_state_rejected(self):
+        with pytest.raises(DomainError):
+            validate_density(np.full((2, 2), np.nan))
+
     def test_matrix_is_write_protected(self, rng):
         rho = random_density_matrix(2, rng)
         with pytest.raises(ValueError):
