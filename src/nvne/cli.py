@@ -46,11 +46,15 @@ KINDS = ("evolve", "composite", "equilibrium", "ensemble", "bracket-check")
 # config parsing
 
 
-def _get(d: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in d:
-        if required:
-            raise ConfigError(f"missing config key: {path}{key}")
-        return default
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"config key {path} must be an object, got {value!r}")
+    return value
+
+
+def _get(d: dict, key: str, path: str):
+    if key not in _object(d, path.rstrip(".") or "root"):
+        raise ConfigError(f"missing config key: {path}{key}")
     return d[key]
 
 
@@ -82,32 +86,26 @@ def _numbers(values, path: str) -> list:
     return [_number(x, path) for x in values]
 
 
-def _complex_matrix(entries, path: str) -> np.ndarray:
+def _complex_array(entries, path: str, ndim: int = 2) -> np.ndarray:
+    """A vector (ndim 1) or square matrix (ndim 2) of [re, im] pairs."""
     try:
         arr = np.asarray(entries, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config key {path} is not a matrix of [re, im] pairs: {exc}")
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        raise ConfigError(
-            f"config key {path} must be shaped dim x dim x 2 (re/im pairs), got {arr.shape}"
-        )
+        raise ConfigError(f"config key {path} is not an array of [re, im] pairs: {exc}")
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2 or len(set(arr.shape[:-1])) != 1:
+        shape = "dim x 2" if ndim == 1 else "dim x dim x 2"
+        raise ConfigError(f"config key {path} must be shaped {shape}, got {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
-
-
 def parse_hamiltonian(spec, path: str, dim: int | None = None) -> np.ndarray:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"config key {path} must be an object")
-    if "preset" in spec:
+    if "preset" in _object(spec, path):
         if spec["preset"] != "spin-z":
             raise ConfigError(f"config key {path}.preset: unknown preset {spec['preset']!r}")
         mu = _number(_get(spec, "mu", f"{path}."), f"{path}.mu")
         return -mu * SIGMA_Z
     if "matrix" in spec:
-        m = _complex_matrix(spec["matrix"], f"{path}.matrix")
+        m = _complex_array(spec["matrix"], f"{path}.matrix")
         try:
             m = require_hermitian(m, what=f"{path}.matrix")
         except NvneError as exc:
@@ -128,9 +126,7 @@ def parse_hamiltonian(spec, path: str, dim: int | None = None) -> np.ndarray:
 
 
 def parse_state(spec, path: str, dim: int | None = None) -> DensityMatrix:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"config key {path} must be an object")
-    if "bloch" in spec:
+    if "bloch" in _object(spec, path):
         b = spec["bloch"]
         try:
             return bloch_state(
@@ -141,16 +137,13 @@ def parse_state(spec, path: str, dim: int | None = None) -> DensityMatrix:
         except DomainError as exc:
             raise ConfigError(f"config key {path}.bloch: {exc}")
     if "matrix" in spec:
-        m = _complex_matrix(spec["matrix"], f"{path}.matrix")
+        m = _complex_array(spec["matrix"], f"{path}.matrix")
         try:
             return validate_density(m)
         except NvneError as exc:
             raise ConfigError(f"config key {path}.matrix: {exc}")
     if "pure" in spec:
-        vec = np.asarray(spec["pure"], dtype=float)
-        if vec.ndim != 2 or vec.shape[1] != 2:
-            raise ConfigError(f"config key {path}.pure must be a list of [re, im] pairs")
-        return pure_state(vec[:, 0] + 1j * vec[:, 1])
+        return pure_state(_complex_array(spec["pure"], f"{path}.pure", ndim=1))
     if "random" in spec:
         seed = _integer(_get(spec["random"], "seed", f"{path}.random."), f"{path}.random.seed", 0)
         if dim is None:
@@ -171,7 +164,8 @@ def parse_deformation(cfg: dict, path: str = "") -> DeformationFunction:
         return PowerLaw(q=_number(_get(spec, "q", f"{path}deformation."), f"{path}deformation.q"))
     if kind == "series":
         try:
-            return CoefficientSeries(coeffs=tuple(spec.get("coeffs", ())))
+            return CoefficientSeries(
+                coeffs=tuple(_numbers(spec.get("coeffs", []), f"{path}deformation.coeffs")))
         except DomainError as exc:
             raise ConfigError(f"config key {path}deformation.coeffs: {exc}")
     raise ConfigError(f"config key {path}deformation.kind must be power or series")
@@ -241,7 +235,7 @@ class RunReport:
 
 def _apply_assertions(report: RunReport, cfg: dict, available: dict) -> None:
     """Wire configured thresholds against measured values by name."""
-    spec = cfg.get("assertions", {})
+    spec = _object(cfg.get("assertions", {}), "assertions")
     for name, threshold in spec.items():
         if name not in available:
             raise ConfigError(f"config key assertions.{name}: nothing measured under that name")
@@ -262,7 +256,7 @@ def _run_evolve(cfg: dict, report: RunReport) -> dynamics.Trajectory:
     if state.dim != dim:
         raise ConfigError(f"config key state: dim {state.dim} != system.dim {dim}")
     icfg = parse_integrator(cfg)
-    measure = cfg.get("measure", {})
+    measure = _object(cfg.get("measure", {}), "measure")
     available: dict = {}
 
     traj = dynamics.evolve(state, h, f, icfg)
@@ -280,7 +274,7 @@ def _run_evolve(cfg: dict, report: RunReport) -> dynamics.Trajectory:
     available["hermiticity"] = (inv.max_hermiticity_defect, "<=")
 
     if "precession" in measure:
-        element = measure["precession"].get("element", [0, 1])
+        element = _object(measure["precession"], "measure.precession").get("element", [0, 1])
         if not isinstance(element, list) or len(element) != 2:
             raise ConfigError(
                 f"config key measure.precession.element must be [i, j], got {element!r}")
@@ -473,7 +467,7 @@ def _run_equilibrium(cfg: dict, report: RunReport) -> None:
         available["gibbs_limit"] = (worst, "<=")
 
     if "grid" in cfg:
-        grid = cfg["grid"]
+        grid = _object(cfg["grid"], "grid")
         q_values = _numbers(grid.get("q_values", []), "grid.q_values")
         products = _numbers(grid.get("domain_products", []), "grid.domain_products")
         min_curv = np.inf
@@ -514,7 +508,7 @@ def _run_ensemble(cfg: dict, report: RunReport):
     except NvneError as exc:
         raise ConfigError(f"config key ensemble: {exc}")
     mu = espec.mu
-    times = [_number(t, "times") for t in cfg.get("times", [0.0, 1.0, 5.0, 20.0])]
+    times = _numbers(cfg.get("times", [0.0, 1.0, 5.0, 20.0]), "times")
     lam_density = None if weight_name == "sin-psi-half" else (lambda lam: 2.0 * lam)
 
     available: dict = {}
@@ -529,14 +523,14 @@ def _run_ensemble(cfg: dict, report: RunReport):
     report.headline["analytic_match_gap"] = match_gap
     available["analytic_match"] = (match_gap, "<=")
 
-    decay = cfg.get("decay")
+    decay = _object(cfg.get("decay", {}), "decay")
     decay_series = []
     if decay:
         t_late = _number(_get(decay, "t_late", "decay."), "decay.t_late")
-        window = decay.get("window", [0.0, 20.0])
-        samples = _integer(decay.get("samples", 201), "decay.samples")
-        grid = np.linspace(_number(window[0], "decay.window"), _number(window[1], "decay.window"),
-                           samples)
+        window = _numbers(decay.get("window", [0.0, 20.0]), "decay.window")
+        if len(window) != 2:
+            raise ConfigError(f"config key decay.window must be [start, end], got {window!r}")
+        grid = np.linspace(*window, _integer(decay.get("samples", 201), "decay.samples"))
         offs = []
         for t in grid:
             off = ensemble.offdiagonal_magnitude(ensemble.ensemble_average(espec, float(t)))
@@ -549,7 +543,7 @@ def _run_ensemble(cfg: dict, report: RunReport):
         report.headline["decay"] = {"window_peak": peak, "late_value": late, "ratio": ratio}
         available["decay_ratio"] = (ratio, "<=")
 
-    node_check = cfg.get("node_check")
+    node_check = _object(cfg.get("node_check", {}), "node_check")
     if node_check:
         count = _integer(node_check.get("count", 4), "node_check.count")
         t_end = _number(node_check.get("t_final", 20.0), "node_check.t_final")
@@ -717,6 +711,10 @@ def load_config(path: str) -> dict:
 def run_scenario(cfg: dict, out_dir: Path | None = None) -> RunReport:
     kind = cfg["kind"]
     report = RunReport(scenario=kind, label=str(cfg.get("label", kind)), config=cfg)
+    output_cfg = _object(cfg.get("output", {}), "output")
+    formats = output_cfg.get("formats", ["csv", "json"])
+    if not isinstance(formats, list) or not set(map(str, formats)) <= {"csv", "json"}:
+        raise ConfigError(f"config key output.formats must list csv or json, got {formats!r}")
     start = time.perf_counter()
     traj = None
     extra = None
@@ -735,8 +733,6 @@ def run_scenario(cfg: dict, out_dir: Path | None = None) -> RunReport:
         _run_bracket_check(cfg, report)
     report.wall_clock_s = time.perf_counter() - start
 
-    output_cfg = cfg.get("output", {})
-    formats = output_cfg.get("formats", ["csv", "json"])
     if out_dir is None:
         configured = os.environ.get("NVNE_OUT") or output_cfg.get("dir")
         out_dir = Path(configured) if configured else None

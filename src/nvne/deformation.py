@@ -69,10 +69,6 @@ class PowerLaw(DeformationFunction):
         if not self.q > 0:
             raise DomainError(f"power-law exponent must be positive, got q={self.q}")
 
-    @property
-    def is_identity(self) -> bool:
-        return abs(self.q - 1.0) < 1e-14
-
     def _domain(self, x):
         """x itself for integer q; for non-integer q, x >= 0 up to a
         round-off window that is clipped to 0."""
@@ -106,15 +102,9 @@ class PowerLaw(DeformationFunction):
         return np.where(a == b, np.where(np.isfinite(limit), limit, 0.0), out)
 
     def fprime(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.q >= 1 or float(self.q) == int(self.q):
-            with np.errstate(invalid="ignore"):
-                out = self.q * np.clip(x, 0.0, None) ** (self.q - 1.0)
-            return out
-        # q < 1: derivative diverges at 0
+        # for q < 1 the derivative diverges at 0 (inf, no warning)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self.q * np.clip(x, 0.0, None) ** (self.q - 1.0)
-        return out
+            return self.q * np.clip(np.asarray(x, dtype=float), 0.0, None) ** (self.q - 1.0)
 
 
 @dataclass(frozen=True)
@@ -147,6 +137,3 @@ class CoefficientSeries(DeformationFunction):
 
 def power_law(q: float) -> PowerLaw:
     return PowerLaw(q=float(q))
-
-
-IDENTITY = PowerLaw(q=1.0)

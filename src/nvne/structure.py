@@ -61,7 +61,7 @@ def hamiltonian_function(rho, h: np.ndarray, f: DeformationFunction):
 
 def _eigenbasis_diagonal(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Real diagonal of V^dagger H V, for one eigenvector matrix or a stack."""
-    return np.einsum("...ji,jk,...ki->...i", v.conj(), h, v).real
+    return np.sum(v.conj() * (h @ v), axis=-2).real
 
 
 def _divided_difference_transform(

@@ -36,3 +36,8 @@ def test_layer_probes_give_every_layer_metric(tmp_path):
                                     written)
     assert [name for name, value in metrics.items() if value is None] == []
     assert metrics["dynamics.recorded_states"] > 0
+    # every node of the 2x6x6 tilted probe grid is integrated through one
+    # dynamics.evolve call; a kernel that bypassed evolve would read as a
+    # closed-form average and drop these counts
+    assert metrics["ensemble.node_evals"] == 72
+    assert metrics["dynamics.steps"] == 494

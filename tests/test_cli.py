@@ -74,6 +74,16 @@ CAST_BASES = {
     },
     "bracket-check": {"kind": "bracket-check", "n_functionals": 4, "casimir_orders": 2,
                       "average_orders": 2},
+    "series": {**{k: v for k, v in tiny_evolve_config().items() if k != "q"},
+               "deformation": {"kind": "series", "coeffs": [0.5, 0.5]}},
+    "ensemble": {
+        "kind": "ensemble",
+        "system": {"hamiltonian": {"preset": "spin-z", "mu": 1.0}},
+        "q": 3.0,
+        "ensemble": {"weight": "tilted-lambda", "n_lam": 16, "n_phi": 16, "n_psi": 16},
+        "times": [0.0],
+        "decay": {"t_late": 30.0, "window": [0.0, 10.0], "samples": 5},
+    },
 }
 
 MALFORMED_CASTS = [
@@ -96,6 +106,16 @@ MALFORMED_CASTS = [
     ("bracket-check", "n_functionals", 2.5),
     ("bracket-check", "casimir_orders", "x"),
     ("bracket-check", "average_orders", "x"),
+    # wrong container types
+    ("evolve", "state.pure", [["x", 0.0], [1.0, 0.0]]),
+    ("evolve", "measure", [1]),
+    ("evolve", "measure.convergence", 3),
+    ("evolve", "assertions", [1]),
+    ("evolve", "output.formats", 3),
+    ("series", "deformation.coeffs", ["x"]),
+    ("ensemble", "decay.window", 5.0),
+    ("ensemble", "decay.window", [0.0]),
+    ("equilibrium", "grid", [1]),
 ]
 
 

@@ -5,6 +5,8 @@ from nvne.deformation import PowerLaw
 from nvne.dynamics import (
     RECORD_BLOCK_BYTES,
     IntegratorConfig,
+    _advance,
+    _advance_su2,
     _step_spectral,
     evolve,
     invariant_report,
@@ -31,16 +33,13 @@ from nvne.structure import generator, hamiltonian_function
 def per_state_evolve(rho0, h, f, cfg):
     """The integrator with one density_from_spectrum, eigvalsh and energy
     call per recorded state: the oracle for the recorded stack and the
-    block pass of evolve."""
+    block pass of evolve. It steps through the same seam as evolve."""
     w, v = rho0.eigenvalues, rho0.eigenvectors
     kernel = f.divided_difference(w[:, None], w[None, :])
     times, states = [0.0], [rho0]
-    n = cfg.n_steps
-    for k in range(1, n + 1):
-        w, v = _step_spectral(w, v, h, kernel, cfg.dt, cfg.scheme)
-        if k % cfg.record_every == 0 or k == n:
-            times.append(k * cfg.dt)
-            states.append(density_from_spectrum(w, v))
+    for k, v in _advance(v, h, kernel, cfg.dt, cfg.scheme, cfg.n_steps, cfg.record_every):
+        times.append(k * cfg.dt)
+        states.append(density_from_spectrum(w, v))
     log = {key: [] for key in ("eigenvalues", "Hq", "hermiticity", "min_eigenvalue",
                                "C1", "C2", "C3", "C4", "C5")}
     for s in states:
@@ -289,6 +288,40 @@ class TestRecordedStack:
         energies = hamiltonian_function(tuple(states), h, f)
         assert energies.shape == (len(states),)
         assert np.array_equal(energies, [hamiltonian_function(s, h, f) for s in states])
+
+
+class TestSU2Kernel:
+    @pytest.mark.parametrize("scheme", ["midpoint", "euler"])
+    @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
+    def test_matches_numpy_step(self, q, pure, scheme):
+        # the scalar kernel against the numpy step on the same 2x2 input;
+        # the gap is round-off accumulated over the run
+        rho, h = seeded_problem(2, pure, seed=int(4 * q) + 10 * pure)
+        w, v = rho.eigenvalues, rho.eigenvectors
+        kernel = PowerLaw(q=q).divided_difference(w[:, None], w[None, :])
+        n, dt = 20000, 1e-3
+        ((k, v_scalar),) = _advance_su2(v, h, kernel, dt, scheme, n, n)
+        v_numpy = v
+        for _ in range(n):
+            v_numpy = _step_spectral(v_numpy, h, kernel, dt, scheme)
+        assert k == n
+        got = density_from_spectrum(w, v_scalar).matrix
+        want = density_from_spectrum(w, v_numpy).matrix
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    @pytest.mark.parametrize("diag, h_diag", [((0.7, 0.3), (-1.0, 1.0)),
+                                              ((0.25, 0.75), (3.0, 1.0))],
+                             ids=["generic", "generator-proportional-to-identity"])
+    def test_commuting_state_is_fixed(self, diag, h_diag):
+        # at q = 2 the second pair gives G = 1.5 * identity, so |w| = 0
+        # exactly and the exponential takes its norm < 1e-300 branch (a
+        # division by zero without it); 500 steps of unit-modulus phase
+        # factors leave round-off of order 1e-14 on the diagonal
+        rho = validate_density(np.diag(diag).astype(complex))
+        h = np.diag(h_diag).astype(complex)
+        traj = evolve(rho, h, PowerLaw(q=2.0), IntegratorConfig(dt=1e-2, t_final=5.0))
+        assert np.max(np.abs(traj.matrices - rho.matrix)) < 1e-12
 
 
 class TestLarmorLaw:
