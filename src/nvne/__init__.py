@@ -17,7 +17,7 @@ from .composite import (
     evolve_composite,
     reduction_consistency,
 )
-from .deformation import CoefficientSeries, DeformationFunction, PowerLaw, power_law
+from .deformation import CoefficientSeries, DeformationFunction, PowerLaw
 from .dynamics import (
     IntegratorConfig,
     InvariantReport,

@@ -715,6 +715,9 @@ def run_scenario(cfg: dict, out_dir: Path | None = None) -> RunReport:
     formats = output_cfg.get("formats", ["csv", "json"])
     if not isinstance(formats, list) or not set(map(str, formats)) <= {"csv", "json"}:
         raise ConfigError(f"config key output.formats must list csv or json, got {formats!r}")
+    configured = output_cfg.get("dir")
+    if configured is not None and not isinstance(configured, str):
+        raise ConfigError(f"config key output.dir must be a path string, got {configured!r}")
     start = time.perf_counter()
     traj = None
     extra = None
@@ -734,7 +737,7 @@ def run_scenario(cfg: dict, out_dir: Path | None = None) -> RunReport:
     report.wall_clock_s = time.perf_counter() - start
 
     if out_dir is None:
-        configured = os.environ.get("NVNE_OUT") or output_cfg.get("dir")
+        configured = os.environ.get("NVNE_OUT") or configured
         out_dir = Path(configured) if configured else None
     if out_dir is not None:
         emit_outputs(report, traj, extra, Path(out_dir), formats)

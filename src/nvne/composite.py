@@ -4,10 +4,15 @@ The joint state evolves under
 
     i d/dt rho_AB = [G_I(rho_I) (x) 1 + 1 (x) G_II(rho_II), rho_AB]
 
-with rho_I, rho_II recomputed from the joint state at every (half-)step.
-Because the two generator terms commute, the step unitary factors as a
-Kronecker product of the subsystem unitaries, which makes the partial
-trace of the joint trajectory track the independently integrated
+with G_I, G_II the divided-difference generators of the reductions. The two
+generator terms commute, so the step unitary factors as U_I (x) U_II, and
+each reduction obeys its own isospectral equation: its spectrum and kernel
+are constants of the flow. evolve_composite therefore steps the
+eigenvectors V_I, V_II of the two reductions through dynamics._advance
+(kernels taken once from the initial reductions) and forms the joint state
+only at record points, with eigenvectors kron(W_I, W_II) V_0, where
+W = V(t) V(0)^dagger, and the invariant spectrum of rho_AB(0). The partial
+trace of the joint trajectory tracks the independently integrated
 subsystem equations to round-off.
 """
 from __future__ import annotations
@@ -17,18 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import PowerLaw
-from .dynamics import IntegratorConfig, Trajectory, _with_invariants, invariant_report
+from .dynamics import IntegratorConfig, Trajectory, _advance, _record, invariant_report
 from .errors import DimensionMismatch, DomainError
-from .hermitian import (
-    DensityMatrix,
-    _zero_round_off,
-    partial_trace,
-    partial_trace_matrix,
-    require_hermitian,
-    trace_norm,
-    validate_density,
-)
-from .structure import _divided_difference_transform, _eigenbasis_diagonal
+from .hermitian import DensityMatrix, partial_trace, require_hermitian, trace_norm
+from .structure import _eigenbasis_diagonal
 
 
 @dataclass(frozen=True)
@@ -57,48 +54,23 @@ class CompositeSystem:
         return PowerLaw(q=self.q2)
 
 
-def _subsystem_unitary(red: np.ndarray, h: np.ndarray, f: PowerLaw, dt: float) -> np.ndarray:
-    w, v = np.linalg.eigh(red)
-    g = _divided_difference_transform(_zero_round_off(w), v, h, f)
-    gw, gv = np.linalg.eigh(g)
-    return (gv * np.exp(-1j * gw * dt)) @ gv.conj().T
-
-
-def _joint_unitary(m: np.ndarray, sys: CompositeSystem, dt: float) -> np.ndarray:
-    dims = (sys.dim_1, sys.dim_2)
-    u1 = _subsystem_unitary(partial_trace_matrix(m, dims, "I"), sys.h1, sys.f1, dt)
-    u2 = _subsystem_unitary(partial_trace_matrix(m, dims, "II"), sys.h2, sys.f2, dt)
-    return np.kron(u1, u2)
-
-
 def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorConfig) -> Trajectory:
     """Midpoint (or Euler) integration of the joint equation; the logged
     energy is the conserved two-system Hamiltonian function."""
     d = sys.dim_1 * sys.dim_2
     if rho0.dim != d:
         raise DimensionMismatch(f"joint state dim {rho0.dim} != {sys.dim_1}*{sys.dim_2}")
-    m = rho0.matrix.copy()
-    times = [0.0]
-    mats = [m]
-    n = cfg.n_steps
-    for k in range(1, n + 1):
-        if cfg.scheme == "midpoint":
-            u_half = _joint_unitary(m, sys, cfg.dt / 2)
-            m_half = u_half @ m @ u_half.conj().T
-            u = _joint_unitary(m_half, sys, cfg.dt)
-        else:
-            u = _joint_unitary(m, sys, cfg.dt)
-        m = u @ m @ u.conj().T
-        if k % cfg.record_every == 0 or k == n:
-            times.append(k * cfg.dt)
-            mats.append(m)
-    states = tuple(validate_density(x) for x in mats)
-    matrices = np.stack([s.matrix for s in states])
-    times = np.asarray(times)
-    for a in (times, matrices):
-        a.setflags(write=False)
-    return _with_invariants(times, states, matrices,
-                            lambda block: [composite_energy(s, sys) for s in block])
+    dims = (sys.dim_1, sys.dim_2)
+    runs, starts = [], []
+    for keep, h, f in (("I", sys.h1, sys.f1), ("II", sys.h2, sys.f2)):
+        red = partial_trace(rho0, dims, keep)
+        w, v = red.eigenvalues, red.eigenvectors
+        kernel = f.divided_difference(w[:, None], w[None, :])
+        runs.append(_advance(v, h, kernel, cfg.dt, cfg.scheme, cfg.n_steps, cfg.record_every))
+        starts.append(v.conj().T)
+    steps = ((k, np.kron(v1 @ starts[0], v2 @ starts[1]) @ rho0.eigenvectors)
+             for (k, v1), (_, v2) in zip(*runs))
+    return _record(rho0, steps, cfg, lambda block: [composite_energy(s, sys) for s in block])
 
 
 def composite_energy(state: DensityMatrix, sys: CompositeSystem) -> float:
@@ -134,18 +106,13 @@ def reduction_consistency(traj_ab: Trajectory, sys: CompositeSystem, cfg: Integr
     dims = (sys.dim_1, sys.dim_2)
     r1_traj = evolve(partial_trace(traj_ab.states[0], dims, "I"), sys.h1, sys.f1, cfg)
     r2_traj = evolve(partial_trace(traj_ab.states[0], dims, "II"), sys.h2, sys.f2, cfg)
-    by_time_1 = {round(t, 12): s for t, s in zip(r1_traj.times, r1_traj.states)}
-    by_time_2 = {round(t, 12): s for t, s in zip(r2_traj.times, r2_traj.states)}
-    dev1 = 0.0
-    dev2 = 0.0
-    for t, s in zip(traj_ab.times, traj_ab.states):
-        key = round(float(t), 12)
-        if key not in by_time_1:
-            continue
-        red1 = partial_trace(s, dims, "I")
-        red2 = partial_trace(s, dims, "II")
-        dev1 = max(dev1, trace_norm(red1.matrix - by_time_1[key].matrix))
-        dev2 = max(dev2, trace_norm(red2.matrix - by_time_2[key].matrix))
+    if not np.array_equal(r1_traj.times, traj_ab.times):
+        raise DomainError("reduction_consistency needs the integrator config of the joint run: "
+                          f"its times differ from the joint run's {len(traj_ab)} recorded times")
+    dev1 = dev2 = 0.0
+    for s, s1, s2 in zip(traj_ab.states, r1_traj.states, r2_traj.states):
+        dev1 = max(dev1, trace_norm(partial_trace(s, dims, "I").matrix - s1.matrix))
+        dev2 = max(dev2, trace_norm(partial_trace(s, dims, "II").matrix - s2.matrix))
     return ClosureReport(
         max_deviation_1=dev1,
         max_deviation_2=dev2,

@@ -133,7 +133,3 @@ class CoefficientSeries(DeformationFunction):
     def fprime(self, x):
         x = np.asarray(x, dtype=float)
         return sum(k * c * x ** (k - 1) for k, c in enumerate(self.coeffs, start=1))
-
-
-def power_law(q: float) -> PowerLaw:
-    return PowerLaw(q=float(q))

@@ -5,10 +5,17 @@ divided-difference generator, so spectrum, trace and positivity are
 preserved by construction; discretization error lives only in the orbit
 phase. The midpoint scheme evaluates G at a half-step state (second
 order); the Euler scheme uses the initial G (first order, kept for
-convergence studies). All stepping goes through _advance. At d = 2 it runs
-the same scheme on Python complex scalars with the closed-form SU(2)
-exponential, which agrees with the numpy path (eigh) to round-off and
-is about 5x faster; other dimensions use numpy.
+convergence studies). All stepping goes through _advance. The eigenvalues
+are invariants, so the divided-difference kernel K is taken once per
+trajectory, and _advance steps in one of three branches:
+
+- d = 2: the same scheme on Python complex scalars with the closed-form
+  SU(2) exponential, which agrees with the numpy path (eigh) to round-off
+  and is about 5x faster;
+- every entry of K equal to one c (a pure state under linear f, a maximally
+  mixed state): G = c H at every state, so both schemes are the propagator
+  exp(-i c H dt), exponentiated once and applied as one matmul per step;
+- otherwise numpy, with G rebuilt and diagonalized at every (half-)step.
 
 The step loop writes the eigenvectors of every recorded state into a
 preallocated (T, d, d) stack. The spectrum is invariant, so after the loop
@@ -16,7 +23,7 @@ the recorded matrices and the whole invariant log are computed in batched
 numpy calls over blocks of that stack (RECORD_BLOCK_BYTES of complex
 entries each). The logged eigenvalues come from one eigvalsh per block of
 the materialized matrices, an independent check of the spectrum the
-integrator holds fixed.
+integrator holds fixed. Composite runs record through the same pass.
 """
 from __future__ import annotations
 
@@ -113,8 +120,13 @@ def _advance(v, h, kernel, dt, scheme, n, every):
     if v.shape == (2, 2):
         yield from _advance_su2(v, h, kernel, dt, scheme, n, every)
         return
+    c = kernel.flat[0]
+    constant = bool(np.all(kernel == c))
+    if constant:
+        hw, hu = np.linalg.eigh(h)
+        u = (hu * np.exp(-1j * c * dt * hw)) @ hu.conj().T
     for k in range(1, n + 1):
-        v = _step_spectral(v, h, kernel, dt, scheme)
+        v = u @ v if constant else _step_spectral(v, h, kernel, dt, scheme)
         if k % every == 0 or k == n:
             yield k, v
 
@@ -176,20 +188,34 @@ def evolve(
     h = require_hermitian(h, what="hamiltonian")
     w, v = rho0.eigenvalues, rho0.eigenvectors
     kernel = f.divided_difference(w[:, None], w[None, :])
-    n, every = cfg.n_steps, cfg.record_every
+    steps = _advance(v, h, kernel, cfg.dt, cfg.scheme, cfg.n_steps, cfg.record_every)
+    return _record(rho0, steps, cfg, lambda block: hamiltonian_function(block, h, f))
+
+
+def _blocks(start: int, stop: int, dim: int) -> list:
+    size = max(1, RECORD_BLOCK_BYTES // (16 * dim * dim))
+    return [slice(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
+
+
+def _record(rho0: DensityMatrix, steps, cfg: IntegratorConfig, energy) -> Trajectory:
+    """Trajectory of rho0 from the (k, V) pairs that steps yields at the
+    record points of cfg, V being the eigenvectors of the state after k
+    steps. The recorded matrices and their invariant log are taken in
+    blocks of the stack; energy maps a tuple of states to their energies."""
+    n, every, dim = cfg.n_steps, cfg.record_every, rho0.dim
     count = 1 + n // every + (n % every != 0)
     times = np.empty(count)
-    vs = np.empty((count, rho0.dim, rho0.dim), dtype=complex)
-    times[0], vs[0] = 0.0, v
-    for r, (k, v) in enumerate(_advance(v, h, kernel, cfg.dt, cfg.scheme, n, every), 1):
+    vs = np.empty((count, dim, dim), dtype=complex)
+    times[0], vs[0] = 0.0, rho0.eigenvectors
+    for r, (k, v) in enumerate(steps, 1):
         times[r], vs[r] = k * cfg.dt, v
     # the step leaves the eigenvalues untouched, so every recorded state
     # shares the spectrum of rho0, with round-off zeros as in
     # density_from_spectrum
-    w = _zero_round_off(w)
+    w = _zero_round_off(rho0.eigenvalues)
     matrices = np.empty_like(vs)
     matrices[0] = rho0.matrix
-    for b in _blocks(1, count, rho0.dim):
+    for b in _blocks(1, count, dim):
         vb = vs[b]
         matrices[b] = hermitian_part((vb * w) @ vb.conj().swapaxes(1, 2))
     for a in (times, vs, matrices, w):
@@ -198,19 +224,6 @@ def evolve(
         DensityMatrix(matrix=m, eigenvalues=w, eigenvectors=u)
         for m, u in zip(matrices[1:], vs[1:])
     )
-    return _with_invariants(times, states, matrices,
-                            lambda block: hamiltonian_function(block, h, f))
-
-
-def _blocks(start: int, stop: int, dim: int) -> list:
-    size = max(1, RECORD_BLOCK_BYTES // (16 * dim * dim))
-    return [slice(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
-
-
-def _with_invariants(times, states, matrices, energy) -> Trajectory:
-    """Trajectory with the invariant log of its recorded matrices, taken in
-    blocks of the stack; energy maps a tuple of states to their energies."""
-    count, dim = matrices.shape[:2]
     log = {
         "eigenvalues": np.empty((count, dim)),
         "Hq": np.empty(count),

@@ -104,19 +104,23 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 
 def _zero_round_off(w: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Eigenvalues at or below tol set to exactly 0 (a new array).
+    """Eigenvalues at or below tol/10 set to exactly 0 (a new array).
 
     Two-sided on purpose: x**q with q < 1 is not Lipschitz at 0, so a
     round-off eigenvalue of 1e-19 would turn the divided differences of a
     pure state into entries of order 1e9 instead of the exact-zero rule.
+    The upper edge sits a decade below tol so that the repair moves no
+    eigenvalue by tol or more: zeroing a genuine eigenvalue of exactly
+    tol, then renormalizing, shifted both eigenvalues of a qubit by tol
+    plus round-off. Negative eigenvalues down to -tol all become 0.
     """
-    return np.where(w <= tol, 0.0, w)
+    return np.where(w <= 0.1 * tol, 0.0, w)
 
 
 def validate_density(matrix: np.ndarray, tol: float = TOL_HERM) -> DensityMatrix:
     """Validate and repair a candidate state.
 
-    The matrix is symmetrized, eigenvalues in [-tol, tol] become exactly 0,
+    The matrix is symmetrized, eigenvalues in [-tol, tol/10] become exactly 0,
     and the trace is renormalized to 1. Anything worse is an error, not a
     silent repair: NotHermitian beyond tol, NotPositive below -tol,
     ZeroTrace when |Tr| < tol, DomainError on NaN or infinite entries.
@@ -156,8 +160,8 @@ def density_from_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> 
     """Assemble a state from a known spectral decomposition (trusted path).
 
     Used by the integrator, where unitary conjugation preserves the
-    spectrum by construction. Eigenvalues within TOL_HERM of 0 become
-    exactly 0, as in validate_density.
+    spectrum by construction. Eigenvalues in [-TOL_HERM, TOL_HERM/10]
+    become exactly 0, as in validate_density.
     """
     w = _zero_round_off(np.asarray(eigenvalues, dtype=float))
     v = np.ascontiguousarray(eigenvectors, dtype=complex)
@@ -222,13 +226,6 @@ def partial_trace(rho_ab, dims: tuple[int, int], keep: str) -> DensityMatrix:
     else:
         raise DomainError(f"keep must be 'I' or 'II', got {keep!r}")
     return validate_density(red)
-
-
-def partial_trace_matrix(m: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Partial trace without validation; used in inner integrator loops."""
-    d1, d2 = dims
-    t = m.reshape(d1, d2, d1, d2)
-    return np.einsum("ijkj->ik", t) if keep == "I" else np.einsum("ijil->jl", t)
 
 
 @dataclass(frozen=True)

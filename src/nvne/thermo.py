@@ -38,11 +38,6 @@ class ThermoParams:
     def temperature(self) -> float:
         return 1.0 / self.beta
 
-    @property
-    def domain_product(self) -> float:
-        """|q-1| * beta * mu; the closed-form spin equilibrium needs this in (0, 1)."""
-        return abs(self.q - 1.0) * self.beta * self.mu
-
 
 def entropy_from_eigenvalues(eigenvalues: np.ndarray, q: float, trace: float = 1.0) -> float:
     w = np.asarray(eigenvalues, dtype=float)

@@ -112,6 +112,7 @@ MALFORMED_CASTS = [
     ("evolve", "measure.convergence", 3),
     ("evolve", "assertions", [1]),
     ("evolve", "output.formats", 3),
+    ("evolve", "output.dir", 3),
     ("series", "deformation.coeffs", ["x"]),
     ("ensemble", "decay.window", 5.0),
     ("ensemble", "decay.window", [0.0]),

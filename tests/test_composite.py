@@ -11,6 +11,7 @@ from nvne.dynamics import IntegratorConfig
 from nvne.errors import DimensionMismatch, DomainError
 from nvne.hermitian import (
     SIGMA_Z,
+    _zero_round_off,
     hermiticity_defect,
     partial_trace,
     pure_state,
@@ -20,11 +21,43 @@ from nvne.hermitian import (
     trace_distance,
     validate_density,
 )
+from nvne.structure import _divided_difference_transform
 
 
 def spin_system(q1=1.5, q2=2.5, mu1=1.0, mu2=0.7):
     return CompositeSystem(dim_1=2, dim_2=2, h1=-mu1 * SIGMA_Z, h2=-mu2 * SIGMA_Z,
                            q1=q1, q2=q2)
+
+
+def joint_scheme_oracle(rho0, sys_, cfg):
+    """The per-half-step joint scheme: at every (half-)step both reductions
+    are re-extracted from the joint matrix, each generator is rebuilt from
+    an eigh of its reduction and exponentiated through its own eigh, and the
+    joint unitary is the kron of the two. Returns the recorded matrices."""
+    d1, d2 = sys_.dim_1, sys_.dim_2
+
+    def subsystem_unitary(red, h, f, tau):
+        w, v = np.linalg.eigh(red)
+        gw, gv = np.linalg.eigh(_divided_difference_transform(_zero_round_off(w), v, h, f))
+        return (gv * np.exp(-1j * gw * tau)) @ gv.conj().T
+
+    def joint_unitary(m, tau):
+        t = m.reshape(d1, d2, d1, d2)
+        return np.kron(subsystem_unitary(np.einsum("ijkj->ik", t), sys_.h1, sys_.f1, tau),
+                       subsystem_unitary(np.einsum("ijil->jl", t), sys_.h2, sys_.f2, tau))
+
+    m = rho0.matrix
+    mats = [m]
+    for k in range(1, cfg.n_steps + 1):
+        if cfg.scheme == "midpoint":
+            u = joint_unitary(m, cfg.dt / 2)
+            u = joint_unitary(u @ m @ u.conj().T, cfg.dt)
+        else:
+            u = joint_unitary(m, cfg.dt)
+        m = u @ m @ u.conj().T
+        if k % cfg.record_every == 0 or k == cfg.n_steps:
+            mats.append(m)
+    return np.array(mats)
 
 
 class TestCompositeSystem:
@@ -117,6 +150,24 @@ class TestEvolveComposite:
         assert np.array_equal(traj.matrices, np.array([s.matrix for s in traj.states]))
         assert not traj.matrices.flags.writeable
 
+    @pytest.mark.parametrize("scheme", ["midpoint", "euler"])
+    @pytest.mark.parametrize("qs", [(1.5, 2.5), (0.5, 3.0), (1.0, 1.0)], ids=str)
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)], ids=str)
+    def test_matches_joint_scheme_oracle(self, dims, qs, scheme):
+        # stepping the reductions on their own and forming the joint state at
+        # record points is the joint scheme with its invariants held fixed
+        rng = np.random.default_rng(100 * dims[0] + 10 * dims[1] + int(2 * qs[0]))
+        sys_ = CompositeSystem(dim_1=dims[0], dim_2=dims[1],
+                               h1=random_hermitian(dims[0], rng, spectral_norm=1.0),
+                               h2=random_hermitian(dims[1], rng, spectral_norm=1.0),
+                               q1=qs[0], q2=qs[1])
+        rho = random_density_matrix(dims[0] * dims[1], rng)
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0, scheme=scheme, record_every=100)
+        traj = evolve_composite(rho, sys_, cfg)
+        oracle = joint_scheme_oracle(rho, sys_, cfg)
+        assert traj.matrices.shape == oracle.shape
+        assert np.max(np.abs(traj.matrices - oracle)) < 1e-12
+
     def test_purity_of_reductions_constant(self, rng):
         rho = random_density_matrix(4, rng)
         cfg = IntegratorConfig(dt=1e-3, t_final=5.0, record_every=100)
@@ -162,6 +213,15 @@ class TestReductionConsistency:
                 u = (v * np.exp(-1j * w * t)) @ v.conj().T
                 red = partial_trace(s, (2, 3), keep)
                 assert trace_distance(red, u @ r0.matrix @ u.conj().T) < 1e-6
+
+    def test_rejects_config_of_another_run(self, rng):
+        # with another dt only t = 0 is shared, which used to read as a
+        # deviation of exactly 0
+        rho = random_density_matrix(4, rng)
+        sys_ = spin_system()
+        traj = evolve_composite(rho, sys_, IntegratorConfig(dt=1e-2, t_final=0.3))
+        with pytest.raises(DomainError, match="times"):
+            reduction_consistency(traj, sys_, IntegratorConfig(dt=3e-3, t_final=0.3))
 
     def test_maximally_mixed_fixed_point(self):
         joint = validate_density(np.eye(4, dtype=complex) / 4)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvne.deformation import CoefficientSeries, PowerLaw, power_law
+from nvne.deformation import CoefficientSeries, PowerLaw
 from nvne.errors import DomainError
 
 
@@ -39,6 +39,15 @@ class TestPowerLaw:
     def test_derivative_divergence_q_below_one(self):
         f = PowerLaw(q=0.5)
         assert not np.isfinite(f.fprime(0.0))
+
+    def test_integer_exponent_equals_float(self):
+        # PowerLaw(q=2) from a Python caller behaves as the q = 2.0 the CLI builds
+        x = np.linspace(0.0, 1.0, 11)
+        as_int, as_float = PowerLaw(q=2), PowerLaw(q=2.0)
+        assert as_int.q == 2.0
+        assert np.array_equal(as_int.f(x), as_float.f(x))
+        assert np.array_equal(as_int.divided_difference(x[:, None], x[None, :]),
+                              as_float.divided_difference(x[:, None], x[None, :]))
 
 
 class TestDividedDifference:
@@ -113,6 +122,3 @@ class TestCoefficientSeries:
         assert f.f(1.0) == pytest.approx(1.0)
         assert f.f(0.5) == pytest.approx(0.25 * 0.5 + 0.75 * 0.25)
         assert f.fprime(0.5) == pytest.approx(0.25 + 0.75 * 2 * 0.5)
-
-    def test_power_law_helper(self):
-        assert power_law(2).q == 2.0

@@ -324,6 +324,42 @@ class TestSU2Kernel:
         assert np.max(np.abs(traj.matrices - rho.matrix)) < 1e-12
 
 
+class TestConstantKernel:
+    # every kernel entry equal to c makes G = c H at every state, and _advance
+    # steps with the one propagator exp(-i c H dt) at d >= 3
+
+    def test_pure_state_linear_f_is_exact_conjugation(self):
+        rho, h = seeded_problem(4, True, seed=7)
+        traj = evolve(rho, h, PowerLaw(q=1.0), IntegratorConfig(dt=1e-3, t_final=1.0,
+                                                                record_every=250))
+        w, v = np.linalg.eigh(h)
+        for t, m in zip(traj.times, traj.matrices):
+            u = (v * np.exp(-1j * w * t)) @ v.conj().T
+            assert np.max(np.abs(m - u @ rho.matrix @ u.conj().T)) < 1e-12
+
+    def test_maximally_mixed_stays_fixed(self, rng):
+        rho = validate_density(np.eye(3, dtype=complex) / 3)
+        traj = evolve(rho, random_hermitian(3, rng), PowerLaw(q=2.5),
+                      IntegratorConfig(dt=1e-2, t_final=5.0, record_every=50))
+        assert np.max(np.abs(traj.matrices - rho.matrix)) < 1e-12
+
+    @pytest.mark.parametrize("scheme", ["midpoint", "euler"])
+    def test_matches_repeated_numpy_step(self, scheme):
+        rho, h = seeded_problem(5, True, seed=3)
+        w, v = rho.eigenvalues, rho.eigenvectors
+        kernel = PowerLaw(q=1.0).divided_difference(w[:, None], w[None, :])
+        assert np.all(kernel == kernel.flat[0])
+        n = 1000
+        ((k, v_constant),) = _advance(v, h, kernel, 1e-3, scheme, n, n)
+        v_numpy = v
+        for _ in range(n):
+            v_numpy = _step_spectral(v_numpy, h, kernel, 1e-3, scheme)
+        assert k == n
+        got = density_from_spectrum(w, v_constant).matrix
+        want = density_from_spectrum(w, v_numpy).matrix
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
 class TestLarmorLaw:
     @pytest.mark.parametrize("q", [2.0, 3.0])
     def test_frequency_grid(self, q):

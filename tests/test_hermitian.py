@@ -256,6 +256,13 @@ class TestBloch:
         w = np.sort(np.linalg.eigvalsh(rho.matrix))
         assert np.allclose(w, sorted([lam, 1.0 - lam]), atol=1e-12)
 
+    def test_eigenvalue_at_tolerance_kept_within_tolerance(self):
+        # the round-off repair must not move an eigenvalue of exactly the
+        # validation tolerance by more than that tolerance
+        rho = bloch_state(lam=1e-12, phi=0.375, psi=4.0)
+        w = np.sort(np.linalg.eigvalsh(rho.matrix))
+        assert np.allclose(w, [1e-12, 1.0 - 1e-12], atol=1e-12)
+
     def test_bloch_vector_round_trip(self):
         rho = bloch_state(lam=0.9, phi=0.7, psi=1.1)
         n = bloch_vector(rho)
