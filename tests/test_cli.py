@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nvne
 from nvne import presets
@@ -76,6 +78,8 @@ CAST_BASES = {
                       "average_orders": 2},
     "series": {**{k: v for k, v in tiny_evolve_config().items() if k != "q"},
                "deformation": {"kind": "series", "coeffs": [0.5, 0.5]}},
+    "power": {**{k: v for k, v in tiny_evolve_config().items() if k != "q"},
+              "deformation": {"kind": "power", "q": 2.0}},
     "ensemble": {
         "kind": "ensemble",
         "system": {"hamiltonian": {"preset": "spin-z", "mu": 1.0}},
@@ -117,6 +121,25 @@ MALFORMED_CASTS = [
     ("ensemble", "decay.window", 5.0),
     ("ensemble", "decay.window", [0.0]),
     ("equilibrium", "grid", [1]),
+    # values their domain objects reject
+    ("evolve", "measure.compare_linear.q_values", [-1]),
+    ("larmor", "measure.larmor_grid.lams", [2.0]),
+    ("evolve", "measure.convergence.dt", 5.0),
+    ("ensemble", "node_check.dt", -0.01),
+    ("power", "deformation.q", -1),
+    ("evolve", "state.pure", [[0.0, 0.0], [0.0, 0.0]]),
+    ("ensemble", "times", [-1.0]),
+    ("composite", "state", {"bloch": {"lam": 0.75, "phi": 0.0, "psi": 0.0}}),
+    ("ensemble", "system.hamiltonian",
+     {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}),
+    # counts below 1
+    ("ensemble", "decay.samples", 0),
+    ("ensemble", "node_check.count", 0),
+    ("ensemble", "ensemble.n_lam", 0),
+    ("ensemble", "ensemble.n_phi", 0),
+    ("ensemble", "ensemble.n_psi", 0),
+    # a misspelt measure name
+    ("larmor", "measure.precesion", {"element": [0, 1]}),
 ]
 
 
@@ -207,17 +230,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind, key, value", MALFORMED_CASTS,
                              ids=[f"{kind}:{key}={value}" for kind, key, value in MALFORMED_CASTS])
-    def test_malformed_cast_exit_2_names_key(self, tmp_path, kind, key, value):
+    def test_malformed_cast_exit_2_names_key(self, tmp_path, capsys, kind, key, value):
         cfg = json.loads(json.dumps(CAST_BASES[kind]))
         *parents, leaf = key.split(".")
         node = cfg
         for part in parents:
             node = node.setdefault(part, {})
         node[leaf] = value
-        proc = run_in_subprocess(write_config(tmp_path, cfg))
+        path = write_config(tmp_path, cfg)
+        proc = run_in_subprocess(path)
         assert proc.returncode == 2, proc.stderr
         assert f"config key {key} " in proc.stderr
         assert "Traceback" not in proc.stderr
+        # check runs the same parse, so it fails the same way
+        assert main(["check", str(path)]) == 2
+        error_line = [line for line in proc.stderr.splitlines() if line.startswith("config error:")]
+        assert capsys.readouterr().err.splitlines() == error_line
 
     @pytest.mark.parametrize("key, edit", [
         ("times", lambda cfg: cfg.update(times=[1.0, float("nan")])),
@@ -254,6 +282,47 @@ class TestExitCodes:
         path = write_config(tmp_path, tiny_evolve_config())
         assert main(["run", str(path), "--quiet"]) == 0
         assert (env_dir / "summary.json").exists()
+
+
+def leaf_paths(node, path=()):
+    """Key paths of every leaf of a JSON tree (empty containers count as leaves)."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in children for p in leaf_paths(child, path + (key,))] or [path]
+
+
+DELETE = object()
+FUZZ_POOL = [DELETE, None, -1, 0, 0.5, "x", [], {}, [1], True, float("nan")]
+
+
+class TestFuzzedConfigs:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(base=st.sampled_from(sorted(CAST_BASES)), data=st.data())
+    def test_check_and_run_agree(self, tmp_path, monkeypatch, capsys, base, data):
+        # a fuzzed output.dir may only write under tmp_path
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("NVNE_OUT", raising=False)
+        cfg = json.loads(json.dumps(CAST_BASES[base]))
+        *parents, leaf = data.draw(st.sampled_from(leaf_paths(cfg)), label="leaf")
+        value = data.draw(st.sampled_from(FUZZ_POOL), label="value")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        if value is DELETE:
+            del node[leaf]
+        else:
+            node[leaf] = value
+        path = str(write_config(tmp_path, cfg))
+        check = main(["check", path])
+        run = main(["run", path, "--quiet"])
+        capsys.readouterr()
+        assert check in (0, 2, 3) and run in (0, 1, 2, 3)
+        assert (check == 2) == (run == 2), (check, run, cfg)
 
 
 class TestOutputs:
@@ -357,6 +426,7 @@ class TestPresets:
             cfg = load_config(str(path))
             assert cfg["kind"] in ("evolve", "composite", "equilibrium", "ensemble",
                                    "bracket-check")
+            assert main(["check", str(path)]) == 0
 
     def test_get_returns_copy(self):
         a = presets.get("criterion4-equilibrium")
