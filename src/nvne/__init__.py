@@ -26,7 +26,6 @@ from .dynamics import (
     invariant_report,
     larmor_frequency,
     precession_frequency,
-    step,
 )
 from .ensemble import (
     EnsembleSpec,
@@ -57,9 +56,7 @@ from .hermitian import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    BlochParams,
     DensityMatrix,
-    SpectralDecomposition,
     bloch_state,
     bloch_vector,
     matrix_function,
@@ -67,8 +64,6 @@ from .hermitian import (
     pure_state,
     random_density_matrix,
     random_hermitian,
-    spectral_decompose,
-    tensor_product,
     tensor_state,
     trace_distance,
     trace_norm,
@@ -91,7 +86,6 @@ from .thermo import (
     EquilibriumResult,
     ThermoParams,
     free_energy,
-    internal_energy,
     minimize_free_energy_diagonal,
     spin_equilibrium,
     spin_free_energy,

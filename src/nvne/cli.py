@@ -306,13 +306,26 @@ def _sz_drift(traj: dynamics.Trajectory) -> float:
     return float(np.max(np.abs(sz - sz[0])))
 
 
-def _parse_precession(spec, path: str, dim, f, spin, **_):
+def _require_signal(rho0: DensityMatrix, element: tuple, path: str) -> None:
+    """Reject a start whose |rho_ij| is below the phase-fit floor. A 2x2
+    state in a field along z keeps |rho_ij| at its initial value, so
+    dynamics.precession_frequency would fail after the run."""
+    mag = float(abs(rho0.matrix[element]))
+    if mag < dynamics.PHASE_FIT_FLOOR:
+        raise ConfigError(f"config key {path} gives |rho_{element[0]}{element[1]}| = {mag:.3e} "
+                          f"at t = 0, below the phase-fit floor {dynamics.PHASE_FIT_FLOOR:g}, "
+                          "and a field along z keeps it there")
+
+
+def _parse_precession(spec, path: str, dim, h, state, f, spin, **_):
     element = _object(spec, path).get("element", [0, 1])
     if not isinstance(element, list) or len(element) != 2:
         raise ConfigError(f"config key {path}.element must be [i, j], got {element!r}")
     element = tuple(_integer(x, f"{path}.element", 0) for x in element)
     if max(element) >= dim:
         raise ConfigError(f"config key {path}.element {list(element)} is outside dim {dim}")
+    if dim == 2 and h[0, 1] == 0:
+        _require_signal(state, element, f"{path}.element")
 
     def run(traj, headline, measured):
         omega_meas = dynamics.precession_frequency(traj, element)
@@ -359,6 +372,8 @@ def _parse_larmor_grid(spec, path: str, h, icfg, spin, **_):
     mu, _, phi, psi = spin
     starts = [(lam, _build(f"{path}.lams", bloch_state, lam=lam, phi=phi, psi=psi))
               for lam in lams]
+    for _, rho0 in starts:
+        _require_signal(rho0, (0, 1), f"{path}.lams")
 
     def run(traj, headline, measured):
         worst_rel = worst_sz = 0.0
@@ -489,8 +504,7 @@ def _parse_equilibrium(cfg: dict):
         if expected is not None:
             measured["lambda_error"] = abs(result.lam - expected)
         if gibbs is not None:
-            bm = gibbs[0].beta * gibbs[0].mu
-            target = float(np.exp(bm) / (2.0 * np.cosh(bm)))
+            target = thermo._gibbs_lambda(gibbs[0])
             worst = max(abs(thermo.spin_equilibrium(p).lam - target) for p in gibbs)
             headline["gibbs_limit_gap"] = worst
             measured["gibbs_limit"] = worst

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import PowerLaw
-from .dynamics import IntegratorConfig, Trajectory, _advance, _record, invariant_report
+from .dynamics import IntegratorConfig, Trajectory, _advance, _record, evolve, invariant_report
 from .errors import DimensionMismatch, DomainError
 from .hermitian import DensityMatrix, partial_trace, require_hermitian, trace_norm
-from .structure import _eigenbasis_diagonal
+from .structure import _eigenbasis_diagonal, _kernel
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorC
     runs, starts = [], []
     for keep, h, f in (("I", sys.h1, sys.f1), ("II", sys.h2, sys.f2)):
         red = partial_trace(rho0, dims, keep)
-        w, v = red.eigenvalues, red.eigenvectors
-        kernel = f.divided_difference(w[:, None], w[None, :])
-        runs.append(_advance(v, h, kernel, cfg.dt, cfg.scheme, cfg.n_steps, cfg.record_every))
+        v = red.eigenvectors
+        runs.append(_advance(v, h, _kernel(red.eigenvalues, f), cfg.dt, cfg.scheme, cfg.n_steps,
+                             cfg.record_every))
         starts.append(v.conj().T)
     steps = ((k, np.kron(v1 @ starts[0], v2 @ starts[1]) @ rho0.eigenvectors)
              for (k, v1), (_, v2) in zip(*runs))
@@ -101,8 +101,6 @@ def reduction_consistency(traj_ab: Trajectory, sys: CompositeSystem, cfg: Integr
     """Evolve each reduction of the initial state under its own single-system
     equation and compare against the partial traces of the joint run at the
     recorded times."""
-    from .dynamics import evolve  # local import avoids a cycle at module load
-
     dims = (sys.dim_1, sys.dim_2)
     r1_traj = evolve(partial_trace(traj_ab.states[0], dims, "I"), sys.h1, sys.f1, cfg)
     r2_traj = evolve(partial_trace(traj_ab.states[0], dims, "II"), sys.h2, sys.f2, cfg)

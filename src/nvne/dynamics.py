@@ -34,14 +34,8 @@ import numpy as np
 
 from .deformation import DeformationFunction
 from .errors import DomainError, SignalTooWeak
-from .hermitian import (
-    DensityMatrix,
-    _zero_round_off,
-    density_from_spectrum,
-    hermitian_part,
-    require_hermitian,
-)
-from .structure import hamiltonian_function
+from .hermitian import DensityMatrix, _zero_round_off, hermitian_part, require_hermitian
+from .structure import _divided_difference_transform, _kernel, hamiltonian_function
 
 SCHEMES = ("midpoint", "euler")
 
@@ -49,6 +43,9 @@ SCHEMES = ("midpoint", "euler")
 # bounds the temporaries of the batched calls (1,024 states at d = 2, one
 # state at d = 64)
 RECORD_BLOCK_BYTES = 65536
+
+# smallest |rho_ij| the precession phase fit accepts
+PHASE_FIT_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -98,19 +95,6 @@ class Trajectory:
         return self.matrices[:, i, j]
 
 
-def step(
-    rho: DensityMatrix, h: np.ndarray, f: DeformationFunction, dt: float, scheme: str = "midpoint"
-) -> DensityMatrix:
-    """One unitary-conjugation step of size dt."""
-    if dt <= 0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    h = require_hermitian(h, what="hamiltonian")
-    w, v = rho.eigenvalues, rho.eigenvectors
-    kernel = f.divided_difference(w[:, None], w[None, :])
-    ((_, v),) = _advance(v, h, kernel, dt, scheme, 1, 1)
-    return density_from_spectrum(w, v)
-
-
 def _advance(v, h, kernel, dt, scheme, n, every):
     """Take n steps from the eigenvectors v, yielding (k, V) after every
     every-th step and after the last. The kernel is fixed: the eigenvalues
@@ -133,10 +117,9 @@ def _advance(v, h, kernel, dt, scheme, n, every):
 
 def _step_spectral(v, h, kernel, dt, scheme):
     def rotate(gv, tau):
-        """exp(-i G tau) V, with G = gv ((gv^H H gv) o K) gv^H exponentiated
-        through its spectral decomposition."""
-        gh = gv.conj().T
-        gw, gu = np.linalg.eigh(gv @ ((gh @ h @ gv) * kernel) @ gh)
+        """exp(-i G tau) V, with G the generator at the eigenvectors gv
+        exponentiated through its spectral decomposition."""
+        gw, gu = np.linalg.eigh(_divided_difference_transform(gv, h, kernel))
         return (gu * np.exp(-1j * gw * tau)) @ gu.conj().T @ v
 
     return rotate(rotate(v, dt / 2) if scheme == "midpoint" else v, dt)
@@ -186,9 +169,9 @@ def evolve(
     """Integrate to t_final, recording every record_every steps (plus the
     initial and final states)."""
     h = require_hermitian(h, what="hamiltonian")
-    w, v = rho0.eigenvalues, rho0.eigenvectors
-    kernel = f.divided_difference(w[:, None], w[None, :])
-    steps = _advance(v, h, kernel, cfg.dt, cfg.scheme, cfg.n_steps, cfg.record_every)
+    kernel = _kernel(rho0.eigenvalues, f)
+    steps = _advance(rho0.eigenvectors, h, kernel, cfg.dt, cfg.scheme, cfg.n_steps,
+                     cfg.record_every)
     return _record(rho0, steps, cfg, lambda block: hamiltonian_function(block, h, f))
 
 
@@ -278,11 +261,12 @@ def invariant_report(traj: Trajectory) -> InvariantReport:
 
 
 def precession_frequency(traj: Trajectory, element: tuple[int, int]) -> float:
-    """|d/dt arg rho_ij| from an unwrapped least-squares phase fit."""
+    """|d/dt arg rho_ij| from an unwrapped least-squares phase fit; a
+    |rho_ij| below PHASE_FIT_FLOOR anywhere raises SignalTooWeak."""
     i, j = element
     signal = traj.element(i, j)
     mags = np.abs(signal)
-    if np.any(mags < 1e-6):
+    if np.any(mags < PHASE_FIT_FLOOR):
         raise SignalTooWeak(
             f"|rho_{i}{j}| dips to {float(np.min(mags)):.3e}; phase fit unreliable"
         )
@@ -291,7 +275,9 @@ def precession_frequency(traj: Trajectory, element: tuple[int, int]) -> float:
     return float(abs(slope))
 
 
-def larmor_frequency(lam: float, f: DeformationFunction, mu: float) -> float:
+def larmor_frequency(lam, f: DeformationFunction, mu: float) -> float | np.ndarray:
     """Predicted precession rate 2*mu*(f(lam) - f(1-lam))/(2*lam - 1),
-    with the derivative limit at lam = 1/2."""
-    return float(2.0 * mu * f.divided_difference(lam, 1.0 - lam))
+    with the derivative limit at lam = 1/2, elementwise over an array lam;
+    a scalar lam gives a float."""
+    omega = 2.0 * mu * f.divided_difference(lam, 1.0 - lam)
+    return float(omega) if np.ndim(omega) == 0 else omega

@@ -39,6 +39,7 @@ from .hermitian import (
     SIGMA_Z,
     DensityMatrix,
     bloch_state,
+    require_hermitian,
     validate_density,
 )
 
@@ -87,7 +88,7 @@ class EnsembleSpec:
     _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
+        h = require_hermitian(self.h, what="ensemble H")
         if h.shape != (2, 2):
             raise DimensionMismatch("ensemble spins are 2x2; H must be 2x2")
         object.__setattr__(self, "h", h)
@@ -119,7 +120,7 @@ class EnsembleSpec:
             wc = g["w"] * (g["lam"] - 0.5)
             w_sin = wc * np.sin(g["phi"])
             g.update(
-                omega=2.0 * self.mu * self.f.divided_difference(lam, 1.0 - lam),
+                omega=larmor_frequency(lam, self.f, self.mu),
                 a_c=np.sum(w_sin * np.cos(g["psi"]), axis=(1, 2)),
                 a_s=np.sum(w_sin * np.sin(g["psi"]), axis=(1, 2)),
                 coeff_z=float(np.sum(wc * np.cos(g["phi"]))),
@@ -205,7 +206,7 @@ def transverse_coefficients(t: float, f: DeformationFunction, mu: float, n_lam: 
         raise DomainError(f"n_lam must be at least 16, got {n_lam}")
     lam, wl = gauss_legendre(n_lam, 0.0, 1.0)
     u = np.ones_like(lam) if lam_density is None else lam_density(lam)
-    omega = 2.0 * mu * f.divided_difference(lam, 1.0 - lam)
+    omega = larmor_frequency(lam, f, mu)
     base = wl * u * (2.0 * lam - 1.0)
     cx = (np.pi / 24.0) * float(np.sum(base * np.cos(omega * t)))
     cy = -(np.pi / 24.0) * float(np.sum(base * np.sin(omega * t)))

@@ -41,37 +41,20 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 
 def require_hermitian(a: np.ndarray, tol: float = TOL_HERM, what: str = "matrix") -> np.ndarray:
+    """The Hermitian part of a square, finite matrix within tol of Hermitian.
+
+    NaN or infinite entries raise DomainError: the defect below is a >
+    comparison, which is False for NaN.
+    """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{what} must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"{what} has NaN or infinite entries")
     defect = hermiticity_defect(a)
     if defect > tol:
         raise NotHermitian(f"{what} deviates from Hermiticity by {defect:.3e} (tol {tol:.1e})")
     return hermitian_part(a)
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def spectral_decompose(a: np.ndarray, tol: float = TOL_HERM) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    a = require_hermitian(a, tol)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,20 +110,14 @@ def validate_density(matrix: np.ndarray, tol: float = TOL_HERM) -> DensityMatrix
     """
     if tol <= 0:
         raise DomainError(f"tolerance must be positive, got {tol}")
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"state must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DomainError("state has NaN or infinite entries")
-    defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NotHermitian(f"state deviates from Hermiticity by {defect:.3e} (tol {tol:.1e})")
-    m = hermitian_part(m)
+    m = require_hermitian(matrix, tol, what="state")
     trace = float(np.trace(m).real)
     if abs(trace) < tol:
         raise ZeroTrace(f"state trace {trace:.3e} too close to zero")
-    spec = spectral_decompose(m, tol=np.inf)
-    w = spec.eigenvalues.copy()
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigensolver failed: {exc}") from exc
     if np.any(w < -tol):
         raise NotPositive(
             f"state has eigenvalue {float(np.min(w)):.3e} below -{tol:.1e}"
@@ -150,7 +127,6 @@ def validate_density(matrix: np.ndarray, tol: float = TOL_HERM) -> DensityMatrix
     if total < tol:
         raise ZeroTrace(f"state trace {total:.3e} after clipping too close to zero")
     w /= total
-    v = spec.eigenvectors
     mat = hermitian_part((v * w) @ v.conj().T)
     _freeze(mat, w, v)
     return DensityMatrix(matrix=mat, eigenvalues=w, eigenvectors=v)
@@ -180,31 +156,21 @@ def pure_state(vector: np.ndarray) -> DensityMatrix:
     return validate_density(np.outer(psi, psi.conj()))
 
 
-def matrix_function(spec: SpectralDecomposition | DensityMatrix, f) -> np.ndarray:
+def matrix_function(state: DensityMatrix, f) -> np.ndarray:
     """f applied on the spectrum: V diag(f(lambda_i)) V^dagger.
 
     f is a DeformationFunction (or anything with .f). Raises DomainError,
     via the deformation, if a clearly negative eigenvalue meets a
     non-integer power.
     """
-    w, v = spec.eigenvalues, spec.eigenvectors
+    w, v = state.eigenvalues, state.eigenvectors
     fw = f.f(w) if hasattr(f, "f") else f(w)
     return hermitian_part((v * fw) @ v.conj().T)
 
 
-def trace_function(state: DensityMatrix, f) -> float:
-    """Tr f(rho) computed directly on the eigenvalues (exact by construction)."""
-    fw = f.f(state.eigenvalues) if hasattr(f, "f") else f(state.eigenvalues)
-    return float(np.sum(fw))
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor on the slow index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def tensor_state(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    return validate_density(tensor_product(a.matrix, b.matrix))
+    """a (x) b, with a on the slow Kronecker index."""
+    return validate_density(np.kron(a.matrix, b.matrix))
 
 
 def partial_trace(rho_ab, dims: tuple[int, int], keep: str) -> DensityMatrix:
@@ -228,31 +194,19 @@ def partial_trace(rho_ab, dims: tuple[int, int], keep: str) -> DensityMatrix:
     return validate_density(red)
 
 
-@dataclass(frozen=True)
-class BlochParams:
-    """Spin-1/2 state parameters: eigenvalue lam (partner 1-lam), polar
-    angle phi and azimuth psi."""
-
-    lam: float
-    phi: float
-    psi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise DomainError(f"lam must lie in [0, 1], got {self.lam}")
-
-
-def bloch_state(params: BlochParams | None = None, *, lam=None, phi=None, psi=None) -> DensityMatrix:
-    """State with eigenvalues {lam, 1-lam}:
+def bloch_state(*, lam, phi, psi) -> DensityMatrix:
+    """State with eigenvalues {lam, 1-lam}, lam in [0, 1], polar angle phi
+    and azimuth psi:
 
         rho = 1/2 + (2*lam-1)/2 * [cos(phi) sz - sin(phi)(cos(psi) sx + sin(psi) sy)]
     """
-    if params is None:
-        params = BlochParams(lam=float(lam), phi=float(phi), psi=float(psi))
-    c = 0.5 * (2.0 * params.lam - 1.0)
+    lam, phi, psi = float(lam), float(phi), float(psi)
+    if not 0.0 <= lam <= 1.0:
+        raise DomainError(f"lam must lie in [0, 1], got {lam}")
+    c = 0.5 * (2.0 * lam - 1.0)
     direction = (
-        np.cos(params.phi) * SIGMA_Z
-        - np.sin(params.phi) * (np.cos(params.psi) * SIGMA_X + np.sin(params.psi) * SIGMA_Y)
+        np.cos(phi) * SIGMA_Z
+        - np.sin(phi) * (np.cos(psi) * SIGMA_X + np.sin(psi) * SIGMA_Y)
     )
     return validate_density(0.5 * IDENTITY_2 + c * direction)
 

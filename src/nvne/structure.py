@@ -64,16 +64,17 @@ def _eigenbasis_diagonal(v: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.sum(v.conj() * (h @ v), axis=-2).real
 
 
-def _divided_difference_transform(
-    eigenvalues: np.ndarray, eigenvectors: np.ndarray, h: np.ndarray, f: DeformationFunction
-) -> np.ndarray:
-    """H conjugated into the eigenbasis, scaled entrywise by the divided
-    differences of f, and rotated back. Diagonal entries carry f'(lambda_i)
-    (0 where the derivative diverges)."""
-    v = eigenvectors
-    ht = v.conj().T @ h @ v
-    kernel = f.divided_difference(eigenvalues[:, None], eigenvalues[None, :])
-    return v @ (ht * kernel) @ v.conj().T
+def _kernel(eigenvalues: np.ndarray, f: DeformationFunction) -> np.ndarray:
+    """K_ij = divided difference of f at (lambda_i, lambda_j); the diagonal
+    carries f'(lambda_i) (0 where the derivative diverges)."""
+    return f.divided_difference(eigenvalues[:, None], eigenvalues[None, :])
+
+
+def _divided_difference_transform(v: np.ndarray, h: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """G = V ((V^dagger H V) o K) V^dagger: H conjugated into the eigenbasis
+    V, scaled entrywise by the kernel K and rotated back. Not symmetrized."""
+    vh = v.conj().T
+    return v @ ((vh @ h @ v) * kernel) @ vh
 
 
 def generator(rho: DensityMatrix, h: np.ndarray, f: DeformationFunction) -> np.ndarray:
@@ -85,7 +86,8 @@ def generator(rho: DensityMatrix, h: np.ndarray, f: DeformationFunction) -> np.n
     zero eigenvalues are exact because the state constructors set
     round-off eigenvalues to 0.
     """
-    return hermitian_part(_divided_difference_transform(rho.eigenvalues, rho.eigenvectors, h, f))
+    kernel = _kernel(rho.eigenvalues, f)
+    return hermitian_part(_divided_difference_transform(rho.eigenvectors, h, kernel))
 
 
 def effective_hamiltonian(rho: DensityMatrix, h: np.ndarray, f: DeformationFunction) -> np.ndarray:
@@ -101,7 +103,7 @@ def effective_hamiltonian(rho: DensityMatrix, h: np.ndarray, f: DeformationFunct
             f"f'(0) diverges for q={f.q} < 1; effective Hamiltonian undefined "
             "on the kernel of rho"
         )
-    g = _divided_difference_transform(w, rho.eigenvectors, h, f)
+    g = _divided_difference_transform(rho.eigenvectors, h, _kernel(w, f))
     ht_diag = _eigenbasis_diagonal(rho.eigenvectors, h)
     scalar = float(np.sum(f.f(w) * ht_diag) - np.sum(w * f.fprime(w) * ht_diag))
     return hermitian_part(g + scalar * np.eye(rho.dim))
@@ -234,7 +236,7 @@ def q_average_functional(h: np.ndarray, q: float) -> ObservableFunctional:
             w, v = rho.eigenvalues, rho.eigenvectors
         else:
             w, v = np.linalg.eigh(require_hermitian(_as_matrix(rho)))
-        return hermitian_part(_divided_difference_transform(w, v, h, f))
+        return hermitian_part(_divided_difference_transform(v, h, _kernel(w, f)))
 
     return ObservableFunctional(evaluator=evaluate, gradient=grad, name=f"<H>_{q:g}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalFailure, OutOfDomain
-from .hermitian import DensityMatrix, bloch_state
+from .hermitian import DensityMatrix, bloch_state, validate_density
 from .structure import q_average
 
 Q_ONE_THRESHOLD = 1e-8
@@ -55,14 +55,9 @@ def tsallis_entropy(rho: DensityMatrix, q: float) -> float:
     return entropy_from_eigenvalues(rho.eigenvalues, q, trace=float(np.sum(rho.eigenvalues)))
 
 
-def internal_energy(rho: DensityMatrix, h: np.ndarray, q: float) -> float:
-    """U_q = Tr(rho^q H)."""
-    return q_average(rho, h, q)
-
-
 def free_energy(rho: DensityMatrix, h: np.ndarray, p: ThermoParams) -> float:
-    """F = U_q - T S_q."""
-    return internal_energy(rho, h, p.q) - p.temperature * tsallis_entropy(rho, p.q)
+    """F = U_q - T S_q, with U_q = q_average(rho, h, q) = Tr(rho^q H)."""
+    return q_average(rho, h, p.q) - p.temperature * tsallis_entropy(rho, p.q)
 
 
 def casimir_potential(rho: DensityMatrix, p: ThermoParams) -> float:
@@ -236,6 +231,4 @@ def minimize_free_energy_diagonal(
                 w[i], w[j] = x, total - x
         if moved < tol:
             break
-    from .hermitian import validate_density
-
     return validate_density((basis * w) @ basis.conj().T)

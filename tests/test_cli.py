@@ -37,14 +37,38 @@ def tiny_evolve_config(out_dir=None):
     return cfg
 
 
-def run_in_subprocess(path):
-    """`nvne run --quiet` in a separate process, so that an uncaught
-    exception shows on stderr."""
+def run_in_subprocess(path, *args):
+    """`nvne run --quiet` (plus args) in a separate process, so that an
+    uncaught exception shows on stderr."""
     src = str(Path(nvne.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    return subprocess.run([sys.executable, "-m", "nvne", "run", str(path), "--quiet"],
+    return subprocess.run([sys.executable, "-m", "nvne", "run", str(path), "--quiet", *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def with_leaf(base, key, value):
+    """A copy of the config base with the dotted key set to value."""
+    cfg = json.loads(json.dumps(base))
+    *parents, leaf = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    return cfg
+
+
+def assert_run_and_check_exit_2(tmp_path, capsys, cfg, key):
+    """run exits 2 naming key without a traceback, and check, which runs the
+    same parse, prints the same config error line."""
+    path = write_config(tmp_path, cfg)
+    proc = run_in_subprocess(path)
+    assert proc.returncode == 2, proc.stderr
+    assert f"config key {key} " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert main(["check", str(path)]) == 2
+    error_line = [line for line in proc.stderr.splitlines() if line.startswith("config error:")]
+    assert capsys.readouterr().err.splitlines() == error_line
 
 
 # smallest valid config of each kind that reaches the keys below
@@ -124,6 +148,8 @@ MALFORMED_CASTS = [
     # values their domain objects reject
     ("evolve", "measure.compare_linear.q_values", [-1]),
     ("larmor", "measure.larmor_grid.lams", [2.0]),
+    # a start with no transverse signal, which a field along z keeps at 0
+    ("larmor", "measure.larmor_grid.lams", [0.5]),
     ("evolve", "measure.convergence.dt", 5.0),
     ("ensemble", "node_check.dt", -0.01),
     ("power", "deformation.q", -1),
@@ -231,21 +257,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("kind, key, value", MALFORMED_CASTS,
                              ids=[f"{kind}:{key}={value}" for kind, key, value in MALFORMED_CASTS])
     def test_malformed_cast_exit_2_names_key(self, tmp_path, capsys, kind, key, value):
-        cfg = json.loads(json.dumps(CAST_BASES[kind]))
-        *parents, leaf = key.split(".")
-        node = cfg
-        for part in parents:
-            node = node.setdefault(part, {})
-        node[leaf] = value
-        path = write_config(tmp_path, cfg)
-        proc = run_in_subprocess(path)
-        assert proc.returncode == 2, proc.stderr
-        assert f"config key {key} " in proc.stderr
+        assert_run_and_check_exit_2(tmp_path, capsys, with_leaf(CAST_BASES[kind], key, value), key)
+
+    @pytest.mark.parametrize("key, value", [("state.bloch.lam", 0.5), ("state.bloch.phi", 0.0)])
+    def test_precession_without_signal_exit_2(self, tmp_path, capsys, key, value):
+        # |rho_01| = |2 lam - 1| sin(phi) / 2 is 0, and a field along z keeps
+        # it there, so run's phase fit would fail after integrating
+        assert_run_and_check_exit_2(tmp_path, capsys, with_leaf(CAST_BASES["larmor"], key, value),
+                                    "measure.precession.element")
+
+    def test_unwritable_out_exit_3(self, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        proc = run_in_subprocess(write_config(tmp_path, tiny_evolve_config()), "--out", str(blocker))
+        assert proc.returncode == 3, proc.stderr
+        assert "error: cannot write outputs" in proc.stderr
         assert "Traceback" not in proc.stderr
-        # check runs the same parse, so it fails the same way
-        assert main(["check", str(path)]) == 2
-        error_line = [line for line in proc.stderr.splitlines() if line.startswith("config error:")]
-        assert capsys.readouterr().err.splitlines() == error_line
 
     @pytest.mark.parametrize("key, edit", [
         ("times", lambda cfg: cfg.update(times=[1.0, float("nan")])),

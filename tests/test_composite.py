@@ -21,7 +21,7 @@ from nvne.hermitian import (
     trace_distance,
     validate_density,
 )
-from nvne.structure import _divided_difference_transform
+from nvne.structure import _divided_difference_transform, _kernel
 
 
 def spin_system(q1=1.5, q2=2.5, mu1=1.0, mu2=0.7):
@@ -38,7 +38,7 @@ def joint_scheme_oracle(rho0, sys_, cfg):
 
     def subsystem_unitary(red, h, f, tau):
         w, v = np.linalg.eigh(red)
-        gw, gv = np.linalg.eigh(_divided_difference_transform(_zero_round_off(w), v, h, f))
+        gw, gv = np.linalg.eigh(_divided_difference_transform(v, h, _kernel(_zero_round_off(w), f)))
         return (gv * np.exp(-1j * gw * tau)) @ gv.conj().T
 
     def joint_unitary(m, tau):

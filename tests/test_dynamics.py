@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nvne.composite import CompositeSystem
 from nvne.deformation import PowerLaw
 from nvne.dynamics import (
     RECORD_BLOCK_BYTES,
@@ -12,7 +13,6 @@ from nvne.dynamics import (
     invariant_report,
     larmor_frequency,
     precession_frequency,
-    step,
 )
 from nvne.errors import DomainError, SignalTooWeak
 from nvne.hermitian import (
@@ -53,6 +53,11 @@ def per_state_evolve(rho0, h, f, cfg):
     return np.asarray(times), states, {key: np.asarray(x) for key, x in log.items()}
 
 
+def one_step(rho, h, f, dt):
+    """One integrator step of size dt."""
+    return evolve(rho, h, f, IntegratorConfig(dt=dt, t_final=dt)).states[-1]
+
+
 def seeded_problem(dim, pure, seed):
     rng = np.random.default_rng(seed)
     h = random_hermitian(dim, rng, spectral_norm=1.0)
@@ -86,26 +91,26 @@ class TestIntegratorConfig:
 class TestStep:
     def test_commuting_state_is_fixed(self, rng):
         rho = validate_density(np.diag([0.7, 0.3]).astype(complex))
-        out = step(rho, -SIGMA_Z, PowerLaw(q=2.0), 1e-2)
+        out = one_step(rho, -SIGMA_Z, PowerLaw(q=2.0), 1e-2)
         assert np.allclose(out.matrix, rho.matrix, atol=1e-14)
 
     def test_maximally_mixed_fixed(self, rng):
         rho = validate_density(np.eye(3, dtype=complex) / 3)
         h = random_hermitian(3, rng)
-        out = step(rho, h, PowerLaw(q=2.0), 1e-2)
+        out = one_step(rho, h, PowerLaw(q=2.0), 1e-2)
         assert np.allclose(out.matrix, rho.matrix, atol=1e-13)
 
     def test_pure_state_matches_linear_step(self, rng):
         rho = bloch_state(lam=1.0, phi=np.pi / 3, psi=0.2)
         dt = 1e-3
-        out_q = step(rho, -SIGMA_Z, PowerLaw(q=2.0), dt)
-        out_1 = step(rho, -SIGMA_Z, PowerLaw(q=1.0), dt)
+        out_q = one_step(rho, -SIGMA_Z, PowerLaw(q=2.0), dt)
+        out_1 = one_step(rho, -SIGMA_Z, PowerLaw(q=1.0), dt)
         assert np.max(np.abs(out_q.matrix - out_1.matrix)) < 1e-9  # O(dt^3)
 
     def test_azimuth_advances_by_omega_dt(self):
         lam, dt = 0.75, 1e-3
         rho = bloch_state(lam=lam, phi=np.pi / 2, psi=0.0)
-        out = step(rho, -SIGMA_Z, PowerLaw(q=2.0), dt)
+        out = one_step(rho, -SIGMA_Z, PowerLaw(q=2.0), dt)
         # rho_01 = -(2 lam - 1)/2 sin(phi) e^{-i psi}; psi -> psi - omega dt,
         # so arg(rho_01) advances by +omega dt (ratio avoids the branch cut)
         dphase = np.angle(out.matrix[0, 1] / rho.matrix[0, 1])
@@ -116,7 +121,7 @@ class TestStep:
     def test_spectrum_preserved_per_step(self, rng):
         rho = random_density_matrix(4, rng)
         h = random_hermitian(4, rng)
-        out = step(rho, h, PowerLaw(q=2.5), 1e-2)
+        out = one_step(rho, h, PowerLaw(q=2.5), 1e-2)
         assert np.allclose(
             np.sort(np.linalg.eigvalsh(out.matrix)),
             np.sort(np.linalg.eigvalsh(rho.matrix)),
@@ -125,6 +130,19 @@ class TestStep:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_hamiltonian_rejected(self, rng, dim, bad):
+        # NaN compares False against the Hermiticity tolerance, so only a
+        # finiteness check rejects it
+        h = np.eye(dim, dtype=complex)
+        h[0, 1] = h[1, 0] = bad
+        rho = random_density_matrix(dim, rng)
+        with pytest.raises(DomainError, match="NaN or infinite"):
+            evolve(rho, h, PowerLaw(q=2.0), IntegratorConfig(dt=1e-2, t_final=0.1))
+        with pytest.raises(DomainError, match="NaN or infinite"):
+            CompositeSystem(dim_1=dim, dim_2=2, h1=h, h2=-SIGMA_Z, q1=2.0, q2=2.0)
+
     def test_fixed_point_trajectory(self, rng):
         rho = validate_density(0.5 * np.eye(2, dtype=complex))
         h = random_hermitian(2, rng)
@@ -384,6 +402,12 @@ class TestLarmorLaw:
 
     def test_spec_example_lam09_q3(self):
         assert larmor_frequency(0.9, PowerLaw(q=3.0), 1.0) == pytest.approx(1.82, abs=1e-12)
+
+    def test_array_lam_matches_scalar_calls(self):
+        f, lams = PowerLaw(q=3.0), np.array([0.1, 0.5, 0.9])
+        assert type(larmor_frequency(0.9, f, 1.3)) is float
+        assert np.array_equal(larmor_frequency(lams, f, 1.3),
+                              [larmor_frequency(lam, f, 1.3) for lam in lams])
 
     def test_signal_too_weak(self, rng):
         rho = validate_density(np.diag([0.7, 0.3]).astype(complex))

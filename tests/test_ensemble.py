@@ -16,7 +16,7 @@ from nvne.ensemble import (
     tilted_weight,
     transverse_coefficients,
 )
-from nvne.errors import DomainError
+from nvne.errors import DomainError, NotHermitian
 from nvne.hermitian import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state
 
 
@@ -61,6 +61,12 @@ class TestEnsembleSpec:
             x[0] = 0.0
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+    def test_non_hermitian_field_rejected(self):
+        # its h[0, 1] is 0 and its trace 0, the closed-form test's only checks
+        with pytest.raises(NotHermitian):
+            EnsembleSpec(weight=tilted_weight, f=PowerLaw(q=3.0),
+                         h=np.array([[-1.0, 0.0], [5.0, 1.0]]), n_lam=8, n_phi=8, n_psi=8)
 
     def test_mu_extraction(self):
         assert make_spec(mu=1.7).mu == pytest.approx(1.7)

@@ -16,21 +16,20 @@ from nvne.hermitian import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    BlochParams,
+    DensityMatrix,
     bloch_state,
     bloch_vector,
     matrix_function,
     partial_trace,
     pure_state,
     random_density_matrix,
-    spectral_decompose,
-    tensor_product,
     tensor_state,
     trace_distance,
-    trace_function,
     trace_norm,
     validate_density,
 )
+
+from nvne.structure import casimir
 
 from conftest import make_states
 
@@ -107,32 +106,35 @@ class TestValidateDensity:
 
 
 class TestSpectralDecompose:
+    """The eigendecomposition that validate_density returns with the state."""
+
     def test_diagonal(self):
-        spec = spectral_decompose(np.diag([0.25, 0.75]).astype(complex))
+        spec = validate_density(np.diag([0.25, 0.75]).astype(complex))
         assert np.allclose(spec.eigenvalues, [0.25, 0.75])
         assert np.allclose(np.abs(spec.eigenvectors), np.eye(2))
 
     def test_sigma_x(self):
-        spec = spectral_decompose(SIGMA_X)
-        assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
+        # the state along sigma_x: off-diagonal input
+        spec = validate_density(0.5 * IDENTITY_2 + 0.25 * SIGMA_X)
+        assert np.allclose(spec.eigenvalues, [0.25, 0.75])
 
     def test_degenerate(self):
-        spec = spectral_decompose(0.5 * IDENTITY_2)
+        spec = validate_density(0.5 * IDENTITY_2)
         assert np.allclose(spec.eigenvalues, [0.5, 0.5])
         v = spec.eigenvectors
         assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
 
     def test_reconstruction_and_unitarity(self, rng):
         for rho in make_states(rng):
-            spec = spectral_decompose(rho.matrix)
-            rec = spec.reconstruct()
-            assert np.linalg.norm(rec - rho.matrix) <= 1e-10 * max(np.linalg.norm(rho.matrix), 1)
+            spec = validate_density(rho.matrix)
             v = spec.eigenvectors
+            rec = (v * spec.eigenvalues) @ v.conj().T
+            assert np.linalg.norm(rec - rho.matrix) <= 1e-10 * max(np.linalg.norm(rho.matrix), 1)
             assert np.linalg.norm(v.conj().T @ v - np.eye(rho.dim)) < 1e-10
 
     def test_ascending(self, rng):
         for rho in make_states(rng):
-            w = spectral_decompose(rho.matrix).eigenvalues
+            w = validate_density(rho.matrix).eigenvalues
             assert np.all(np.diff(w) >= 0)
 
 
@@ -166,28 +168,33 @@ class TestMatrixFunction:
             assert np.linalg.norm(comm) < 1e-10
 
     def test_trace_matches_eigenvalue_sum(self, rng):
-        f = PowerLaw(q=2.7)
         for rho in make_states(rng):
-            lhs = float(np.trace(matrix_function(rho, f)).real)
-            rhs = trace_function(rho, f)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
+            for n in (2, 3):
+                lhs = float(np.trace(matrix_function(rho, PowerLaw(q=float(n)))).real)
+                assert lhs == pytest.approx(casimir(rho, n), abs=1e-12)
 
     def test_negative_eigenvalue_noninteger_power(self):
-        spec = spectral_decompose(SIGMA_Z)  # eigenvalues -1, 1
+        # the raw constructor trusts its inputs: eigenvalues -1, 1
+        spec = DensityMatrix(matrix=SIGMA_Z, eigenvalues=np.array([-1.0, 1.0]),
+                             eigenvectors=IDENTITY_2)
         with pytest.raises(DomainError):
             matrix_function(spec, PowerLaw(q=1.5))
 
 
 class TestTensorAndPartialTrace:
     def test_projector_product(self):
-        p = np.diag([1.0, 0.0]).astype(complex)
-        assert np.allclose(tensor_product(p, p), np.diag([1, 0, 0, 0]))
+        p = validate_density(np.diag([1.0, 0.0]).astype(complex))
+        assert np.allclose(tensor_state(p, p).matrix, np.diag([1, 0, 0, 0]))
 
     def test_identity_product(self):
-        assert np.allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
+        mixed = validate_density(0.5 * IDENTITY_2)
+        assert np.allclose(tensor_state(mixed, mixed).matrix, np.eye(4) / 4)
 
     def test_sigma_z_times_identity(self):
-        assert np.allclose(tensor_product(SIGMA_Z, np.eye(2)), np.diag([1, 1, -1, -1]))
+        # the first factor sits on the slow index
+        up = validate_density(np.diag([1.0, 0.0]).astype(complex))
+        mixed = validate_density(0.5 * IDENTITY_2)
+        assert np.allclose(tensor_state(up, mixed).matrix, np.diag([0.5, 0.5, 0, 0]))
 
     def test_product_state_reduction(self):
         a = validate_density(np.diag([0.75, 0.25]).astype(complex))
@@ -243,7 +250,7 @@ class TestBloch:
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            BlochParams(lam=1.2, phi=0.0, psi=0.0)
+            bloch_state(lam=1.2, phi=0.0, psi=0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(

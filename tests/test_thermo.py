@@ -18,7 +18,6 @@ from nvne.thermo import (
     ThermoParams,
     casimir_potential,
     free_energy,
-    internal_energy,
     minimize_free_energy_diagonal,
     spin_equilibrium,
     spin_free_energy,
@@ -71,26 +70,21 @@ class TestEntropy:
 
 
 class TestEnergies:
-    def test_internal_energy_is_q_average(self, rng):
-        rho = random_density_matrix(3, rng)
-        h = random_hermitian(3, rng)
-        assert internal_energy(rho, h, 2.5) == pytest.approx(q_average(rho, h, 2.5))
-
     def test_bloch_closed_form(self):
         # U_q = -mu cos(phi) (lam^q - (1-lam)^q)
         mu, lam, phi, q = 1.0, 0.75, 0.6, 2.0
         rho = bloch_state(lam=lam, phi=phi, psi=0.3)
         expected = -mu * np.cos(phi) * (lam**q - (1 - lam) ** q)
-        assert internal_energy(rho, -mu * SIGMA_Z, q) == pytest.approx(expected, abs=1e-12)
+        assert q_average(rho, -mu * SIGMA_Z, q) == pytest.approx(expected, abs=1e-12)
 
     def test_aligned_oracle(self):
         rho = bloch_state(lam=0.75, phi=0.0, psi=0.0)
-        assert internal_energy(rho, -SIGMA_Z, 2.0) == pytest.approx(-0.5)
+        assert q_average(rho, -SIGMA_Z, 2.0) == pytest.approx(-0.5)
 
     def test_balanced_state_zero(self):
         rho = bloch_state(lam=0.5, phi=0.9, psi=0.1)
         for q in (0.5, 2.0, 3.0):
-            assert internal_energy(rho, -SIGMA_Z, q) == pytest.approx(0.0, abs=1e-12)
+            assert q_average(rho, -SIGMA_Z, q) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFreeEnergy:
@@ -115,7 +109,7 @@ class TestFreeEnergy:
         for rho in make_states(rng, dims=(2, 3), per_dim=3):
             h = random_hermitian(rho.dim, rng)
             lhs = free_energy(rho, h, p)
-            rhs = internal_energy(rho, h, p.q) + casimir_potential(rho, p)
+            rhs = q_average(rho, h, p.q) + casimir_potential(rho, p)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_spin_free_energy_consistent_with_matrix_form(self):
