@@ -37,20 +37,7 @@ from .ensemble import (
     sin_psi_half_weight,
     tilted_weight,
 )
-from .errors import (
-    ConfigError,
-    DimensionMismatch,
-    DomainError,
-    GradientFailure,
-    IoError,
-    NotHermitian,
-    NotPositive,
-    NumericalFailure,
-    NvneError,
-    OutOfDomain,
-    SignalTooWeak,
-    ZeroTrace,
-)
+from .errors import ConfigError, DomainError, IoError, NumericalFailure, NvneError
 from .hermitian import (
     IDENTITY_2,
     SIGMA_X,

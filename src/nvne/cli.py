@@ -137,9 +137,9 @@ def parse_hamiltonian(spec, path: str, dim: int) -> np.ndarray:
         sub = spec["random"]
         seed = _integer(_get(sub, "seed", f"{path}.random."), f"{path}.random.seed", 0)
         norm = sub.get("spectral_norm")
-        return random_hermitian(
-            dim, np.random.default_rng(seed),
-            spectral_norm=None if norm is None else _number(norm, f"{path}.random.spectral_norm"))
+        if norm is not None:
+            norm = _number(norm, f"{path}.random.spectral_norm", 0.0, strict=True)
+        return random_hermitian(dim, np.random.default_rng(seed), spectral_norm=norm)
     raise ConfigError(f"config key {path} needs one of: preset, matrix, random")
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .deformation import PowerLaw
 from .dynamics import IntegratorConfig, Trajectory, _advance, _record, evolve, invariant_report
-from .errors import DimensionMismatch, DomainError
+from .errors import DomainError
 from .hermitian import DensityMatrix, partial_trace, require_hermitian, trace_norm
 from .structure import _eigenbasis_diagonal, _kernel
 
@@ -43,7 +43,7 @@ class CompositeSystem:
         object.__setattr__(self, "h1", require_hermitian(self.h1, what="H_I"))
         object.__setattr__(self, "h2", require_hermitian(self.h2, what="H_II"))
         if self.h1.shape != (self.dim_1, self.dim_1) or self.h2.shape != (self.dim_2, self.dim_2):
-            raise DimensionMismatch("subsystem Hamiltonian shapes do not match dims")
+            raise DomainError("subsystem Hamiltonian shapes do not match dims")
 
     @property
     def f1(self) -> PowerLaw:
@@ -59,7 +59,7 @@ def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorC
     energy is the conserved two-system Hamiltonian function."""
     d = sys.dim_1 * sys.dim_2
     if rho0.dim != d:
-        raise DimensionMismatch(f"joint state dim {rho0.dim} != {sys.dim_1}*{sys.dim_2}")
+        raise DomainError(f"joint state dim {rho0.dim} != {sys.dim_1}*{sys.dim_2}")
     dims = (sys.dim_1, sys.dim_2)
     runs, starts = [], []
     for keep, h, f in (("I", sys.h1, sys.f1), ("II", sys.h2, sys.f2)):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deformation import DeformationFunction
-from .errors import DomainError, SignalTooWeak
+from .errors import DomainError, NumericalFailure
 from .hermitian import DensityMatrix, _zero_round_off, hermitian_part, require_hermitian
 from .structure import _divided_difference_transform, _kernel, hamiltonian_function
 
@@ -65,6 +65,8 @@ class IntegratorConfig:
             raise DomainError(f"t_final must be positive, got {self.t_final}")
         if self.dt > self.t_final:
             raise DomainError(f"dt={self.dt} exceeds t_final={self.t_final}")
+        if not isinstance(self.record_every, (int, np.integer)):
+            raise DomainError(f"record_every must be an integer, got {self.record_every!r}")
         if self.record_every < 1:
             raise DomainError(f"record_every must be >= 1, got {self.record_every}")
         if self.scheme not in SCHEMES:
@@ -169,6 +171,8 @@ def evolve(
     """Integrate to t_final, recording every record_every steps (plus the
     initial and final states)."""
     h = require_hermitian(h, what="hamiltonian")
+    if h.shape[0] != rho0.dim:
+        raise DomainError(f"hamiltonian dim {h.shape[0]} != state dim {rho0.dim}")
     kernel = _kernel(rho0.eigenvalues, f)
     steps = _advance(rho0.eigenvectors, h, kernel, cfg.dt, cfg.scheme, cfg.n_steps,
                      cfg.record_every)
@@ -262,12 +266,12 @@ def invariant_report(traj: Trajectory) -> InvariantReport:
 
 def precession_frequency(traj: Trajectory, element: tuple[int, int]) -> float:
     """|d/dt arg rho_ij| from an unwrapped least-squares phase fit; a
-    |rho_ij| below PHASE_FIT_FLOOR anywhere raises SignalTooWeak."""
+    |rho_ij| below PHASE_FIT_FLOOR anywhere raises NumericalFailure."""
     i, j = element
     signal = traj.element(i, j)
     mags = np.abs(signal)
     if np.any(mags < PHASE_FIT_FLOOR):
-        raise SignalTooWeak(
+        raise NumericalFailure(
             f"|rho_{i}{j}| dips to {float(np.min(mags)):.3e}; phase fit unreliable"
         )
     phase = np.unwrap(np.angle(signal))

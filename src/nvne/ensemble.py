@@ -31,7 +31,7 @@ import numpy as np
 
 from .deformation import DeformationFunction
 from .dynamics import IntegratorConfig, evolve, larmor_frequency
-from .errors import DimensionMismatch, DomainError
+from .errors import DomainError
 from .hermitian import (
     IDENTITY_2,
     SIGMA_X,
@@ -90,7 +90,7 @@ class EnsembleSpec:
     def __post_init__(self):
         h = require_hermitian(self.h, what="ensemble H")
         if h.shape != (2, 2):
-            raise DimensionMismatch("ensemble spins are 2x2; H must be 2x2")
+            raise DomainError("ensemble spins are 2x2; H must be 2x2")
         object.__setattr__(self, "h", h)
         norm = self.normalization()
         if abs(norm - 1.0) > NORMALIZATION_TOL:

@@ -1,8 +1,15 @@
-"""Exception types raised by the simulator.
+"""Exception types raised by the simulator, one class per outcome a caller can act on.
 
-All errors derive from NvneError so callers can catch the whole family.
-DomainError and its subclasses signal mathematically invalid inputs
-(CLI exit code 3); ConfigError signals a bad scenario file (exit code 2).
+- NvneError: base class of every error the package raises (CLI exit 3, "error:").
+- ConfigError: a scenario file is malformed; the message names the key (exit 2, "config error:").
+- DomainError: an input lies outside the mathematical domain (exit 3, "domain error:").
+- NumericalFailure: valid inputs gave no usable result (exit 3, "error:").
+- IoError: output files could not be written (exit 3, "error:").
+
+DomainError covers non-Hermitian, non-positive and zero-trace matrices, mismatched
+dimensions and closed forms asked for outside their range. NumericalFailure covers a
+failed eigensolver, a non-Hermitian finite-difference gradient and a phase signal too
+weak to fit.
 """
 
 
@@ -10,45 +17,17 @@ class NvneError(Exception):
     pass
 
 
-class NotHermitian(NvneError):
-    """Matrix deviates from its conjugate transpose beyond tolerance."""
-
-
-class NotPositive(NvneError):
-    """An eigenvalue is more negative than the clipping window allows."""
-
-
-class ZeroTrace(NvneError):
-    """Trace is too close to zero to normalize."""
-
-
-class NumericalFailure(NvneError):
-    """An eigensolver or iteration did not converge."""
+class ConfigError(NvneError):
+    pass
 
 
 class DomainError(NvneError):
-    """Input lies outside the mathematical domain of an operation."""
+    pass
 
 
-class DimensionMismatch(NvneError):
-    """Operand dimensions are inconsistent."""
-
-
-class GradientFailure(NvneError):
-    """Finite differencing produced an unusable (non-Hermitian) gradient."""
-
-
-class SignalTooWeak(NvneError):
-    """A matrix element is too small for reliable phase extraction."""
-
-
-class OutOfDomain(DomainError):
-    """Closed-form equilibrium requested outside 0 < |q-1|*beta*mu < 1."""
-
-
-class ConfigError(NvneError):
-    """Scenario configuration is malformed; message names the offending key."""
+class NumericalFailure(NvneError):
+    pass
 
 
 class IoError(NvneError):
-    """Output files could not be written."""
+    pass

@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    NotHermitian,
-    NotPositive,
-    NumericalFailure,
-    ZeroTrace,
-)
+from .errors import DomainError, NumericalFailure
 
 TOL_HERM = 1e-12
 
@@ -40,20 +33,20 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
 
 
-def require_hermitian(a: np.ndarray, tol: float = TOL_HERM, what: str = "matrix") -> np.ndarray:
-    """The Hermitian part of a square, finite matrix within tol of Hermitian.
+def require_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """The Hermitian part of a square, finite matrix within TOL_HERM of Hermitian.
 
     NaN or infinite entries raise DomainError: the defect below is a >
     comparison, which is False for NaN.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{what} must be square, got shape {a.shape}")
+        raise DomainError(f"{what} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError(f"{what} has NaN or infinite entries")
     defect = hermiticity_defect(a)
-    if defect > tol:
-        raise NotHermitian(f"{what} deviates from Hermiticity by {defect:.3e} (tol {tol:.1e})")
+    if defect > TOL_HERM:
+        raise DomainError(f"{what} deviates from Hermiticity by {defect:.3e} (tol {TOL_HERM:.1e})")
     return hermitian_part(a)
 
 
@@ -77,8 +70,8 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.sum(self.eigenvalues**2))
 
-    def is_pure(self, tol: float = 1e-10) -> bool:
-        return abs(self.purity() - 1.0) < tol
+    def is_pure(self) -> bool:
+        return abs(self.purity() - 1.0) < 1e-10
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -86,46 +79,46 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
-def _zero_round_off(w: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Eigenvalues at or below tol/10 set to exactly 0 (a new array).
+def _zero_round_off(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues at or below TOL_HERM/10 set to exactly 0 (a new array).
 
     Two-sided on purpose: x**q with q < 1 is not Lipschitz at 0, so a
     round-off eigenvalue of 1e-19 would turn the divided differences of a
     pure state into entries of order 1e9 instead of the exact-zero rule.
-    The upper edge sits a decade below tol so that the repair moves no
-    eigenvalue by tol or more: zeroing a genuine eigenvalue of exactly
-    tol, then renormalizing, shifted both eigenvalues of a qubit by tol
-    plus round-off. Negative eigenvalues down to -tol all become 0.
+    The upper edge sits a decade below TOL_HERM so that the repair moves no
+    eigenvalue by TOL_HERM or more: zeroing a genuine eigenvalue of exactly
+    TOL_HERM, then renormalizing, shifted both eigenvalues of a qubit by
+    TOL_HERM plus round-off. Negative eigenvalues down to -TOL_HERM all
+    become 0.
     """
-    return np.where(w <= 0.1 * tol, 0.0, w)
+    return np.where(w <= 0.1 * TOL_HERM, 0.0, w)
 
 
-def validate_density(matrix: np.ndarray, tol: float = TOL_HERM) -> DensityMatrix:
+def validate_density(matrix: np.ndarray) -> DensityMatrix:
     """Validate and repair a candidate state.
 
-    The matrix is symmetrized, eigenvalues in [-tol, tol/10] become exactly 0,
-    and the trace is renormalized to 1. Anything worse is an error, not a
-    silent repair: NotHermitian beyond tol, NotPositive below -tol,
-    ZeroTrace when |Tr| < tol, DomainError on NaN or infinite entries.
+    The matrix is symmetrized, eigenvalues in [-TOL_HERM, TOL_HERM/10]
+    become exactly 0, and the trace is renormalized to 1. Anything worse is
+    a DomainError, not a silent repair: a Hermiticity defect beyond
+    TOL_HERM, an eigenvalue below -TOL_HERM, |Tr| < TOL_HERM, NaN or
+    infinite entries. A failed eigensolver raises NumericalFailure.
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    m = require_hermitian(matrix, tol, what="state")
+    m = require_hermitian(matrix, what="state")
     trace = float(np.trace(m).real)
-    if abs(trace) < tol:
-        raise ZeroTrace(f"state trace {trace:.3e} too close to zero")
+    if abs(trace) < TOL_HERM:
+        raise DomainError(f"state trace {trace:.3e} too close to zero")
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    if np.any(w < -tol):
-        raise NotPositive(
-            f"state has eigenvalue {float(np.min(w)):.3e} below -{tol:.1e}"
+    if np.any(w < -TOL_HERM):
+        raise DomainError(
+            f"state has eigenvalue {float(np.min(w)):.3e} below -{TOL_HERM:.1e}"
         )
-    w = _zero_round_off(w, tol)
+    w = _zero_round_off(w)
     total = float(np.sum(w))
-    if total < tol:
-        raise ZeroTrace(f"state trace {total:.3e} after clipping too close to zero")
+    if total < TOL_HERM:
+        raise DomainError(f"state trace {total:.3e} after clipping too close to zero")
     w /= total
     mat = hermitian_part((v * w) @ v.conj().T)
     _freeze(mat, w, v)
@@ -151,7 +144,7 @@ def pure_state(vector: np.ndarray) -> DensityMatrix:
     psi = np.asarray(vector, dtype=complex).reshape(-1)
     norm = np.linalg.norm(psi)
     if norm < 1e-15:
-        raise ZeroTrace("cannot build a pure state from the zero vector")
+        raise DomainError("cannot build a pure state from the zero vector")
     psi = psi / norm
     return validate_density(np.outer(psi, psi.conj()))
 
@@ -181,7 +174,7 @@ def partial_trace(rho_ab, dims: tuple[int, int], keep: str) -> DensityMatrix:
     m = rho_ab.matrix if isinstance(rho_ab, DensityMatrix) else np.asarray(rho_ab, dtype=complex)
     d1, d2 = int(dims[0]), int(dims[1])
     if m.shape != (d1 * d2, d1 * d2):
-        raise DimensionMismatch(
+        raise DomainError(
             f"state of shape {m.shape} does not factor as ({d1}x{d2})^2"
         )
     t = m.reshape(d1, d2, d1, d2)
@@ -214,7 +207,7 @@ def bloch_state(*, lam, phi, psi) -> DensityMatrix:
 def bloch_vector(state: DensityMatrix) -> np.ndarray:
     """Cartesian Bloch components (n_x, n_y, n_z) of a qubit state."""
     if state.dim != 2:
-        raise DimensionMismatch("Bloch vector is defined for 2x2 states")
+        raise DomainError("Bloch vector is defined for 2x2 states")
     m = state.matrix
     return np.array(
         [
@@ -237,6 +230,9 @@ def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, spectral_norm: float | None = None) -> np.ndarray:
+    """A random Hermitian dim x dim matrix, scaled to spectral_norm > 0 if given."""
+    if spectral_norm is not None and not spectral_norm > 0:
+        raise DomainError(f"spectral_norm must be positive, got {spectral_norm}")
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = hermitian_part(a)
     if spectral_norm is not None:

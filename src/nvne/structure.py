@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .deformation import DEGENERACY_TOL, DeformationFunction, PowerLaw
-from .errors import DomainError, GradientFailure, ZeroTrace
+from .errors import DomainError, NumericalFailure
 from .hermitian import (
     DensityMatrix,
     hermitian_part,
@@ -52,7 +52,7 @@ def hamiltonian_function(rho, h: np.ndarray, f: DeformationFunction):
         w, v = np.linalg.eigh(m)
         tau = float(np.sum(w))
         if tau < 1e-12:
-            raise ZeroTrace(f"hamiltonian_function needs Tr > 0, got {tau:.3e}")
+            raise DomainError(f"hamiltonian_function needs Tr > 0, got {tau:.3e}")
         if np.min(w) < -1e-12 * max(tau, 1.0):
             raise DomainError(f"state must be PSD, min eigenvalue {np.min(w):.3e}")
         w = np.clip(w, 0.0, None) / tau
@@ -130,7 +130,7 @@ class ObservableFunctional:
     gradient(rho) returns the matrix G with dA = Tr(X G) for Hermitian
     perturbations X. When no analytic gradient is supplied, a central
     finite difference over the raw matrix entries is used and checked for
-    Hermiticity (GradientFailure beyond 1e-6).
+    Hermiticity (NumericalFailure beyond 1e-6).
     """
 
     evaluator: Callable
@@ -147,13 +147,13 @@ class ObservableFunctional:
         return finite_difference_gradient(self.evaluator, m)
 
 
-def finite_difference_gradient(evaluator: Callable, m: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+def finite_difference_gradient(evaluator: Callable, m: np.ndarray) -> np.ndarray:
     """Central differences over every complex matrix entry (real and
     imaginary parts separately), assembled into the Hermitian gradient.
 
     The evaluator must accept slightly non-Hermitian arguments (matrix
     polynomials do). The raw Wirtinger-style derivative matrix must come
-    out Hermitian on its own; a defect beyond 1e-6 raises GradientFailure.
+    out Hermitian on its own; a defect beyond 1e-6 raises NumericalFailure.
     """
     dim = m.shape[0]
     raw = np.zeros((dim, dim), dtype=complex)
@@ -161,16 +161,16 @@ def finite_difference_gradient(evaluator: Callable, m: np.ndarray, step: float =
         for j in range(dim):
             e = np.zeros((dim, dim), dtype=complex)
             e[i, j] = 1.0
-            d_re = (evaluator(m + step * e) - evaluator(m - step * e)) / (2 * step)
-            d_im = (evaluator(m + 1j * step * e) - evaluator(m - 1j * step * e)) / (2 * step)
+            d_re = (evaluator(m + FD_STEP * e) - evaluator(m - FD_STEP * e)) / (2 * FD_STEP)
+            d_im = (evaluator(m + 1j * FD_STEP * e) - evaluator(m - 1j * FD_STEP * e)) / (2 * FD_STEP)
             if not (np.isfinite(d_re) and np.isfinite(d_im)):
-                raise GradientFailure(f"finite difference diverged at entry ({i}, {j})")
+                raise NumericalFailure(f"finite difference diverged at entry ({i}, {j})")
             # holomorphic dA/drho_ij = d_re - i*d_im lands at grad_ji so that
             # dA = Tr(X grad) for Hermitian perturbations X
             raw[j, i] = d_re - 1j * d_im
     defect = hermiticity_defect(raw)
     if defect > 1e-6:
-        raise GradientFailure(
+        raise NumericalFailure(
             f"finite-difference gradient non-Hermitian by {defect:.3e} (tol 1e-06)"
         )
     return hermitian_part(raw)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailure, OutOfDomain
+from .errors import DomainError, NumericalFailure
 from .hermitian import DensityMatrix, bloch_state, validate_density
 from .structure import q_average
 
@@ -80,9 +80,9 @@ def spin_free_energy(lam: float, p: ThermoParams) -> float:
     return u - p.temperature * s
 
 
-def spin_free_energy_derivative(lam: float, p: ThermoParams, step: float = _FD_STEP) -> float:
+def spin_free_energy_derivative(lam: float, p: ThermoParams) -> float:
     """Central-difference dF/dlam; probe for off-equilibrium checks."""
-    return (spin_free_energy(lam + step, p) - spin_free_energy(lam - step, p)) / (2 * step)
+    return (spin_free_energy(lam + _FD_STEP, p) - spin_free_energy(lam - _FD_STEP, p)) / (2 * _FD_STEP)
 
 
 def spin_free_energy_gradient(lam: float, p: ThermoParams) -> float:
@@ -102,15 +102,15 @@ def spin_free_energy_gradient(lam: float, p: ThermoParams) -> float:
     return float(du - p.temperature * ds)
 
 
-def stability_second_derivative(p: ThermoParams, lam: float, step: float = _FD_STEP) -> float:
+def stability_second_derivative(p: ThermoParams, lam: float) -> float:
     """Central-difference d^2F/dlam^2 of the aligned spin free energy."""
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lam must lie strictly inside (0, 1), got {lam}")
     return (
-        spin_free_energy(lam + step, p)
+        spin_free_energy(lam + _FD_STEP, p)
         - 2.0 * spin_free_energy(lam, p)
-        + spin_free_energy(lam - step, p)
-    ) / step**2
+        + spin_free_energy(lam - _FD_STEP, p)
+    ) / _FD_STEP**2
 
 
 @dataclass(frozen=True)
@@ -126,44 +126,26 @@ def _gibbs_lambda(p: ThermoParams) -> float:
     return float(np.exp(bm) / (2.0 * np.cosh(bm)))
 
 
-def spin_equilibrium(p: ThermoParams, tol: float = 1e-12) -> EquilibriumResult:
-    """Solve (lam/(1-lam))**(q-1) = (1 + (q-1) beta mu)/(1 - (q-1) beta mu)
-    for lam in (1/2, 1) by bisection.
+def spin_equilibrium(p: ThermoParams) -> EquilibriumResult:
+    """Solve (lam/(1-lam))**(q-1) = (1 + x)/(1 - x), x = (q-1) beta mu, in
+    closed form: lam = 1/(1 + exp(-2 artanh(x)/(q-1))), in (1/2, 1).
 
     Outside 0 < |q-1| beta mu < 1 the closed form is invalid and
-    OutOfDomain is raised; q = 1 takes the Gibbs limit.
+    DomainError is raised; q = 1 takes the Gibbs limit.
     """
     if abs(p.q - 1.0) < Q_ONE_THRESHOLD:
         lam = _gibbs_lambda(p)
     else:
         x = (p.q - 1.0) * p.beta * p.mu
         if abs(x) >= 1.0:
-            raise OutOfDomain(
+            raise DomainError(
                 f"|q-1|*beta*mu = {abs(x):.6g} >= 1; closed-form equilibrium invalid"
             )
-        target = np.log((1.0 + x) / (1.0 - x))
+        lam = float(1.0 / (1.0 + np.exp(-2.0 * np.arctanh(x) / (p.q - 1.0))))
 
-        def residual(lam: float) -> float:
-            return (p.q - 1.0) * np.log(lam / (1.0 - lam)) - target
-
-        lo, hi = 0.5, 1.0 - 1e-15
-        flo = residual(lo + 1e-15)
-        fhi = residual(hi)
-        if flo * fhi > 0:
-            raise NumericalFailure("equilibrium bisection bracket failed")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = residual(mid)
-            if fm == 0.0 or (hi - lo) < tol:
-                break
-            if flo * fm < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        lam = 0.5 * (lo + hi)
-
-    # bisection resolves lam to ~1e-12, which bounds the achievable gradient
-    # by ~2*T*1e-12; the 1e-8 stationarity check therefore scales with T
+    # the closed form gives lam to round-off, but dF/dlam there is a
+    # cancellation of terms that grow with T, so its round-off residue, and
+    # with it the 1e-8 stationarity check, scales with T
     grad = spin_free_energy_gradient(lam, p)
     if abs(grad) > 1e-8 * max(1.0, p.temperature):
         raise NumericalFailure(

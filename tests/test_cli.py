@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import nvne
 from nvne import presets
 from nvne.cli import load_config, main, run_scenario
-from nvne.errors import ConfigError
+from nvne.errors import ConfigError, NumericalFailure
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -119,6 +119,8 @@ MALFORMED_CASTS = [
     ("evolve", "system.dim", 0),
     ("evolve", "system.hamiltonian.random.seed", "x"),
     ("evolve", "system.hamiltonian.random.spectral_norm", "x"),
+    ("evolve", "system.hamiltonian.random.spectral_norm", -1.0),
+    ("evolve", "system.hamiltonian.random.spectral_norm", 0.0),
     ("evolve", "state.random.seed", -1),
     ("evolve", "measure.convergence.reference_divisor", "x"),
     ("evolve", "measure.compare_linear.q_values", ["x"]),
@@ -273,6 +275,16 @@ class TestExitCodes:
         assert proc.returncode == 3, proc.stderr
         assert "error: cannot write outputs" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_numerical_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        def fail(traj, element):
+            raise NumericalFailure("phase fit unreliable")
+
+        monkeypatch.setattr(nvne.dynamics, "precession_frequency", fail)
+        assert main(["run", str(write_config(tmp_path, tiny_evolve_config())), "--quiet"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: phase fit unreliable"]
+        assert "Traceback" not in captured.err + captured.out
 
     @pytest.mark.parametrize("key, edit", [
         ("times", lambda cfg: cfg.update(times=[1.0, float("nan")])),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from nvne.composite import (
     reduction_consistency,
 )
 from nvne.dynamics import IntegratorConfig
-from nvne.errors import DimensionMismatch, DomainError
+from nvne.errors import DomainError
 from nvne.hermitian import (
     SIGMA_Z,
     _zero_round_off,
@@ -66,13 +68,13 @@ class TestCompositeSystem:
             CompositeSystem(dim_1=2, dim_2=2, h1=SIGMA_Z, h2=SIGMA_Z, q1=0.0, q2=2.0)
 
     def test_rejects_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DomainError, match="subsystem Hamiltonian shapes do not match dims"):
             CompositeSystem(dim_1=3, dim_2=2, h1=SIGMA_Z, h2=SIGMA_Z, q1=1.0, q2=1.0)
 
     def test_rejects_wrong_state_dim(self, rng):
         sys_ = spin_system()
         rho = random_density_matrix(3, rng)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DomainError, match=re.escape("joint state dim 3 != 2*2")):
             evolve_composite(rho, sys_, IntegratorConfig(dt=1e-2, t_final=0.1))
 
 

@@ -14,7 +14,7 @@ from nvne.dynamics import (
     larmor_frequency,
     precession_frequency,
 )
-from nvne.errors import DomainError, SignalTooWeak
+from nvne.errors import DomainError, NumericalFailure
 from nvne.hermitian import (
     SIGMA_Z,
     bloch_state,
@@ -80,6 +80,11 @@ class TestIntegratorConfig:
         with pytest.raises(DomainError, match="finite"):
             IntegratorConfig(dt=dt, t_final=t_final)
 
+    @pytest.mark.parametrize("record_every", [2.5, 2.0, "2"])
+    def test_rejects_non_integer_record_every(self, record_every):
+        with pytest.raises(DomainError, match="record_every must be an integer"):
+            IntegratorConfig(dt=1e-2, t_final=0.1, record_every=record_every)
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(DomainError):
             IntegratorConfig(dt=0.1, t_final=1.0, scheme="rk4")
@@ -142,6 +147,14 @@ class TestEvolve:
             evolve(rho, h, PowerLaw(q=2.0), IntegratorConfig(dt=1e-2, t_final=0.1))
         with pytest.raises(DomainError, match="NaN or infinite"):
             CompositeSystem(dim_1=dim, dim_2=2, h1=h, h2=-SIGMA_Z, q1=2.0, q2=2.0)
+
+    @pytest.mark.parametrize("dim, h_dim", [(2, 3), (3, 2)])
+    def test_hamiltonian_dim_mismatch_rejected(self, rng, dim, h_dim):
+        rho = random_density_matrix(dim, rng)
+        h = random_hermitian(h_dim, rng)
+        # d = 2 steps through the scalar SU(2) kernel, d = 3 through numpy
+        with pytest.raises(DomainError, match=f"hamiltonian dim {h_dim} != state dim {dim}"):
+            evolve(rho, h, PowerLaw(q=2.0), IntegratorConfig(dt=1e-2, t_final=0.1))
 
     def test_fixed_point_trajectory(self, rng):
         rho = validate_density(0.5 * np.eye(2, dtype=complex))
@@ -413,5 +426,5 @@ class TestLarmorLaw:
         rho = validate_density(np.diag([0.7, 0.3]).astype(complex))
         traj = evolve(rho, -SIGMA_Z, PowerLaw(q=2.0),
                       IntegratorConfig(dt=1e-2, t_final=1.0))
-        with pytest.raises(SignalTooWeak):
+        with pytest.raises(NumericalFailure, match="phase fit unreliable"):
             precession_frequency(traj, (0, 1))

@@ -16,7 +16,7 @@ from nvne.ensemble import (
     tilted_weight,
     transverse_coefficients,
 )
-from nvne.errors import DomainError, NotHermitian
+from nvne.errors import DomainError
 from nvne.hermitian import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_state
 
 
@@ -64,7 +64,7 @@ class TestEnsembleSpec:
 
     def test_non_hermitian_field_rejected(self):
         # its h[0, 1] is 0 and its trace 0, the closed-form test's only checks
-        with pytest.raises(NotHermitian):
+        with pytest.raises(DomainError, match=r"ensemble H deviates from Hermiticity by 5\.000e\+00"):
             EnsembleSpec(weight=tilted_weight, f=PowerLaw(q=3.0),
                          h=np.array([[-1.0, 0.0], [5.0, 1.0]]), n_lam=8, n_phi=8, n_psi=8)
 

@@ -1,16 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvne.deformation import PowerLaw
-from nvne.errors import (
-    DimensionMismatch,
-    DomainError,
-    NotHermitian,
-    NotPositive,
-    ZeroTrace,
-)
+from nvne.errors import DomainError, NumericalFailure
 from nvne.hermitian import (
     IDENTITY_2,
     SIGMA_X,
@@ -23,6 +19,7 @@ from nvne.hermitian import (
     partial_trace,
     pure_state,
     random_density_matrix,
+    random_hermitian,
     tensor_state,
     trace_distance,
     trace_norm,
@@ -65,19 +62,19 @@ class TestValidateDensity:
 
     def test_not_positive(self):
         m = np.array([[0.5, 1j], [-1j, 0.5]])  # eigenvalues -0.5, 1.5
-        with pytest.raises(NotPositive):
+        with pytest.raises(DomainError, match="state has eigenvalue -5.000e-01 below -1.0e-12"):
             validate_density(m)
 
     def test_not_hermitian(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(DomainError, match="state deviates from Hermiticity by 3.000e-01"):
             validate_density(np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex))
 
     def test_zero_trace(self):
-        with pytest.raises(ZeroTrace):
+        with pytest.raises(DomainError, match="state trace .* too close to zero"):
             validate_density(np.diag([1e-13, -1e-13]).astype(complex))
 
     def test_non_square(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DomainError, match=re.escape("state must be square, got shape (2, 3)")):
             validate_density(np.zeros((2, 3), dtype=complex))
 
     def test_invariants_on_random_states(self, rng):
@@ -98,6 +95,14 @@ class TestValidateDensity:
     def test_all_nan_state_rejected(self):
         with pytest.raises(DomainError):
             validate_density(np.full((2, 2), np.nan))
+
+    def test_eigensolver_failure_is_numerical_failure(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalFailure, match="eigensolver failed: Eigenvalues did not converge"):
+            validate_density(np.diag([0.75, 0.25]).astype(complex))
 
     def test_matrix_is_write_protected(self, rng):
         rho = random_density_matrix(2, rng)
@@ -214,7 +219,8 @@ class TestTensorAndPartialTrace:
 
     def test_dimension_mismatch(self, rng):
         rho = random_density_matrix(4, rng)
-        with pytest.raises(DimensionMismatch):
+        message = "state of shape (4, 4) does not factor as (3x2)^2"
+        with pytest.raises(DomainError, match=re.escape(message)):
             partial_trace(rho, (3, 2), "I")
 
     def test_against_brute_force(self, rng):
@@ -275,6 +281,13 @@ class TestBloch:
         n = bloch_vector(rho)
         rebuilt = 0.5 * (IDENTITY_2 + n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
         assert np.allclose(rebuilt, rho.matrix, atol=1e-12)
+
+
+class TestRandomHermitian:
+    @pytest.mark.parametrize("norm", [-1.0, 0.0, float("nan")])
+    def test_non_positive_spectral_norm_rejected(self, rng, norm):
+        with pytest.raises(DomainError, match="spectral_norm must be positive"):
+            random_hermitian(2, rng, spectral_norm=norm)
 
 
 class TestNorms:

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from nvne.deformation import PowerLaw
 from nvne.dynamics import IntegratorConfig, evolve
-from nvne.errors import DomainError, OutOfDomain
+from nvne.errors import DomainError
 from nvne.hermitian import (
     SIGMA_Z,
     bloch_state,
@@ -127,7 +129,7 @@ class TestSpinEquilibrium:
         assert res.second_derivative > 0
 
     def test_closed_form_ratio_oracle(self):
-        # bisection result must satisfy the defining ratio equation
+        # the closed-form result must satisfy the defining ratio equation
         for q, beta in ((1.5, 0.9), (2.0, 0.3), (3.0, 0.4), (0.5, 1.2)):
             p = ThermoParams(q=q, beta=beta, mu=1.0)
             res = spin_equilibrium(p)
@@ -149,9 +151,10 @@ class TestSpinEquilibrium:
         assert res.lam == pytest.approx(0.9995, abs=1e-9)
 
     def test_out_of_domain(self):
-        with pytest.raises(OutOfDomain):
+        message = "|q-1|*beta*mu = {} >= 1; closed-form equilibrium invalid"
+        with pytest.raises(DomainError, match=re.escape(message.format(1))):
             spin_equilibrium(ThermoParams(q=2.0, beta=1.0, mu=1.0))
-        with pytest.raises(OutOfDomain):
+        with pytest.raises(DomainError, match=re.escape(message.format(1.2))):
             spin_equilibrium(ThermoParams(q=3.0, beta=0.6, mu=1.0))
 
     def test_stationarity_and_stability_on_grid(self):
