@@ -45,20 +45,17 @@ from .hermitian import (
     SIGMA_Z,
     DensityMatrix,
     bloch_state,
-    bloch_vector,
     matrix_function,
     partial_trace,
     pure_state,
     random_density_matrix,
     random_hermitian,
-    tensor_state,
     trace_distance,
     trace_norm,
     validate_density,
 )
 from .structure import (
     ObservableFunctional,
-    casimir,
     casimir_functional,
     effective_hamiltonian,
     finite_difference_gradient,
@@ -73,7 +70,6 @@ from .thermo import (
     EquilibriumResult,
     ThermoParams,
     free_energy,
-    minimize_free_energy_diagonal,
     spin_equilibrium,
     spin_free_energy,
     stability_second_derivative,

@@ -94,11 +94,11 @@ def _numbers(values, path: str, minimum: float | None = None) -> list:
 
 
 def _build(path: str, make, *args, **kwargs):
-    """make(*args, **kwargs), a domain object built from config values; an
-    NvneError it raises becomes a ConfigError naming path."""
+    """make(*args, **kwargs), a domain object built from config values; a
+    DomainError it raises becomes a ConfigError naming path."""
     try:
         return make(*args, **kwargs)
-    except NvneError as exc:
+    except DomainError as exc:
         raise ConfigError(f"config key {path} is invalid: {exc}")
 
 
@@ -182,11 +182,13 @@ def parse_deformation(cfg: dict, path: str = "") -> DeformationFunction:
 
 def parse_integrator(cfg: dict, path: str = "integrator") -> dynamics.IntegratorConfig:
     spec = _get(cfg, "integrator", "")
+    unknown = sorted(set(_object(spec, path)) - {"dt", "t_final", "record_every"})
+    if unknown:
+        raise ConfigError(f"config key {path}.{unknown[0]} is not one of dt, t_final, record_every")
     return _build(
         path, dynamics.IntegratorConfig,
         dt=_number(_get(spec, "dt", f"{path}."), f"{path}.dt"),
         t_final=_number(_get(spec, "t_final", f"{path}."), f"{path}.t_final"),
-        scheme=spec.get("scheme", "midpoint"),
         record_every=_integer(spec.get("record_every", 1), f"{path}.record_every"),
     )
 
@@ -409,14 +411,13 @@ def _parse_stability_reference(spec, path: str, dim, state, **_):
     return ["stability_factor"], run
 
 
-def _parse_convergence(spec, path: str, state, h, f, icfg, **_):
+def _parse_convergence(spec, path: str, state, h, f, **_):
     """End-state errors at dt and dt/2 against a dt/reference_divisor run."""
     dt = _number(_get(spec, "dt", f"{path}."), f"{path}.dt")
     t_end = _number(_get(spec, "t_final", f"{path}."), f"{path}.t_final", 0.0, strict=True)
     divisor = _integer(spec.get("reference_divisor", 10), f"{path}.reference_divisor", 1)
     # t_final is checked positive, so a rejection is about the step size
-    runs = [_build(f"{path}.dt", dynamics.IntegratorConfig, dt=step, t_final=t_end,
-                   scheme=icfg.scheme, record_every=10**9)
+    runs = [_build(f"{path}.dt", dynamics.IntegratorConfig, dt=step, t_final=t_end, record_every=10**9)
             for step in (dt / divisor, dt, dt / 2)]
 
     def run(traj, headline, measured):

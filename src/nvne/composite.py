@@ -55,7 +55,7 @@ class CompositeSystem:
 
 
 def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorConfig) -> Trajectory:
-    """Midpoint (or Euler) integration of the joint equation; the logged
+    """Midpoint integration of the joint equation; the logged
     energy is the conserved two-system Hamiltonian function."""
     d = sys.dim_1 * sys.dim_2
     if rho0.dim != d:
@@ -65,8 +65,7 @@ def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorC
     for keep, h, f in (("I", sys.h1, sys.f1), ("II", sys.h2, sys.f2)):
         red = partial_trace(rho0, dims, keep)
         v = red.eigenvectors
-        runs.append(_advance(v, h, _kernel(red.eigenvalues, f), cfg.dt, cfg.scheme, cfg.n_steps,
-                             cfg.record_every))
+        runs.append(_advance(v, h, _kernel(red.eigenvalues, f), cfg.dt, cfg.n_steps, cfg.record_every))
         starts.append(v.conj().T)
     steps = ((k, np.kron(v1 @ starts[0], v2 @ starts[1]) @ rho0.eigenvectors)
              for (k, v1), (_, v2) in zip(*runs))

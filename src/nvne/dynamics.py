@@ -3,17 +3,16 @@
 Steps conjugate the state with exp(-i G dt) where G is the
 divided-difference generator, so spectrum, trace and positivity are
 preserved by construction; discretization error lives only in the orbit
-phase. The midpoint scheme evaluates G at a half-step state (second
-order); the Euler scheme uses the initial G (first order, kept for
-convergence studies). All stepping goes through _advance. The eigenvalues
-are invariants, so the divided-difference kernel K is taken once per
-trajectory, and _advance steps in one of three branches:
+phase. Each step is the midpoint rule: G is evaluated at a half-step
+state, which makes it second order. All stepping goes through _advance.
+The eigenvalues are invariants, so the divided-difference kernel K is
+taken once per trajectory, and _advance steps in one of three branches:
 
-- d = 2: the same scheme on Python complex scalars with the closed-form
+- d = 2: the same step on Python complex scalars with the closed-form
   SU(2) exponential, which agrees with the numpy path (eigh) to round-off
   and is about 5x faster;
 - every entry of K equal to one c (a pure state under linear f, a maximally
-  mixed state): G = c H at every state, so both schemes are the propagator
+  mixed state): G = c H at every state, so the step is the propagator
   exp(-i c H dt), exponentiated once and applied as one matmul per step;
 - otherwise numpy, with G rebuilt and diagonalized at every (half-)step.
 
@@ -37,8 +36,6 @@ from .errors import DomainError, NumericalFailure
 from .hermitian import DensityMatrix, _zero_round_off, hermitian_part, require_hermitian
 from .structure import _divided_difference_transform, _kernel, hamiltonian_function
 
-SCHEMES = ("midpoint", "euler")
-
 # bytes of complex entries per block of the recording and invariant pass:
 # bounds the temporaries of the batched calls (1,024 states at d = 2, one
 # state at d = 64)
@@ -52,7 +49,6 @@ PHASE_FIT_FLOOR = 1e-6
 class IntegratorConfig:
     dt: float = 1e-3
     t_final: float = 10.0
-    scheme: str = "midpoint"
     record_every: int = 1
 
     def __post_init__(self):
@@ -69,8 +65,6 @@ class IntegratorConfig:
             raise DomainError(f"record_every must be an integer, got {self.record_every!r}")
         if self.record_every < 1:
             raise DomainError(f"record_every must be >= 1, got {self.record_every}")
-        if self.scheme not in SCHEMES:
-            raise DomainError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
     @property
     def n_steps(self) -> int:
@@ -97,14 +91,12 @@ class Trajectory:
         return self.matrices[:, i, j]
 
 
-def _advance(v, h, kernel, dt, scheme, n, every):
+def _advance(v, h, kernel, dt, n, every):
     """Take n steps from the eigenvectors v, yielding (k, V) after every
     every-th step and after the last. The kernel is fixed: the eigenvalues
     are invariants of the flow."""
-    if scheme not in SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}")
     if v.shape == (2, 2):
-        yield from _advance_su2(v, h, kernel, dt, scheme, n, every)
+        yield from _advance_su2(v, h, kernel, dt, n, every)
         return
     c = kernel.flat[0]
     constant = bool(np.all(kernel == c))
@@ -112,22 +104,22 @@ def _advance(v, h, kernel, dt, scheme, n, every):
         hw, hu = np.linalg.eigh(h)
         u = (hu * np.exp(-1j * c * dt * hw)) @ hu.conj().T
     for k in range(1, n + 1):
-        v = u @ v if constant else _step_spectral(v, h, kernel, dt, scheme)
+        v = u @ v if constant else _step_spectral(v, h, kernel, dt)
         if k % every == 0 or k == n:
             yield k, v
 
 
-def _step_spectral(v, h, kernel, dt, scheme):
+def _step_spectral(v, h, kernel, dt):
     def rotate(gv, tau):
         """exp(-i G tau) V, with G the generator at the eigenvectors gv
         exponentiated through its spectral decomposition."""
         gw, gu = np.linalg.eigh(_divided_difference_transform(gv, h, kernel))
         return (gu * np.exp(-1j * gw * tau)) @ gu.conj().T @ v
 
-    return rotate(rotate(v, dt / 2) if scheme == "midpoint" else v, dt)
+    return rotate(rotate(v, dt / 2), dt)
 
 
-def _advance_su2(v, h, kernel, dt, scheme, n, every):
+def _advance_su2(v, h, kernel, dt, n, every):
     """_advance at d = 2 on Python complex scalars, V = (a, b, c, d) row-major.
 
     The generator is that of _step_spectral; writing G = m*1 + w.sigma,
@@ -160,7 +152,7 @@ def _advance_su2(v, h, kernel, dt, scheme, n, every):
 
     v = tuple(v.ravel().tolist())
     for k in range(1, n + 1):
-        v = rotate(rotate(v, dt / 2, v) if scheme == "midpoint" else v, dt, v)
+        v = rotate(rotate(v, dt / 2, v), dt, v)
         if k % every == 0 or k == n:
             yield k, np.array(v).reshape(2, 2)
 
@@ -174,8 +166,7 @@ def evolve(
     if h.shape[0] != rho0.dim:
         raise DomainError(f"hamiltonian dim {h.shape[0]} != state dim {rho0.dim}")
     kernel = _kernel(rho0.eigenvalues, f)
-    steps = _advance(rho0.eigenvectors, h, kernel, cfg.dt, cfg.scheme, cfg.n_steps,
-                     cfg.record_every)
+    steps = _advance(rho0.eigenvectors, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every)
     return _record(rho0, steps, cfg, lambda block: hamiltonian_function(block, h, f))
 
 

@@ -174,7 +174,7 @@ def _ensemble_average_integrated(spec: EnsembleSpec, t: float, cfg: IntegratorCo
     if t > 0:
         # n whole steps of size t/n, so the run ends at t, not at ceil(t/dt)*dt
         n = max(1, int(np.ceil(t / cfg.dt - 1e-12)))
-        run_cfg = IntegratorConfig(dt=t / n, t_final=t, scheme=cfg.scheme, record_every=10**9)
+        run_cfg = IntegratorConfig(dt=t / n, t_final=t, record_every=10**9)
     acc = np.zeros((2, 2), dtype=complex)
     for k in range(lam.size):
         state = bloch_state(lam=lam[k], phi=phi[k], psi=psi[k])

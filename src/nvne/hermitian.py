@@ -70,9 +70,6 @@ class DensityMatrix:
     def purity(self) -> float:
         return float(np.sum(self.eigenvalues**2))
 
-    def is_pure(self) -> bool:
-        return abs(self.purity() - 1.0) < 1e-10
-
 
 def _freeze(*arrays: np.ndarray) -> None:
     for a in arrays:
@@ -161,11 +158,6 @@ def matrix_function(state: DensityMatrix, f) -> np.ndarray:
     return hermitian_part((v * fw) @ v.conj().T)
 
 
-def tensor_state(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """a (x) b, with a on the slow Kronecker index."""
-    return validate_density(np.kron(a.matrix, b.matrix))
-
-
 def partial_trace(rho_ab, dims: tuple[int, int], keep: str) -> DensityMatrix:
     """Reduce a bipartite state to subsystem 'I' (slow index) or 'II'.
 
@@ -202,20 +194,6 @@ def bloch_state(*, lam, phi, psi) -> DensityMatrix:
         - np.sin(phi) * (np.cos(psi) * SIGMA_X + np.sin(psi) * SIGMA_Y)
     )
     return validate_density(0.5 * IDENTITY_2 + c * direction)
-
-
-def bloch_vector(state: DensityMatrix) -> np.ndarray:
-    """Cartesian Bloch components (n_x, n_y, n_z) of a qubit state."""
-    if state.dim != 2:
-        raise DomainError("Bloch vector is defined for 2x2 states")
-    m = state.matrix
-    return np.array(
-        [
-            2.0 * m[0, 1].real,
-            -2.0 * m[0, 1].imag,
-            (m[0, 0] - m[1, 1]).real,
-        ]
-    )
 
 
 def trace_norm(a: np.ndarray) -> float:

@@ -109,13 +109,6 @@ def effective_hamiltonian(rho: DensityMatrix, h: np.ndarray, f: DeformationFunct
     return hermitian_part(g + scalar * np.eye(rho.dim))
 
 
-def casimir(rho: DensityMatrix, n: int) -> float:
-    """C_n = Tr(rho^n) = sum of eigenvalues to the n-th power."""
-    if n < 1:
-        raise DomainError(f"Casimir order must be a positive integer, got {n}")
-    return float(np.sum(rho.eigenvalues ** int(n)))
-
-
 def q_average(rho: DensityMatrix, h: np.ndarray, q: float) -> float:
     """Tr(rho^q H), the internal energy of the power-law theory."""
     if q <= 0:
@@ -207,7 +200,9 @@ def trace_polynomial_functional(coeffs, b: np.ndarray, name: str = "trace-poly")
 
 
 def casimir_functional(n: int) -> ObservableFunctional:
-    """C_n = Tr rho^n with gradient n rho^(n-1)."""
+    """C_n = Tr rho^n with gradient n rho^(n-1), for an order n >= 1."""
+    if n < 1:
+        raise DomainError(f"Casimir order must be a positive integer, got {n}")
 
     def evaluate(m: np.ndarray) -> float:
         return float(np.trace(np.linalg.matrix_power(m, n)).real)

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .hermitian import DensityMatrix, bloch_state, validate_density
+from .hermitian import DensityMatrix, bloch_state
 from .structure import q_average
 
 Q_ONE_THRESHOLD = 1e-8
-_FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -60,16 +59,6 @@ def free_energy(rho: DensityMatrix, h: np.ndarray, p: ThermoParams) -> float:
     return q_average(rho, h, p.q) - p.temperature * tsallis_entropy(rho, p.q)
 
 
-def casimir_potential(rho: DensityMatrix, p: ThermoParams) -> float:
-    """Phi(C_1, C_q) = -T (C_1 - C_q)/(q - 1), the Casimir part of the
-    energy-Casimir stability function (q != 1)."""
-    if abs(p.q - 1.0) < Q_ONE_THRESHOLD:
-        return -p.temperature * tsallis_entropy(rho, 1.0)
-    c1 = float(np.sum(rho.eigenvalues))
-    cq = float(np.sum(rho.eigenvalues**p.q))
-    return -p.temperature * (c1 - cq) / (p.q - 1.0)
-
-
 def spin_free_energy(lam: float, p: ThermoParams) -> float:
     """F(lam) for the two-level state diag(lam, 1-lam) aligned with the
     field (cos phi = 1), H = -mu sigma_z."""
@@ -78,11 +67,6 @@ def spin_free_energy(lam: float, p: ThermoParams) -> float:
     u = -p.mu * (lam**p.q - (1.0 - lam) ** p.q)
     s = entropy_from_eigenvalues(np.array([lam, 1.0 - lam]), p.q)
     return u - p.temperature * s
-
-
-def spin_free_energy_derivative(lam: float, p: ThermoParams) -> float:
-    """Central-difference dF/dlam; probe for off-equilibrium checks."""
-    return (spin_free_energy(lam + _FD_STEP, p) - spin_free_energy(lam - _FD_STEP, p)) / (2 * _FD_STEP)
 
 
 def spin_free_energy_gradient(lam: float, p: ThermoParams) -> float:
@@ -103,14 +87,16 @@ def spin_free_energy_gradient(lam: float, p: ThermoParams) -> float:
 
 
 def stability_second_derivative(p: ThermoParams, lam: float) -> float:
-    """Central-difference d^2F/dlam^2 of the aligned spin free energy."""
+    """Analytic d^2F/dlam^2 of the aligned spin free energy, q [T (a + b) -
+    mu (q-1) (a - b)] with a = lam^(q-2), b = (1-lam)^(q-2); T (1/lam +
+    1/(1-lam)) at q = 1. Exact up to lam -> 1, where a difference probe
+    would step outside [0, 1]."""
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lam must lie strictly inside (0, 1), got {lam}")
-    return (
-        spin_free_energy(lam + _FD_STEP, p)
-        - 2.0 * spin_free_energy(lam, p)
-        + spin_free_energy(lam - _FD_STEP, p)
-    ) / _FD_STEP**2
+    if abs(p.q - 1.0) < Q_ONE_THRESHOLD:
+        return float(p.temperature * (1.0 / lam + 1.0 / (1.0 - lam)))
+    a, b = lam ** (p.q - 2.0), (1.0 - lam) ** (p.q - 2.0)
+    return float(p.q * (p.temperature * (a + b) - p.mu * (p.q - 1.0) * (a - b)))
 
 
 @dataclass(frozen=True)
@@ -159,58 +145,3 @@ def spin_equilibrium(p: ThermoParams) -> EquilibriumResult:
         second_derivative=float(curvature),
         state=state,
     )
-
-
-def minimize_free_energy_diagonal(
-    h: np.ndarray, p: ThermoParams, tol: float = 1e-10, max_sweeps: int = 200
-) -> DensityMatrix:
-    """Numerical equilibrium for any dimension: minimize F over states
-    diagonal in the H eigenbasis by golden-section coordinate descent on
-    the simplex of eigenvalue weights.
-
-    Only the spin-1/2 case has a closed form; this path is purely
-    numerical and makes no stationarity guarantee beyond tolerance.
-    """
-    h = np.asarray(h, dtype=complex)
-    energies, basis = np.linalg.eigh(h)
-    dim = h.shape[0]
-    w = np.full(dim, 1.0 / dim)
-
-    def f_of(weights: np.ndarray) -> float:
-        u = float(np.sum(np.clip(weights, 0.0, None) ** p.q * energies))
-        s = entropy_from_eigenvalues(weights, p.q)
-        return u - p.temperature * s
-
-    gr = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(max_sweeps):
-        moved = 0.0
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                total = w[i] + w[j]
-                if total < 1e-14:
-                    continue
-                # golden-section search for the split of mass between i, j
-                a, b = 0.0, total
-
-                def value(x):
-                    trial = w.copy()
-                    trial[i], trial[j] = x, total - x
-                    return f_of(trial)
-
-                c, d = b - gr * (b - a), a + gr * (b - a)
-                fc, fd = value(c), value(d)
-                while (b - a) > tol:
-                    if fc < fd:
-                        b, d, fd = d, c, fc
-                        c = b - gr * (b - a)
-                        fc = value(c)
-                    else:
-                        a, c, fc = c, d, fd
-                        d = a + gr * (b - a)
-                        fd = value(d)
-                x = 0.5 * (a + b)
-                moved = max(moved, abs(w[i] - x))
-                w[i], w[j] = x, total - x
-        if moved < tol:
-            break
-    return validate_density((basis * w) @ basis.conj().T)

@@ -168,6 +168,9 @@ MALFORMED_CASTS = [
     ("ensemble", "ensemble.n_psi", 0),
     # a misspelt measure name
     ("larmor", "measure.precesion", {"element": [0, 1]}),
+    # integrator keys other than dt, t_final and record_every
+    ("evolve", "integrator.record_evry", 5),
+    ("evolve", "integrator.scheme", "euler"),
 ]
 
 
@@ -285,6 +288,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == ["error: phase fit unreliable"]
         assert "Traceback" not in captured.err + captured.out
+
+    def test_numerical_failure_in_parse_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a failed eigensolver while the Bloch state is built is no bad key
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        assert main(["check", str(write_config(tmp_path, tiny_evolve_config()))]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: eigensolver failed: eigenvalues did not converge"]
 
     @pytest.mark.parametrize("key, edit", [
         ("times", lambda cfg: cfg.update(times=[1.0, float("nan")])),

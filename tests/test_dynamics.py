@@ -8,6 +8,7 @@ from nvne.dynamics import (
     IntegratorConfig,
     _advance,
     _advance_su2,
+    _record,
     _step_spectral,
     evolve,
     invariant_report,
@@ -18,7 +19,6 @@ from nvne.errors import DomainError, NumericalFailure
 from nvne.hermitian import (
     SIGMA_Z,
     bloch_state,
-    bloch_vector,
     density_from_spectrum,
     hermiticity_defect,
     pure_state,
@@ -27,17 +27,33 @@ from nvne.hermitian import (
     trace_distance,
     validate_density,
 )
-from nvne.structure import generator, hamiltonian_function
+from nvne.structure import _divided_difference_transform, generator, hamiltonian_function
 
 
-def per_state_evolve(rho0, h, f, cfg):
+def one_stage_step(v, h, kernel, dt):
+    """exp(-i G dt) V with G taken at V itself: the one-stage (Euler)
+    rule, exact when G is the same at every state."""
+    gw, gu = np.linalg.eigh(_divided_difference_transform(v, h, kernel))
+    return (gu * np.exp(-1j * gw * dt)) @ gu.conj().T @ v
+
+
+def one_stage_steps(v, h, kernel, dt, n, every):
+    """_advance with the one-stage rule: a step stream that is not the
+    integrator's, for the parts of evolve that do not depend on the rule."""
+    for k in range(1, n + 1):
+        v = one_stage_step(v, h, kernel, dt)
+        if k % every == 0 or k == n:
+            yield k, v
+
+
+def per_state_evolve(rho0, h, f, cfg, advance=_advance):
     """The integrator with one density_from_spectrum, eigvalsh and energy
     call per recorded state: the oracle for the recorded stack and the
     block pass of evolve. It steps through the same seam as evolve."""
     w, v = rho0.eigenvalues, rho0.eigenvectors
     kernel = f.divided_difference(w[:, None], w[None, :])
     times, states = [0.0], [rho0]
-    for k, v in _advance(v, h, kernel, cfg.dt, cfg.scheme, cfg.n_steps, cfg.record_every):
+    for k, v in advance(v, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every):
         times.append(k * cfg.dt)
         states.append(density_from_spectrum(w, v))
     log = {key: [] for key in ("eigenvalues", "Hq", "hermiticity", "min_eigenvalue",
@@ -84,10 +100,6 @@ class TestIntegratorConfig:
     def test_rejects_non_integer_record_every(self, record_every):
         with pytest.raises(DomainError, match="record_every must be an integer"):
             IntegratorConfig(dt=1e-2, t_final=0.1, record_every=record_every)
-
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(DomainError):
-            IntegratorConfig(dt=0.1, t_final=1.0, scheme="rk4")
 
     def test_step_count(self):
         assert IntegratorConfig(dt=1e-3, t_final=10.0).n_steps == 10000
@@ -247,19 +259,6 @@ class TestEvolve:
         err2 = np.linalg.norm(end_state(2e-3) - ref)
         assert err1 / err2 == pytest.approx(4.0, rel=0.2)
 
-    def test_euler_scheme_is_first_order(self):
-        rho = bloch_state(lam=0.75, phi=np.pi / 3, psi=0.3)
-        f = PowerLaw(q=3.0)
-
-        def end_state(dt):
-            cfg = IntegratorConfig(dt=dt, t_final=1.0, scheme="euler", record_every=10**9)
-            return evolve(rho, -SIGMA_Z, f, cfg).states[-1].matrix
-
-        ref = end_state(1e-4)
-        err1 = np.linalg.norm(end_state(4e-3) - ref)
-        err2 = np.linalg.norm(end_state(2e-3) - ref)
-        assert err1 / err2 == pytest.approx(2.0, rel=0.2)
-
 
 class TestRecordedStack:
     @pytest.mark.parametrize("record_every", [1, 7])
@@ -268,11 +267,20 @@ class TestRecordedStack:
     @pytest.mark.parametrize("q", [0.5, 2.0])
     @pytest.mark.parametrize("dim", [2, 3, 16])
     def test_matches_per_state_oracle(self, dim, q, pure, scheme, record_every):
+        # midpoint: evolve itself; euler: its recording pass on the orbit of
+        # the one-stage rule, which the pass must take just the same
         rho, h = seeded_problem(dim, pure, seed=10 * dim + int(4 * q))
         f = PowerLaw(q=q)
-        cfg = IntegratorConfig(dt=1e-2, t_final=0.3, scheme=scheme, record_every=record_every)
-        traj = evolve(rho, h, f, cfg)
-        times, states, log = per_state_evolve(rho, h, f, cfg)
+        cfg = IntegratorConfig(dt=1e-2, t_final=0.3, record_every=record_every)
+        if scheme == "midpoint":
+            advance, traj = _advance, evolve(rho, h, f, cfg)
+        else:
+            advance = one_stage_steps
+            w = rho.eigenvalues
+            kernel = f.divided_difference(w[:, None], w[None, :])
+            steps = advance(rho.eigenvectors, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every)
+            traj = _record(rho, steps, cfg, lambda block: hamiltonian_function(block, h, f))
+        times, states, log = per_state_evolve(rho, h, f, cfg, advance)
         assert np.array_equal(traj.times, times)
         assert set(traj.invariant_log) == set(log)
         for key, value in log.items():
@@ -322,20 +330,20 @@ class TestRecordedStack:
 
 
 class TestSU2Kernel:
-    @pytest.mark.parametrize("scheme", ["midpoint", "euler"])
+    @pytest.mark.parametrize("numpy_step", [_step_spectral], ids=["midpoint"])
     @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
-    def test_matches_numpy_step(self, q, pure, scheme):
+    def test_matches_numpy_step(self, q, pure, numpy_step):
         # the scalar kernel against the numpy step on the same 2x2 input;
         # the gap is round-off accumulated over the run
         rho, h = seeded_problem(2, pure, seed=int(4 * q) + 10 * pure)
         w, v = rho.eigenvalues, rho.eigenvectors
         kernel = PowerLaw(q=q).divided_difference(w[:, None], w[None, :])
         n, dt = 20000, 1e-3
-        ((k, v_scalar),) = _advance_su2(v, h, kernel, dt, scheme, n, n)
+        ((k, v_scalar),) = _advance_su2(v, h, kernel, dt, n, n)
         v_numpy = v
         for _ in range(n):
-            v_numpy = _step_spectral(v_numpy, h, kernel, dt, scheme)
+            v_numpy = numpy_step(v_numpy, h, kernel, dt)
         assert k == n
         got = density_from_spectrum(w, v_scalar).matrix
         want = density_from_spectrum(w, v_numpy).matrix
@@ -374,17 +382,20 @@ class TestConstantKernel:
                       IntegratorConfig(dt=1e-2, t_final=5.0, record_every=50))
         assert np.max(np.abs(traj.matrices - rho.matrix)) < 1e-12
 
-    @pytest.mark.parametrize("scheme", ["midpoint", "euler"])
-    def test_matches_repeated_numpy_step(self, scheme):
+    @pytest.mark.parametrize("numpy_step", [_step_spectral, one_stage_step],
+                             ids=["midpoint", "euler"])
+    def test_matches_repeated_numpy_step(self, numpy_step):
+        # G = c H does not depend on the state, so the midpoint and the
+        # one-stage rule are both the exact propagator
         rho, h = seeded_problem(5, True, seed=3)
         w, v = rho.eigenvalues, rho.eigenvectors
         kernel = PowerLaw(q=1.0).divided_difference(w[:, None], w[None, :])
         assert np.all(kernel == kernel.flat[0])
         n = 1000
-        ((k, v_constant),) = _advance(v, h, kernel, 1e-3, scheme, n, n)
+        ((k, v_constant),) = _advance(v, h, kernel, 1e-3, n, n)
         v_numpy = v
         for _ in range(n):
-            v_numpy = _step_spectral(v_numpy, h, kernel, 1e-3, scheme)
+            v_numpy = numpy_step(v_numpy, h, kernel, 1e-3)
         assert k == n
         got = density_from_spectrum(w, v_constant).matrix
         want = density_from_spectrum(w, v_numpy).matrix
@@ -402,7 +413,7 @@ class TestLarmorLaw:
             measured = precession_frequency(traj, (0, 1))
             predicted = 2.0 * (lam**q - (1 - lam) ** q) / (2 * lam - 1)
             assert measured == pytest.approx(predicted, rel=1e-5)
-            sz = np.array([bloch_vector(s)[2] for s in traj.states])
+            sz = (traj.matrices[:, 0, 0] - traj.matrices[:, 1, 1]).real
             assert np.max(np.abs(sz - sz[0])) < 1e-9
 
     def test_phi_is_constant(self):
@@ -410,7 +421,7 @@ class TestLarmorLaw:
         rho = bloch_state(lam=0.8, phi=1.0, psi=0.5)
         traj = evolve(rho, -SIGMA_Z, PowerLaw(q=3.0),
                       IntegratorConfig(dt=1e-3, t_final=5.0, record_every=50))
-        sz = np.array([bloch_vector(s)[2] for s in traj.states])
+        sz = (traj.matrices[:, 0, 0] - traj.matrices[:, 1, 1]).real
         assert np.max(np.abs(sz - sz[0])) < 1e-8
 
     def test_spec_example_lam09_q3(self):

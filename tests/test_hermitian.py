@@ -14,19 +14,17 @@ from nvne.hermitian import (
     SIGMA_Z,
     DensityMatrix,
     bloch_state,
-    bloch_vector,
     matrix_function,
     partial_trace,
     pure_state,
     random_density_matrix,
     random_hermitian,
-    tensor_state,
     trace_distance,
     trace_norm,
     validate_density,
 )
 
-from nvne.structure import casimir
+from nvne.structure import casimir_functional
 
 from conftest import make_states
 
@@ -176,7 +174,7 @@ class TestMatrixFunction:
         for rho in make_states(rng):
             for n in (2, 3):
                 lhs = float(np.trace(matrix_function(rho, PowerLaw(q=float(n)))).real)
-                assert lhs == pytest.approx(casimir(rho, n), abs=1e-12)
+                assert lhs == pytest.approx(casimir_functional(n)(rho), abs=1e-12)
 
     def test_negative_eigenvalue_noninteger_power(self):
         # the raw constructor trusts its inputs: eigenvalues -1, 1
@@ -189,22 +187,25 @@ class TestMatrixFunction:
 class TestTensorAndPartialTrace:
     def test_projector_product(self):
         p = validate_density(np.diag([1.0, 0.0]).astype(complex))
-        assert np.allclose(tensor_state(p, p).matrix, np.diag([1, 0, 0, 0]))
+        joint = validate_density(np.kron(p.matrix, p.matrix))
+        assert np.allclose(joint.matrix, np.diag([1, 0, 0, 0]))
 
     def test_identity_product(self):
         mixed = validate_density(0.5 * IDENTITY_2)
-        assert np.allclose(tensor_state(mixed, mixed).matrix, np.eye(4) / 4)
+        joint = validate_density(np.kron(mixed.matrix, mixed.matrix))
+        assert np.allclose(joint.matrix, np.eye(4) / 4)
 
     def test_sigma_z_times_identity(self):
         # the first factor sits on the slow index
         up = validate_density(np.diag([1.0, 0.0]).astype(complex))
         mixed = validate_density(0.5 * IDENTITY_2)
-        assert np.allclose(tensor_state(up, mixed).matrix, np.diag([0.5, 0.5, 0, 0]))
+        joint = validate_density(np.kron(up.matrix, mixed.matrix))
+        assert np.allclose(joint.matrix, np.diag([0.5, 0.5, 0, 0]))
 
     def test_product_state_reduction(self):
         a = validate_density(np.diag([0.75, 0.25]).astype(complex))
         b = validate_density(np.diag([0.6, 0.4]).astype(complex))
-        red = partial_trace(tensor_state(a, b), (2, 2), "I")
+        red = partial_trace(validate_density(np.kron(a.matrix, b.matrix)), (2, 2), "I")
         assert np.allclose(red.matrix, a.matrix, atol=1e-14)
 
     def test_bell_state_reduction(self):
@@ -235,7 +236,7 @@ class TestTensorAndPartialTrace:
         for d1, d2 in [(2, 2), (3, 4), (4, 3)]:
             a = random_density_matrix(d1, rng)
             b = random_density_matrix(d2, rng)
-            joint = tensor_state(a, b)
+            joint = validate_density(np.kron(a.matrix, b.matrix))
             assert np.max(np.abs(partial_trace(joint, (d1, d2), "I").matrix - a.matrix)) < 1e-12
             assert np.max(np.abs(partial_trace(joint, (d1, d2), "II").matrix - b.matrix)) < 1e-12
 
@@ -276,9 +277,12 @@ class TestBloch:
         w = np.sort(np.linalg.eigvalsh(rho.matrix))
         assert np.allclose(w, [1e-12, 1.0 - 1e-12], atol=1e-12)
 
-    def test_bloch_vector_round_trip(self):
-        rho = bloch_state(lam=0.9, phi=0.7, psi=1.1)
-        n = bloch_vector(rho)
+    def test_matches_docstring_formula(self):
+        # the Bloch vector of the docstring formula rebuilds the state
+        lam, phi, psi = 0.9, 0.7, 1.1
+        rho = bloch_state(lam=lam, phi=phi, psi=psi)
+        n = (2 * lam - 1) * np.array([-np.sin(phi) * np.cos(psi), -np.sin(phi) * np.sin(psi),
+                                      np.cos(phi)])
         rebuilt = 0.5 * (IDENTITY_2 + n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
         assert np.allclose(rebuilt, rho.matrix, atol=1e-12)
 

@@ -14,7 +14,6 @@ from nvne.hermitian import (
     validate_density,
 )
 from nvne.structure import (
-    casimir,
     casimir_functional,
     effective_hamiltonian,
     finite_difference_gradient,
@@ -196,18 +195,18 @@ class TestGenerator:
 class TestCasimirAndAverages:
     def test_casimir_values(self):
         mixed = validate_density(0.5 * np.eye(2, dtype=complex))
-        assert casimir(mixed, 2) == pytest.approx(0.5)
+        assert casimir_functional(2)(mixed) == pytest.approx(0.5)
         rho = validate_density(np.diag([0.75, 0.25]).astype(complex))
-        assert casimir(rho, 2) == pytest.approx(0.625)
+        assert casimir_functional(2)(rho) == pytest.approx(0.625)
 
     def test_pure_state_casimirs_all_one(self, rng):
         rho = pure_state(rng.normal(size=3) + 1j * rng.normal(size=3))
         for n in range(1, 6):
-            assert casimir(rho, n) == pytest.approx(1.0, abs=1e-12)
+            assert casimir_functional(n)(rho) == pytest.approx(1.0, abs=1e-12)
 
-    def test_casimir_rejects_nonpositive_order(self, rng):
+    def test_casimir_rejects_nonpositive_order(self):
         with pytest.raises(DomainError):
-            casimir(random_density_matrix(2, rng), 0)
+            casimir_functional(0)
 
     def test_q_average_oracle(self):
         rho = validate_density(np.diag([0.75, 0.25]).astype(complex))

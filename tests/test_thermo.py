@@ -18,12 +18,9 @@ from nvne.hermitian import (
 from nvne.structure import q_average
 from nvne.thermo import (
     ThermoParams,
-    casimir_potential,
     free_energy,
-    minimize_free_energy_diagonal,
     spin_equilibrium,
     spin_free_energy,
-    spin_free_energy_derivative,
     spin_free_energy_gradient,
     stability_second_derivative,
     tsallis_entropy,
@@ -51,7 +48,7 @@ class TestEntropy:
             for rho in make_states(rng, dims=(2, 3), per_dim=3):
                 s = tsallis_entropy(rho, q)
                 assert s >= 0.0
-                if not rho.is_pure():
+                if abs(rho.purity() - 1.0) >= 1e-10:
                     assert s > 1e-6
 
     def test_continuity_at_q_equals_one(self, rng):
@@ -106,12 +103,13 @@ class TestFreeEnergy:
         assert free_energy(rho, -SIGMA_Z, p) == pytest.approx(-0.5)
 
     def test_energy_casimir_identity(self, rng):
-        # F = U_q + Phi(C_1, C_q) identically in rho
+        # F = U_q + Phi(C_1, C_q) identically in rho, Phi = -T (C_1 - C_q)/(q - 1)
         p = ThermoParams(q=2.5, beta=0.7, mu=1.3)
         for rho in make_states(rng, dims=(2, 3), per_dim=3):
             h = random_hermitian(rho.dim, rng)
             lhs = free_energy(rho, h, p)
-            rhs = q_average(rho, h, p.q) + casimir_potential(rho, p)
+            c1, cq = np.sum(rho.eigenvalues), np.sum(rho.eigenvalues**p.q)
+            rhs = q_average(rho, h, p.q) - p.temperature * (c1 - cq) / (p.q - 1.0)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_spin_free_energy_consistent_with_matrix_form(self):
@@ -150,6 +148,13 @@ class TestSpinEquilibrium:
         assert res.lam / (1 - res.lam) == pytest.approx(1999.0, rel=1e-9)
         assert res.lam == pytest.approx(0.9995, abs=1e-9)
 
+    def test_curvature_next_to_the_domain_edge(self):
+        # |x| = 0.99999 < 1 puts lam within 5e-6 of 1; at q = 2 the
+        # curvature is 4 T exactly
+        res = spin_equilibrium(ThermoParams(q=2.0, beta=0.99999, mu=1.0))
+        assert res.lam == pytest.approx(0.999995, abs=1e-9)
+        assert res.second_derivative == pytest.approx(4.0 / 0.99999, rel=1e-12)
+
     def test_out_of_domain(self):
         message = "|q-1|*beta*mu = {} >= 1; closed-form equilibrium invalid"
         with pytest.raises(DomainError, match=re.escape(message.format(1))):
@@ -183,15 +188,27 @@ class TestStability:
         assert res.lam == pytest.approx(0.5, abs=1e-5)
         assert stability_second_derivative(p, 0.5) > 0
 
+    @staticmethod
+    def central_difference(p, lam, h=1e-5):
+        return (spin_free_energy(lam + h, p) - spin_free_energy(lam - h, p)) / (2 * h)
+
     def test_off_equilibrium_gradient_nonzero(self):
         p = ThermoParams(q=2.0, beta=0.5, mu=1.0)
-        assert abs(spin_free_energy_derivative(0.99, p)) > 1e-3
+        assert abs(self.central_difference(p, 0.99)) > 1e-3
 
     def test_fd_and_analytic_gradient_agree(self):
         p = ThermoParams(q=2.5, beta=0.4, mu=1.0)
         for lam in (0.55, 0.7, 0.9):
-            assert spin_free_energy_derivative(lam, p) == pytest.approx(
+            assert self.central_difference(p, lam) == pytest.approx(
                 spin_free_energy_gradient(lam, p), rel=1e-6)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
+    def test_closed_form_curvature_matches_central_difference(self, q):
+        p, h = ThermoParams(q=q, beta=0.5, mu=1.0), 1e-4
+        for lam in (0.55, 0.75, 0.9):
+            fd = (spin_free_energy(lam + h, p) - 2 * spin_free_energy(lam, p)
+                  + spin_free_energy(lam - h, p)) / h**2
+            assert stability_second_derivative(p, lam) == pytest.approx(fd, rel=1e-5)
 
     def test_dynamic_stability_of_perturbed_equilibrium(self):
         # tilt the equilibrium by phi = 0.1 and confirm the orbit stays
@@ -205,18 +222,3 @@ class TestStability:
         worst = max(trace_distance(s, res.state) for s in traj.states)
         assert worst <= 2.0 * d0
 
-
-class TestGeneralDimensionEquilibrium:
-    def test_matches_spin_solver(self):
-        p = ThermoParams(q=2.0, beta=0.5, mu=1.0)
-        rho = minimize_free_energy_diagonal(-p.mu * SIGMA_Z, p, tol=1e-12)
-        assert np.allclose(np.sort(rho.eigenvalues), [0.25, 0.75], atol=1e-6)
-
-    def test_dim3_beats_random_candidates(self, rng):
-        p = ThermoParams(q=2.0, beta=0.4, mu=1.0)
-        h = random_hermitian(3, rng)
-        rho = minimize_free_energy_diagonal(h, p, tol=1e-10)
-        best = free_energy(rho, h, p)
-        for _ in range(20):
-            trial = random_density_matrix(3, rng)
-            assert best <= free_energy(trial, h, p) + 1e-8
