@@ -5,23 +5,23 @@ bracket-check; evolve's measures are `MEASURES`. Configs are single JSON
 files; complex matrix entries are [re, im] pairs. Each kind and measure
 parses every key it uses into domain objects and returns the names it
 measures with a run function that uses only those objects. A bad value,
-an unknown measure or an assertion on nothing measured is a config error
-naming the key (counts such as samples, nodes and quadrature sizes must
-be at least 1); `nvne check` runs that same parse, so it exits as `nvne
-run` would on a config error, and `run` reports one before integrating.
-Outputs: trajectory CSV (matrix elements column-major, then C1..C5 and
-the energy), a summary JSON with the full report, and a plot-data CSV.
+a key the kind's parse does not read (a misspelt or unknown key, an
+unknown measure) or an assertion on nothing measured is a config error
+naming the key (counts such as nodes and quadrature sizes must be at
+least 1); `nvne check` runs that same parse, so it exits as `nvne run`
+would on a config error, and `run` reports one before integrating.
+Outputs, written only under `--out`: trajectory CSV (matrix elements
+column-major, then C1..C5 and the energy), a summary JSON with the full
+report, and a plot-data CSV.
 
 Exit codes: 0 success, 1 assertion failure, 2 config error, 3 numeric
-domain error. NVNE_OUT overrides the configured output directory; --out
-overrides both.
+domain error.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -53,6 +53,41 @@ def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"config key {path} must be an object, got {value!r}")
     return value
+
+
+class _Tracked(dict):
+    """A config object that records in the set read the path of every key
+    looked up with `in`, `[]`, `.get` or `.items()`; the objects it hands
+    out record into the same set."""
+
+    def __init__(self, value: dict, path: tuple, read: set):
+        super().__init__(value)
+        self._path, self._read = path, read
+
+    def __contains__(self, key):
+        self._read.add(self._path + (key,))
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        self._read.add(self._path + (key,))
+        return _Tracked(value, self._path + (key,), self._read) if isinstance(value, dict) else value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+    def items(self):
+        return [(key, self[key]) for key in self]
+
+
+def _unread(node: dict, read: set, path: tuple = ()):
+    """Key paths under node, depth first, that are not in read (the keys
+    below an unread key are not listed)."""
+    for key, value in node.items():
+        if path + (key,) not in read:
+            yield path + (key,)
+        elif isinstance(value, dict):
+            yield from _unread(value, read, path + (key,))
 
 
 def _get(d: dict, key: str, path: str):
@@ -171,20 +206,12 @@ def parse_deformation(cfg: dict, path: str = "") -> DeformationFunction:
     if "q" in cfg:
         return _power_law(cfg["q"], f"{path}q")
     spec = _get(cfg, "deformation", path)
-    kind = _get(spec, "kind", f"{path}deformation.")
-    if kind == "power":
-        return _power_law(_get(spec, "q", f"{path}deformation."), f"{path}deformation.q")
-    if kind == "series":
-        return _build(f"{path}deformation.coeffs", CoefficientSeries,
-                      coeffs=tuple(_numbers(spec.get("coeffs", []), f"{path}deformation.coeffs")))
-    raise ConfigError(f"config key {path}deformation.kind must be power or series")
+    coeffs = _numbers(_get(spec, "coeffs", f"{path}deformation."), f"{path}deformation.coeffs")
+    return _build(f"{path}deformation.coeffs", CoefficientSeries, coeffs=tuple(coeffs))
 
 
 def parse_integrator(cfg: dict, path: str = "integrator") -> dynamics.IntegratorConfig:
     spec = _get(cfg, "integrator", "")
-    unknown = sorted(set(_object(spec, path)) - {"dt", "t_final", "record_every"})
-    if unknown:
-        raise ConfigError(f"config key {path}.{unknown[0]} is not one of dt, t_final, record_every")
     return _build(
         path, dynamics.IntegratorConfig,
         dt=_number(_get(spec, "dt", f"{path}."), f"{path}.dt"),
@@ -260,9 +287,6 @@ def _parse_evolve(cfg: dict):
     if "preset" in h_spec and "bloch" in cfg["state"]:
         spin = (-float(h[0, 0].real), *_bloch(cfg["state"]["bloch"], "state.bloch"))
     spec = _object(cfg.get("measure", {}), "measure")
-    unknown = sorted(set(spec) - set(MEASURES))
-    if unknown:
-        raise ConfigError(f"config key measure.{unknown[0]} is not one of {sorted(MEASURES)}")
     names = {"eigenvalue_drift", "casimir_drift", "energy_drift", "hermiticity"}
     if dim == 2:
         names.add("sz_drift")
@@ -460,7 +484,7 @@ def _parse_composite(cfg: dict):
     def run():
         traj = composite_mod.evolve_composite(state, composite, icfg)
         closure = composite_mod.reduction_consistency(traj, composite, icfg)
-        invariants, measured = _invariants(closure.joint_invariants)
+        invariants, measured = _invariants(dynamics.invariant_report(traj))
         headline = {"closure": {"max_deviation_I": closure.max_deviation_1,
                                 "max_deviation_II": closure.max_deviation_2},
                     "invariants": invariants}
@@ -481,9 +505,8 @@ def _parse_equilibrium(cfg: dict):
     if "gibbs_check" in cfg:
         g = cfg["gibbs_check"]
         beta, mu = (_number(_get(g, k, "gibbs_check."), f"gibbs_check.{k}") for k in ("beta", "mu"))
-        eps = _number(g.get("epsilon", 1e-6), "gibbs_check.epsilon")
         gibbs = [_build("gibbs_check", thermo.ThermoParams, q=q_near, beta=beta, mu=mu)
-                 for q_near in (1.0 + eps, 1.0 - eps)]
+                 for q_near in (1.0 + 1e-6, 1.0 - 1e-6)]
         names.add("gibbs_limit")
     if "grid" in cfg:
         g = _object(cfg["grid"], "grid")
@@ -545,10 +568,7 @@ def _parse_ensemble(cfg: dict):
     decay = _object(cfg.get("decay", {}), "decay")
     if decay:
         t_late = _number(_get(decay, "t_late", "decay."), "decay.t_late", 0.0)
-        window = _numbers(decay.get("window", [0.0, 20.0]), "decay.window", 0.0)
-        if len(window) != 2:
-            raise ConfigError(f"config key decay.window must be [start, end], got {window!r}")
-        window_times = np.linspace(*window, _integer(decay.get("samples", 201), "decay.samples", 1))
+        window_times = np.linspace(0.0, 20.0, 201)
         names.add("decay_ratio")
 
     node_check = _object(cfg.get("node_check", {}), "node_check")
@@ -608,25 +628,21 @@ def _parse_ensemble(cfg: dict):
 
 
 def _parse_bracket_check(cfg: dict):
-    dim = _integer(cfg.get("dim", 3), "dim", 1)
-    seed = _integer(cfg.get("seed", 0), "seed", 0)
-    rounds = max(_integer(cfg.get("n_functionals", 20), "n_functionals", 1) // 4, 1)
-    casimir_orders = _integer(cfg.get("casimir_orders", 4), "casimir_orders", 1)
-    average_orders = _integer(cfg.get("average_orders", 3), "average_orders", 1)
+    """Bracket identities at 5 random 3x3 states (seed 7), each with 4 random
+    trace polynomials, the Casimirs C_1..C_4 and the q-averages for q = 1..3."""
 
     def run():
-        rng = np.random.default_rng(seed)
-        casimirs = [structure.casimir_functional(n) for n in range(1, casimir_orders + 1)]
+        rng = np.random.default_rng(7)
+        casimirs = [structure.casimir_functional(n) for n in range(1, 5)]
         worst_casimir = worst_avg = worst_antisym = 0.0
-        for _ in range(rounds):
-            rho = random_density_matrix(dim, rng)
-            h = random_hermitian(dim, rng)
+        for _ in range(5):
+            rho = random_density_matrix(3, rng)
+            h = random_hermitian(3, rng)
             functionals = []
             for _ in range(4):
-                b = random_hermitian(dim, rng)
+                b = random_hermitian(3, rng)
                 functionals.append(structure.trace_polynomial_functional(rng.normal(size=3), b))
-            averages = [structure.q_average_functional(h, float(n))
-                        for n in range(1, average_orders + 1)]
+            averages = [structure.q_average_functional(h, float(n)) for n in range(1, 4)]
             for func in functionals:
                 for c in casimirs:
                     worst_casimir = max(worst_casimir, abs(structure.poisson_bracket(c, func, rho)))
@@ -677,22 +693,21 @@ def write_series_csv(rows, header: list, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def emit_outputs(report: RunReport, traj, series, out_dir: Path, formats) -> None:
+def emit_outputs(report: RunReport, traj, series, out_dir: Path) -> None:
     """series is a (rows, header) plot table or None."""
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if "csv" in formats and traj is not None:
+        if traj is not None:
             p = out_dir / "trajectory.csv"
             write_trajectory_csv(traj, p)
             report.outputs.append(str(p))
-        if "csv" in formats and series is not None:
+        if series is not None:
             p = out_dir / "plotdata.csv"
             write_series_csv(*series, p)
             report.outputs.append(str(p))
-        if "json" in formats:
-            p = out_dir / "summary.json"
-            p.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-            report.outputs.append(str(p))
+        p = out_dir / "summary.json"
+        p.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        report.outputs.append(str(p))
     except OSError as exc:
         raise IoError(f"cannot write outputs under {out_dir}: {exc}")
 
@@ -724,39 +739,36 @@ def load_config(path: str) -> dict:
 
 
 def parse_scenario(cfg: dict):
-    """Every check a config gets before it runs. Returns the kind's run
-    function, the assertion thresholds by name, the output formats and the
-    configured output directory."""
-    names, run = KINDS[_kind(cfg)](cfg)
+    """Every check a config gets before it runs. Returns the label, the
+    kind's run function and the assertion thresholds by name. A key that
+    this parse does not read is a config error."""
+    read = set()
+    tracked = _Tracked(cfg, (), read)
+    kind = _kind(tracked)
+    names, run = KINDS[kind](tracked)
     thresholds = {}
-    for name, threshold in _object(cfg.get("assertions", {}), "assertions").items():
+    for name, threshold in _object(tracked.get("assertions", {}), "assertions").items():
         if name not in names:
             raise ConfigError(f"config key assertions.{name}: nothing measured under that name")
         thresholds[name] = _number(threshold, f"assertions.{name}")
-    output_cfg = _object(cfg.get("output", {}), "output")
-    formats = output_cfg.get("formats", ["csv", "json"])
-    if not isinstance(formats, list) or not set(map(str, formats)) <= {"csv", "json"}:
-        raise ConfigError(f"config key output.formats must list csv or json, got {formats!r}")
-    configured = output_cfg.get("dir")
-    if configured is not None and not isinstance(configured, str):
-        raise ConfigError(f"config key output.dir must be a path string, got {configured!r}")
-    return run, thresholds, formats, configured
+    label = str(tracked.get("label", kind))
+    unread = next(_unread(cfg, read), None)
+    if unread:
+        raise ConfigError(f"config key {'.'.join(unread)} is not used by kind {kind}")
+    return label, run, thresholds
 
 
 def run_scenario(cfg: dict, out_dir: Path | None = None) -> RunReport:
-    run, thresholds, formats, configured = parse_scenario(cfg)
-    report = RunReport(scenario=cfg["kind"], label=str(cfg.get("label", cfg["kind"])), config=cfg)
+    """Parse and run cfg; the outputs are written under out_dir if given."""
+    label, run, thresholds = parse_scenario(cfg)
+    report = RunReport(scenario=cfg["kind"], label=label, config=cfg)
     start = time.perf_counter()
     report.headline, measured, traj, series = run()
     for name, threshold in thresholds.items():
         report.check(name, measured[name], threshold, COMPARATORS.get(name, "<="))
     report.wall_clock_s = time.perf_counter() - start
-
-    if out_dir is None:
-        configured = os.environ.get("NVNE_OUT") or configured
-        out_dir = Path(configured) if configured else None
     if out_dir is not None:
-        emit_outputs(report, traj, series, Path(out_dir), formats)
+        emit_outputs(report, traj, series, Path(out_dir))
     return report
 
 
@@ -766,7 +778,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("config")
-    p_run.add_argument("--out", default=None, help="output directory (overrides NVNE_OUT)")
+    p_run.add_argument("--out", default=None, help="output directory; without it nothing is written")
     p_run.add_argument("--quiet", action="store_true")
     sub.add_parser("check", help="parse a config without running it").add_argument("config")
     args = parser.parse_args(argv)
@@ -774,7 +786,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "check":
-            parse_scenario(cfg)
+            label = parse_scenario(cfg)[0]
         else:
             report = run_scenario(cfg, out_dir=Path(args.out) if args.out else None)
     except ConfigError as exc:
@@ -788,7 +800,7 @@ def main(argv=None) -> int:
         return 3
 
     if args.command == "check":
-        print(f"config ok: kind={cfg['kind']} label={cfg.get('label', cfg['kind'])}")
+        print(f"config ok: kind={cfg['kind']} label={label}")
         return 0
     if not args.quiet:
         print(f"scenario {report.label}: {'PASS' if report.passed else 'FAIL'} "

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import PowerLaw
-from .dynamics import IntegratorConfig, Trajectory, _advance, _record, evolve, invariant_report
+from .dynamics import IntegratorConfig, Trajectory, _advance, _record, evolve
 from .errors import DomainError
 from .hermitian import DensityMatrix, partial_trace, require_hermitian, trace_norm
-from .structure import _eigenbasis_diagonal, _kernel
+from .structure import _kernel, hamiltonian_function
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,8 @@ def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorC
 def composite_energy(state: DensityMatrix, sys: CompositeSystem) -> float:
     """Sum of the subsystem q-averages evaluated on the reductions."""
     dims = (sys.dim_1, sys.dim_2)
-    r1 = partial_trace(state, dims, "I")
-    r2 = partial_trace(state, dims, "II")
-    e1 = float(np.sum(sys.f1.f(r1.eigenvalues) * _eigenbasis_diagonal(r1.eigenvectors, sys.h1)))
-    e2 = float(np.sum(sys.f2.f(r2.eigenvalues) * _eigenbasis_diagonal(r2.eigenvectors, sys.h2)))
-    return e1 + e2
+    return (hamiltonian_function(partial_trace(state, dims, "I"), sys.h1, sys.f1)
+            + hamiltonian_function(partial_trace(state, dims, "II"), sys.h2, sys.f2))
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,6 @@ class ClosureReport:
 
     max_deviation_1: float
     max_deviation_2: float
-    joint_invariants: object
 
     @property
     def max_deviation(self) -> float:
@@ -105,13 +101,9 @@ def reduction_consistency(traj_ab: Trajectory, sys: CompositeSystem, cfg: Integr
     r2_traj = evolve(partial_trace(traj_ab.states[0], dims, "II"), sys.h2, sys.f2, cfg)
     if not np.array_equal(r1_traj.times, traj_ab.times):
         raise DomainError("reduction_consistency needs the integrator config of the joint run: "
-                          f"its times differ from the joint run's {len(traj_ab)} recorded times")
+                          f"its times differ from the joint run's {len(traj_ab.times)} recorded times")
     dev1 = dev2 = 0.0
     for s, s1, s2 in zip(traj_ab.states, r1_traj.states, r2_traj.states):
         dev1 = max(dev1, trace_norm(partial_trace(s, dims, "I").matrix - s1.matrix))
         dev2 = max(dev2, trace_norm(partial_trace(s, dims, "II").matrix - s2.matrix))
-    return ClosureReport(
-        max_deviation_1=dev1,
-        max_deviation_2=dev2,
-        joint_invariants=invariant_report(traj_ab),
-    )
+    return ClosureReport(max_deviation_1=dev1, max_deviation_2=dev2)

@@ -27,7 +27,7 @@ integrator holds fixed. Composite runs record through the same pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,12 +83,6 @@ class Trajectory:
     states: tuple
     invariant_log: dict
     matrices: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def element(self, i: int, j: int) -> np.ndarray:
-        return self.matrices[:, i, j]
 
 
 def _advance(v, h, kernel, dt, n, every):
@@ -206,7 +200,6 @@ def _record(rho0: DensityMatrix, steps, cfg: IntegratorConfig, energy) -> Trajec
         "eigenvalues": np.empty((count, dim)),
         "Hq": np.empty(count),
         "hermiticity": np.empty(count),
-        "min_eigenvalue": np.empty(count),
     }
     for n in range(1, 6):
         log[f"C{n}"] = np.empty(count)
@@ -220,14 +213,12 @@ def _record(rho0: DensityMatrix, steps, cfg: IntegratorConfig, energy) -> Trajec
             log[f"C{n}"][b] = np.sum(ev**n, axis=1)
         log["Hq"][b] = energy(states[b])
         log["hermiticity"][b] = np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
-        log["min_eigenvalue"][b] = ev[:, 0]
     return Trajectory(times=times, states=states, invariant_log=log, matrices=matrices)
 
 
 @dataclass(frozen=True)
 class InvariantReport:
     eigenvalue_drift: float
-    casimir_drift: dict = field(repr=False)
     max_casimir_drift: float = 0.0
     energy_drift: float = 0.0
     max_hermiticity_defect: float = 0.0
@@ -243,15 +234,12 @@ def invariant_report(traj: Trajectory) -> InvariantReport:
     """Worst-case drift of spectrum, Casimirs and energy over the run."""
     log = traj.invariant_log
     ev = log["eigenvalues"]
-    eig_drift = float(np.max(np.abs(ev - ev[0])))
-    casimirs = {f"C{n}": _relative_drift(log[f"C{n}"]) for n in range(1, 6)}
     return InvariantReport(
-        eigenvalue_drift=eig_drift,
-        casimir_drift=casimirs,
-        max_casimir_drift=max(casimirs.values()),
+        eigenvalue_drift=float(np.max(np.abs(ev - ev[0]))),
+        max_casimir_drift=max(_relative_drift(log[f"C{n}"]) for n in range(1, 6)),
         energy_drift=_relative_drift(log["Hq"]),
         max_hermiticity_defect=float(np.max(log["hermiticity"])),
-        max_negativity=float(max(0.0, -np.min(log["min_eigenvalue"]))),
+        max_negativity=float(max(0.0, -np.min(ev[:, 0]))),
     )
 
 
@@ -259,7 +247,7 @@ def precession_frequency(traj: Trajectory, element: tuple[int, int]) -> float:
     """|d/dt arg rho_ij| from an unwrapped least-squares phase fit; a
     |rho_ij| below PHASE_FIT_FLOOR anywhere raises NumericalFailure."""
     i, j = element
-    signal = traj.element(i, j)
+    signal = traj.matrices[:, i, j]
     mags = np.abs(signal)
     if np.any(mags < PHASE_FIT_FLOOR):
         raise NumericalFailure(

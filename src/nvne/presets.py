@@ -56,7 +56,7 @@ PRESETS: dict[str, dict] = {
         "label": "criterion4-equilibrium",
         "thermo": {"q": 2.0, "beta": 0.5, "mu": 1.0},
         "expected_lambda": 0.75,
-        "gibbs_check": {"beta": 0.5, "mu": 1.0, "epsilon": 1e-6},
+        "gibbs_check": {"beta": 0.5, "mu": 1.0},
         "grid": {
             "q_values": [0.5, 0.8, 1.2, 1.5, 2.0, 3.0],
             "domain_products": [0.2, 0.5, 0.8],
@@ -101,7 +101,7 @@ PRESETS: dict[str, dict] = {
         "q": 3.0,
         "ensemble": {"weight": "sin-psi-half", "n_lam": 32, "n_phi": 32, "n_psi": 32},
         "times": [0.0, 1.0, 5.0, 20.0],
-        "decay": {"t_late": 200.0, "window": [0.0, 20.0], "samples": 201},
+        "decay": {"t_late": 200.0},
         "node_check": {"count": 4, "t_final": 20.0, "dt": 2.5e-4, "crosscheck_t_final": 2.0},
         "assertions": {
             "analytic_match": 1e-5,
@@ -113,11 +113,6 @@ PRESETS: dict[str, dict] = {
     "criterion8-bracket-algebra": {
         "kind": "bracket-check",
         "label": "criterion8-bracket-algebra",
-        "dim": 3,
-        "seed": 7,
-        "n_functionals": 20,
-        "casimir_orders": 4,
-        "average_orders": 3,
         "assertions": {"casimir_bracket": 1e-6, "average_bracket": 1e-6, "antisymmetry": 1e-8},
     },
     "criterion9-convergence": {
@@ -137,7 +132,7 @@ PRESETS: dict[str, dict] = {
         "q": 3.0,
         "ensemble": {"weight": "tilted-lambda", "n_lam": 32, "n_phi": 32, "n_psi": 32},
         "times": [0.0, 1.0, 5.0, 20.0],
-        "decay": {"t_late": 50.0, "window": [0.0, 20.0], "samples": 201},
+        "decay": {"t_late": 50.0},
         "assertions": {"analytic_match": 1e-5},
     },
 }

@@ -111,8 +111,6 @@ def effective_hamiltonian(rho: DensityMatrix, h: np.ndarray, f: DeformationFunct
 
 def q_average(rho: DensityMatrix, h: np.ndarray, q: float) -> float:
     """Tr(rho^q H), the internal energy of the power-law theory."""
-    if q <= 0:
-        raise DomainError(f"q must be positive, got {q}")
     return hamiltonian_function(rho, h, PowerLaw(q=q))
 
 
@@ -121,23 +119,15 @@ class ObservableFunctional:
     """Real functional of the state with a Hermitian gradient.
 
     gradient(rho) returns the matrix G with dA = Tr(X G) for Hermitian
-    perturbations X. When no analytic gradient is supplied, a central
-    finite difference over the raw matrix entries is used and checked for
-    Hermiticity (NumericalFailure beyond 1e-6).
+    perturbations X.
     """
 
     evaluator: Callable
-    gradient: Callable | None = None
+    gradient: Callable
     name: str = "functional"
 
     def __call__(self, rho) -> float:
         return float(self.evaluator(_as_matrix(rho)))
-
-    def gradient_at(self, rho) -> np.ndarray:
-        m = _as_matrix(rho)
-        if self.gradient is not None:
-            return self.gradient(rho)
-        return finite_difference_gradient(self.evaluator, m)
 
 
 def finite_difference_gradient(evaluator: Callable, m: np.ndarray) -> np.ndarray:
@@ -241,8 +231,8 @@ def poisson_bracket(a: ObservableFunctional, b: ObservableFunctional, rho) -> fl
     construction and insensitive to adding multiples of the identity to
     either gradient."""
     m = _as_matrix(rho)
-    ga = a.gradient_at(rho)
-    gb = b.gradient_at(rho)
+    ga = a.gradient(rho)
+    gb = b.gradient(rho)
     comm = ga @ gb - gb @ ga
     value = -1j * np.trace(m @ comm)
     return float(value.real)

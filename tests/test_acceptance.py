@@ -14,11 +14,6 @@ from nvne import presets
 from nvne.cli import run_scenario
 
 
-@pytest.fixture(autouse=True)
-def no_output_env(monkeypatch):
-    monkeypatch.delenv("NVNE_OUT", raising=False)
-
-
 def run_preset(name):
     return run_scenario(presets.get(name))
 

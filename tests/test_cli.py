@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -21,8 +22,8 @@ def write_config(tmp_path, cfg, name="scenario.json"):
     return path
 
 
-def tiny_evolve_config(out_dir=None):
-    cfg = {
+def tiny_evolve_config():
+    return {
         "kind": "evolve",
         "label": "tiny",
         "system": {"dim": 2, "hamiltonian": {"preset": "spin-z", "mu": 1.0}},
@@ -32,9 +33,6 @@ def tiny_evolve_config(out_dir=None):
         "measure": {"precession": {"element": [0, 1]}},
         "assertions": {"eigenvalue_drift": 1e-9, "omega_relative_error": 1e-3},
     }
-    if out_dir is not None:
-        cfg["output"] = {"dir": str(out_dir), "formats": ["csv", "json"]}
-    return cfg
 
 
 def run_in_subprocess(path, *args):
@@ -98,19 +96,16 @@ CAST_BASES = {
         "gibbs_check": {"beta": 0.5, "mu": 1.0},
         "grid": {"q_values": [2.0], "domain_products": [0.5]},
     },
-    "bracket-check": {"kind": "bracket-check", "n_functionals": 4, "casimir_orders": 2,
-                      "average_orders": 2},
+    "bracket-check": {"kind": "bracket-check"},
     "series": {**{k: v for k, v in tiny_evolve_config().items() if k != "q"},
-               "deformation": {"kind": "series", "coeffs": [0.5, 0.5]}},
-    "power": {**{k: v for k, v in tiny_evolve_config().items() if k != "q"},
-              "deformation": {"kind": "power", "q": 2.0}},
+               "deformation": {"coeffs": [0.5, 0.5]}},
     "ensemble": {
         "kind": "ensemble",
         "system": {"hamiltonian": {"preset": "spin-z", "mu": 1.0}},
         "q": 3.0,
         "ensemble": {"weight": "tilted-lambda", "n_lam": 16, "n_phi": 16, "n_psi": 16},
         "times": [0.0],
-        "decay": {"t_late": 30.0, "window": [0.0, 10.0], "samples": 5},
+        "decay": {"t_late": 30.0},
     },
 }
 
@@ -131,21 +126,12 @@ MALFORMED_CASTS = [
     ("composite", "system.dims", ["x", 2]),
     ("equilibrium", "gibbs_check.epsilon", "x"),
     ("equilibrium", "grid.q_values", ["x"]),
-    ("bracket-check", "dim", "x"),
-    ("bracket-check", "seed", "x"),
-    ("bracket-check", "n_functionals", 2.5),
-    ("bracket-check", "casimir_orders", "x"),
-    ("bracket-check", "average_orders", "x"),
     # wrong container types
     ("evolve", "state.pure", [["x", 0.0], [1.0, 0.0]]),
     ("evolve", "measure", [1]),
     ("evolve", "measure.convergence", 3),
     ("evolve", "assertions", [1]),
-    ("evolve", "output.formats", 3),
-    ("evolve", "output.dir", 3),
     ("series", "deformation.coeffs", ["x"]),
-    ("ensemble", "decay.window", 5.0),
-    ("ensemble", "decay.window", [0.0]),
     ("equilibrium", "grid", [1]),
     # values their domain objects reject
     ("evolve", "measure.compare_linear.q_values", [-1]),
@@ -154,23 +140,45 @@ MALFORMED_CASTS = [
     ("larmor", "measure.larmor_grid.lams", [0.5]),
     ("evolve", "measure.convergence.dt", 5.0),
     ("ensemble", "node_check.dt", -0.01),
-    ("power", "deformation.q", -1),
+    ("evolve", "q", -1),
     ("evolve", "state.pure", [[0.0, 0.0], [0.0, 0.0]]),
     ("ensemble", "times", [-1.0]),
     ("composite", "state", {"bloch": {"lam": 0.75, "phi": 0.0, "psi": 0.0}}),
     ("ensemble", "system.hamiltonian",
      {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}),
     # counts below 1
-    ("ensemble", "decay.samples", 0),
     ("ensemble", "node_check.count", 0),
     ("ensemble", "ensemble.n_lam", 0),
     ("ensemble", "ensemble.n_phi", 0),
     ("ensemble", "ensemble.n_psi", 0),
     # a misspelt measure name
     ("larmor", "measure.precesion", {"element": [0, 1]}),
-    # integrator keys other than dt, t_final and record_every
+    # keys that no parse reads: integrator keys other than dt, t_final and
+    # record_every, misspelt keys in every section, a second Hamiltonian form
     ("evolve", "integrator.record_evry", 5),
     ("evolve", "integrator.scheme", "euler"),
+    ("evolve", "integrater", {"dt": 1e-2, "t_final": 0.1}),
+    ("evolve", "measure.convergence.reference_divisr", 3),
+    ("evolve", "system.hamiltonian.random.spectral_nrm", 1.0),
+    ("evolve", "state.random.sed", 2),
+    ("larmor", "system.hamiltonian.matrix", [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]),
+    ("composite", "system.q3", 2.0),
+    ("equilibrium", "gibbs_check.epsilom", 1e-6),
+    ("ensemble", "node_check.dtt", 1e-3),
+    ("ensemble", "decay.sampels", 201),
+    ("bracket-check", "n_functional", 20),
+    # and settings that no longer exist, at their old defaults
+    ("evolve", "output", {"dir": "out", "formats": ["csv", "json"]}),
+    ("equilibrium", "gibbs_check.epsilon", 1e-6),
+    ("ensemble", "decay.window", [0.0, 20.0]),
+    ("ensemble", "decay.samples", 201),
+    ("bracket-check", "dim", 3),
+    ("bracket-check", "seed", 7),
+    ("bracket-check", "n_functionals", 20),
+    ("bracket-check", "casimir_orders", 4),
+    ("bracket-check", "average_orders", 3),
+    ("series", "deformation.kind", "series"),
+    ("series", "deformation.q", 2.0),
 ]
 
 
@@ -216,7 +224,7 @@ class TestConfigValidation:
 
 class TestExitCodes:
     def test_run_success(self, tmp_path, capsys):
-        path = write_config(tmp_path, tiny_evolve_config(tmp_path / "out"))
+        path = write_config(tmp_path, tiny_evolve_config())
         assert main(["run", str(path)]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
@@ -263,6 +271,11 @@ class TestExitCodes:
                              ids=[f"{kind}:{key}={value}" for kind, key, value in MALFORMED_CASTS])
     def test_malformed_cast_exit_2_names_key(self, tmp_path, capsys, kind, key, value):
         assert_run_and_check_exit_2(tmp_path, capsys, with_leaf(CAST_BASES[kind], key, value), key)
+
+    def test_cast_bases_validate(self, tmp_path):
+        # so that each cast above is the only error in its config
+        for kind, cfg in CAST_BASES.items():
+            assert main(["check", str(write_config(tmp_path, cfg, f"{kind}.json"))]) == 0
 
     @pytest.mark.parametrize("key, value", [("state.bloch.lam", 0.5), ("state.bloch.phi", 0.0)])
     def test_precession_without_signal_exit_2(self, tmp_path, capsys, key, value):
@@ -312,28 +325,24 @@ class TestExitCodes:
             "q": 3.0,
             "ensemble": {"weight": "tilted-lambda", "n_lam": 16, "n_phi": 16, "n_psi": 16},
             "times": [0.0, 1.0],
-            "decay": {"t_late": 30.0, "window": [0.0, 10.0], "samples": 21},
+            "decay": {"t_late": 30.0},
             "assertions": {"analytic_match": 1e-4},
         }
         edit(cfg)
         assert main(["run", str(write_config(tmp_path, cfg)), "--quiet"]) == 2
         assert f"config key {key} " in capsys.readouterr().err
 
-    def test_out_flag_overrides_env(self, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env_out"
-        flag_dir = tmp_path / "flag_out"
-        monkeypatch.setenv("NVNE_OUT", str(env_dir))
-        path = write_config(tmp_path, tiny_evolve_config())
-        assert main(["run", str(path), "--out", str(flag_dir), "--quiet"]) == 0
-        assert (flag_dir / "summary.json").exists()
-        assert not env_dir.exists()
-
-    def test_env_var_used_without_flag(self, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env_out"
-        monkeypatch.setenv("NVNE_OUT", str(env_dir))
+    def test_out_flag_is_the_only_output_directory(self, tmp_path, monkeypatch):
+        # an NVNE_OUT in the environment chooses no directory
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("NVNE_OUT", str(tmp_path / "env_out"))
         path = write_config(tmp_path, tiny_evolve_config())
         assert main(["run", str(path), "--quiet"]) == 0
-        assert (env_dir / "summary.json").exists()
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert main(["run", str(path), "--out", "flag_out", "--quiet"]) == 0
+        assert sorted(p.name for p in (tmp_path / "flag_out").iterdir()) == [
+            "plotdata.csv", "summary.json", "trajectory.csv"]
+        assert not (tmp_path / "env_out").exists()
 
 
 def leaf_paths(node, path=()):
@@ -348,25 +357,26 @@ def leaf_paths(node, path=()):
 
 
 DELETE = object()
-FUZZ_POOL = [DELETE, None, -1, 0, 0.5, "x", [], {}, [1], True, float("nan")]
+INSERT = object()  # adds an unknown key to the object that holds the leaf
+FUZZ_POOL = [DELETE, INSERT, None, -1, 0, 0.5, "x", [], {}, [1], True, float("nan")]
 
 
 class TestFuzzedConfigs:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(base=st.sampled_from(sorted(CAST_BASES)), data=st.data())
-    def test_check_and_run_agree(self, tmp_path, monkeypatch, capsys, base, data):
-        # a fuzzed output.dir may only write under tmp_path
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("NVNE_OUT", raising=False)
+    def test_check_and_run_agree(self, tmp_path, capsys, base, data):
         cfg = json.loads(json.dumps(CAST_BASES[base]))
         *parents, leaf = data.draw(st.sampled_from(leaf_paths(cfg)), label="leaf")
         value = data.draw(st.sampled_from(FUZZ_POOL), label="value")
-        node = cfg
+        node = owner = cfg
         for key in parents:
             node = node[key]
+            owner = node if isinstance(node, dict) else owner
         if value is DELETE:
             del node[leaf]
+        elif value is INSERT:
+            owner["unknown_key"] = 1
         else:
             node[leaf] = value
         path = str(write_config(tmp_path, cfg))
@@ -375,12 +385,14 @@ class TestFuzzedConfigs:
         capsys.readouterr()
         assert check in (0, 2, 3) and run in (0, 1, 2, 3)
         assert (check == 2) == (run == 2), (check, run, cfg)
+        if value is INSERT:
+            assert check == 2, cfg
 
 
 class TestOutputs:
     def test_trajectory_csv_layout(self, tmp_path):
         out = tmp_path / "out"
-        report = run_scenario(tiny_evolve_config(out))
+        report = run_scenario(tiny_evolve_config(), out_dir=out)
         assert report.passed
         header = (out / "trajectory.csv").read_text().splitlines()[0].split(",")
         assert header[0] == "t"
@@ -388,11 +400,11 @@ class TestOutputs:
         assert header[-6:] == ["C1", "C2", "C3", "C4", "C5", "Hq"]
 
     def test_constant_columns_for_fixed_point(self, tmp_path):
-        cfg = tiny_evolve_config(tmp_path / "out")
+        cfg = tiny_evolve_config()
         cfg["state"] = {"bloch": {"lam": 0.5, "phi": 0.0, "psi": 0.0}}
         cfg["measure"] = {}
         cfg["assertions"] = {"eigenvalue_drift": 1e-12}
-        run_scenario(cfg)
+        run_scenario(cfg, out_dir=tmp_path / "out")
         lines = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
         header = lines[0].split(",")
         rows = [line.split(",") for line in lines[1:]]
@@ -402,7 +414,7 @@ class TestOutputs:
 
     def test_energy_column_conserved_q2(self, tmp_path):
         out = tmp_path / "out"
-        run_scenario(tiny_evolve_config(out))
+        run_scenario(tiny_evolve_config(), out_dir=out)
         lines = (out / "trajectory.csv").read_text().splitlines()
         header = lines[0].split(",")
         hq = np.array([float(line.split(",")[header.index("Hq")]) for line in lines[1:]])
@@ -410,8 +422,8 @@ class TestOutputs:
 
     def test_summary_round_trip(self, tmp_path):
         out = tmp_path / "out"
-        cfg = tiny_evolve_config(out)
-        run_scenario(cfg)
+        cfg = tiny_evolve_config()
+        run_scenario(cfg, out_dir=out)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"] == cfg
         rerun = run_scenario(summary["config"], out_dir=tmp_path / "out2")
@@ -434,14 +446,14 @@ class TestOutputs:
             "q": 3.0,
             "ensemble": {"weight": "tilted-lambda", "n_lam": 16, "n_phi": 16, "n_psi": 16},
             "times": [0.0, 1.0],
-            "decay": {"t_late": 30.0, "window": [0.0, 10.0], "samples": 21},
+            "decay": {"t_late": 30.0},
             "assertions": {"analytic_match": 1e-4, "decay_ratio": 0.9},
         }
         report = run_scenario(cfg, out_dir=tmp_path / "out")
         assert report.passed
         lines = (tmp_path / "out" / "plotdata.csv").read_text().splitlines()
         assert lines[0] == "t,offdiag_abs"
-        assert len(lines) == 23  # 21 window samples + late point + header
+        assert len(lines) == 203  # 201 window samples + late point + header
 
 
 class TestCompositeAndBracketKinds:
@@ -464,9 +476,7 @@ class TestCompositeAndBracketKinds:
         assert (tmp_path / "out" / "trajectory.csv").exists()
 
     def test_bracket_scenario(self):
-        cfg = presets.get("criterion8-bracket-algebra")
-        cfg.pop("output", None)
-        report = run_scenario(cfg)
+        report = run_scenario(presets.get("criterion8-bracket-algebra"))
         assert report.passed
 
 
@@ -479,6 +489,20 @@ class TestPresets:
             assert cfg["kind"] in ("evolve", "composite", "equilibrium", "ensemble",
                                    "bracket-check")
             assert main(["check", str(path)]) == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_configs_validate(self, tmp_path, monkeypatch, capsys, seed):
+        # every config the benchmark workloads generate, which a config error
+        # would count as failed operations; perfbench/ is loaded, not edited
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS.values():
+            for sc in workload.scenarios(np.random.default_rng(seed)).scenarios:
+                cfg_path = write_config(tmp_path, sc.cfg, f"{workload.name}-{sc.name}.json")
+                assert main(["check", str(cfg_path)]) == 0, capsys.readouterr().err
 
     def test_get_returns_copy(self):
         a = presets.get("criterion4-equilibrium")

@@ -143,7 +143,6 @@ class TestEvolveComposite:
                 oracle[f"C{n}"].append(float(np.sum(ev**n)))
             oracle["Hq"].append(composite_energy(s, sys_))
             oracle["hermiticity"].append(hermiticity_defect(s.matrix))
-            oracle["min_eigenvalue"].append(float(ev[0]))
         for key, value in oracle.items():
             assert np.array_equal(traj.invariant_log[key], np.asarray(value)), key
         assert np.array_equal(traj.matrices, np.array([s.matrix for s in traj.states]))

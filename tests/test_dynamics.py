@@ -56,8 +56,7 @@ def per_state_evolve(rho0, h, f, cfg, advance=_advance):
     for k, v in advance(v, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every):
         times.append(k * cfg.dt)
         states.append(density_from_spectrum(w, v))
-    log = {key: [] for key in ("eigenvalues", "Hq", "hermiticity", "min_eigenvalue",
-                               "C1", "C2", "C3", "C4", "C5")}
+    log = {key: [] for key in ("eigenvalues", "Hq", "hermiticity", "C1", "C2", "C3", "C4", "C5")}
     for s in states:
         ev = np.sort(np.linalg.eigvalsh(s.matrix))
         log["eigenvalues"].append(ev)
@@ -65,7 +64,6 @@ def per_state_evolve(rho0, h, f, cfg, advance=_advance):
             log[f"C{n}"].append(float(np.sum(ev**n)))
         log["Hq"].append(hamiltonian_function(s, h, f))
         log["hermiticity"].append(hermiticity_defect(s.matrix))
-        log["min_eigenvalue"].append(float(ev[0]))
     return np.asarray(times), states, {key: np.asarray(x) for key, x in log.items()}
 
 
@@ -298,7 +296,7 @@ class TestRecordedStack:
         f = PowerLaw(q=1.5)
         cfg = IntegratorConfig(dt=1e-2, t_final=(2 * per_block + 3) * 1e-2)
         traj = evolve(rho, h, f, cfg)
-        assert len(traj) > 2 * per_block
+        assert len(traj.times) > 2 * per_block
         _, states, log = per_state_evolve(rho, h, f, cfg)
         for key, value in log.items():
             assert np.array_equal(traj.invariant_log[key], value), key
@@ -308,7 +306,7 @@ class TestRecordedStack:
         rho = random_density_matrix(3, rng)
         traj = evolve(rho, random_hermitian(3, rng), PowerLaw(q=2.0),
                       IntegratorConfig(dt=1e-2, t_final=0.1, record_every=3))
-        assert traj.matrices.shape == (len(traj), 3, 3)
+        assert traj.matrices.shape == (len(traj.times), 3, 3)
         assert not traj.matrices.flags.writeable
         with pytest.raises(ValueError):
             traj.matrices[0, 0, 0] = 1.0
@@ -317,7 +315,7 @@ class TestRecordedStack:
             assert np.shares_memory(s.matrix, traj.matrices)
             assert not s.matrix.flags.writeable
             assert not s.eigenvectors.flags.writeable
-        assert np.array_equal(traj.element(0, 1), [s.matrix[0, 1] for s in traj.states])
+        assert np.array_equal(traj.matrices[:, 0, 1], [s.matrix[0, 1] for s in traj.states])
 
     def test_sequence_energy_equals_per_state_floats(self, rng):
         h = random_hermitian(4, rng)

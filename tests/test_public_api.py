@@ -6,8 +6,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nvne"
 
-# test oracles of [G, rho] = [H, f(rho)] and of the variational derivative
-ORACLES = {"generator", "effective_hamiltonian", "matrix_function"}
+# test oracles of [G, rho] = [H, f(rho)], of the variational derivative and
+# of the analytic gradients of ObservableFunctional
+ORACLES = {"generator", "effective_hamiltonian", "matrix_function", "finite_difference_gradient"}
 
 
 def exported_names() -> set:
