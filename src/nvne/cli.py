@@ -123,8 +123,9 @@ def _integer(value, path: str, minimum: int | None = None) -> int:
 
 
 def _numbers(values, path: str, minimum: float | None = None) -> list:
-    if not isinstance(values, list):
-        raise ConfigError(f"config key {path} must be a list of numbers, got {values!r}")
+    """A nonempty list of numbers, each at least minimum if given."""
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"config key {path} must be a nonempty list of numbers, got {values!r}")
     return [_number(x, path, minimum) for x in values]
 
 
@@ -202,21 +203,21 @@ def _power_law(value, path: str) -> PowerLaw:
     return _build(path, PowerLaw, q=_number(value, path))
 
 
-def parse_deformation(cfg: dict, path: str = "") -> DeformationFunction:
+def parse_deformation(cfg: dict) -> DeformationFunction:
     if "q" in cfg:
-        return _power_law(cfg["q"], f"{path}q")
-    spec = _get(cfg, "deformation", path)
-    coeffs = _numbers(_get(spec, "coeffs", f"{path}deformation."), f"{path}deformation.coeffs")
-    return _build(f"{path}deformation.coeffs", CoefficientSeries, coeffs=tuple(coeffs))
+        return _power_law(cfg["q"], "q")
+    spec = _get(cfg, "deformation", "")
+    coeffs = _numbers(_get(spec, "coeffs", "deformation."), "deformation.coeffs")
+    return _build("deformation.coeffs", CoefficientSeries, coeffs=tuple(coeffs))
 
 
-def parse_integrator(cfg: dict, path: str = "integrator") -> dynamics.IntegratorConfig:
+def parse_integrator(cfg: dict) -> dynamics.IntegratorConfig:
     spec = _get(cfg, "integrator", "")
     return _build(
-        path, dynamics.IntegratorConfig,
-        dt=_number(_get(spec, "dt", f"{path}."), f"{path}.dt"),
-        t_final=_number(_get(spec, "t_final", f"{path}."), f"{path}.t_final"),
-        record_every=_integer(spec.get("record_every", 1), f"{path}.record_every"),
+        "integrator", dynamics.IntegratorConfig,
+        dt=_number(_get(spec, "dt", "integrator."), "integrator.dt"),
+        t_final=_number(_get(spec, "t_final", "integrator."), "integrator.t_final"),
+        record_every=_integer(spec.get("record_every", 1), "integrator.record_every"),
     )
 
 
@@ -366,26 +367,26 @@ def _parse_precession(spec, path: str, dim, h, state, f, spin, **_):
 
 
 def _parse_compare_linear(spec, path: str, state, h, icfg, **_):
-    """End-state distance from the q = 1 run, for the run's own deformation
-    (spec true) or for each of q_values."""
-    laws = [] if spec is True else [
-        _power_law(q, f"{path}.q_values")
-        for q in _numbers(_object(spec, path).get("q_values", []), f"{path}.q_values")]
+    """End-state distance from the exact linear solution exp(-iHt) rho0
+    exp(iHt), for the run's own deformation (spec true or no q_values) or
+    for each of q_values."""
+    laws = []
+    if spec is not True and "q_values" in _object(spec, path):
+        laws = [_power_law(q, f"{path}.q_values")
+                for q in _numbers(spec["q_values"], f"{path}.q_values")]
 
     def run(traj, headline, measured):
-        linear = dynamics.evolve(state, h, PowerLaw(q=1.0), icfg).states[-1]
+        w, v = np.linalg.eigh(h)
+        u = (v * np.exp(-1j * w * traj.times[-1])) @ v.conj().T
+        linear = u @ state.matrix @ u.conj().T
         if laws:
-            dist = 0.0
-            per_q = {}
-            for law in laws:
-                d = trace_distance(dynamics.evolve(state, h, law, icfg).states[-1], linear)
-                per_q[f"q={law.q:g}"] = d
-                dist = max(dist, d)
-            headline["linear_trace_distance"] = per_q
+            dists = [trace_distance(dynamics.evolve(state, h, law, icfg).states[-1], linear)
+                     for law in laws]
+            headline["linear_trace_distance"] = {f"q={law.q:g}": d for law, d in zip(laws, dists)}
+            measured["linear_trace_distance"] = max(dists)
         else:
             dist = trace_distance(traj.states[-1], linear)
-            headline["linear_trace_distance"] = dist
-        measured["linear_trace_distance"] = dist
+            headline["linear_trace_distance"] = measured["linear_trace_distance"] = dist
     return ["linear_trace_distance"], run
 
 
@@ -510,8 +511,8 @@ def _parse_equilibrium(cfg: dict):
         names.add("gibbs_limit")
     if "grid" in cfg:
         g = _object(cfg["grid"], "grid")
-        q_values = _numbers(g.get("q_values", []), "grid.q_values")
-        products = _numbers(g.get("domain_products", []), "grid.domain_products")
+        q_values = _numbers(_get(g, "q_values", "grid."), "grid.q_values")
+        products = _numbers(_get(g, "domain_products", "grid."), "grid.domain_products")
         if any(abs(qv - 1.0) < 1e-8 for qv in q_values) or any(not 0.0 < c < 1.0 for c in products):
             raise ConfigError("config key grid: q_values must exclude 1 and "
                               "domain_products must lie in (0, 1)")
@@ -534,9 +535,9 @@ def _parse_equilibrium(cfg: dict):
             measured["gibbs_limit"] = worst
         if grid is not None:
             results = [thermo.spin_equilibrium(pg) for pg in grid]
-            min_curv = min((res.second_derivative for res in results), default=np.inf)
-            max_stat = max((abs(thermo.spin_free_energy_gradient(res.lam, pg))
-                            for res, pg in zip(results, grid)), default=0.0)
+            min_curv = min(res.second_derivative for res in results)
+            max_stat = max(abs(thermo.spin_free_energy_gradient(res.lam, pg))
+                           for res, pg in zip(results, grid))
             headline["grid"] = {"points": len(grid), "min_second_derivative": float(min_curv),
                                 "max_stationarity": float(max_stat)}
             measured.update(grid_second_derivative_positive=float(min_curv),

@@ -6,15 +6,12 @@ preserved by construction; discretization error lives only in the orbit
 phase. Each step is the midpoint rule: G is evaluated at a half-step
 state, which makes it second order. All stepping goes through _advance.
 The eigenvalues are invariants, so the divided-difference kernel K is
-taken once per trajectory, and _advance steps in one of three branches:
+taken once per trajectory, and _advance steps in one of two branches:
 
 - d = 2: the same step on Python complex scalars with the closed-form
   SU(2) exponential, which agrees with the numpy path (eigh) to round-off
   and is about 5x faster;
-- every entry of K equal to one c (a pure state under linear f, a maximally
-  mixed state): G = c H at every state, so the step is the propagator
-  exp(-i c H dt), exponentiated once and applied as one matmul per step;
-- otherwise numpy, with G rebuilt and diagonalized at every (half-)step.
+- d >= 3: numpy, with G rebuilt and diagonalized at every (half-)step.
 
 The step loop writes the eigenvectors of every recorded state into a
 preallocated (T, d, d) stack. The spectrum is invariant, so after the loop
@@ -92,13 +89,8 @@ def _advance(v, h, kernel, dt, n, every):
     if v.shape == (2, 2):
         yield from _advance_su2(v, h, kernel, dt, n, every)
         return
-    c = kernel.flat[0]
-    constant = bool(np.all(kernel == c))
-    if constant:
-        hw, hu = np.linalg.eigh(h)
-        u = (hu * np.exp(-1j * c * dt * hw)) @ hu.conj().T
     for k in range(1, n + 1):
-        v = u @ v if constant else _step_spectral(v, h, kernel, dt)
+        v = _step_spectral(v, h, kernel, dt)
         if k % every == 0 or k == n:
             yield k, v
 

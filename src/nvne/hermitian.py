@@ -125,9 +125,9 @@ def validate_density(matrix: np.ndarray) -> DensityMatrix:
 def density_from_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> DensityMatrix:
     """Assemble a state from a known spectral decomposition (trusted path).
 
-    Used by the integrator, where unitary conjugation preserves the
-    spectrum by construction. Eigenvalues in [-TOL_HERM, TOL_HERM/10]
-    become exactly 0, as in validate_density.
+    The per-state form of the batched recording in dynamics._record, kept
+    as its test oracle. Eigenvalues in [-TOL_HERM, TOL_HERM/10] become
+    exactly 0, as in validate_density.
     """
     w = _zero_round_off(np.asarray(eigenvalues, dtype=float))
     v = np.ascontiguousarray(eigenvectors, dtype=complex)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .hermitian import DensityMatrix, bloch_state
+from .hermitian import DensityMatrix
 from .structure import q_average
 
 Q_ONE_THRESHOLD = 1e-8
@@ -104,7 +104,6 @@ class EquilibriumResult:
     lam: float
     free_energy: float
     second_derivative: float
-    state: DensityMatrix
 
 
 def _gibbs_lambda(p: ThermoParams) -> float:
@@ -137,11 +136,8 @@ def spin_equilibrium(p: ThermoParams) -> EquilibriumResult:
         raise NumericalFailure(
             f"equilibrium candidate lam={lam!r} has |dF/dlam| = {abs(grad):.3e}"
         )
-    curvature = stability_second_derivative(p, lam)
-    state = bloch_state(lam=lam, phi=0.0, psi=0.0)
     return EquilibriumResult(
         lam=float(lam),
         free_energy=spin_free_energy(lam, p),
-        second_derivative=float(curvature),
-        state=state,
+        second_derivative=stability_second_derivative(p, lam),
     )

@@ -10,7 +10,7 @@ cover the tilted-lambda variant with a real decaying signal.
 """
 import pytest
 
-from nvne import presets
+from nvne import dynamics, presets
 from nvne.cli import run_scenario
 
 
@@ -43,6 +43,19 @@ def test_criterion1_isospectrality():
 def test_criterion2_pure_state_reduction():
     report = run_preset("criterion2-pure-state")
     emit_and_check("criterion 2: pure-state reduction", report, budget_s=10.0)
+
+
+def test_criterion2_catches_a_step_error_of_every_run(monkeypatch):
+    # steps 1 % too long shift a q = 1 run as much as the q-runs, so only the
+    # exact linear solution, which takes no steps, sees them
+    cfg = presets.get("criterion2-pure-state")
+    cfg["integrator"]["t_final"] = 1.0
+    report = run_scenario(cfg)
+    assert report.passed and report.assertions[0].value > 0.0
+    advance = dynamics._advance
+    monkeypatch.setattr(dynamics, "_advance",
+                        lambda v, h, kernel, dt, n, every: advance(v, h, kernel, 1.01 * dt, n, every))
+    assert not run_scenario(cfg).passed
 
 
 def test_criterion3_larmor_law():

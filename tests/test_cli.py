@@ -151,6 +151,13 @@ MALFORMED_CASTS = [
     ("ensemble", "ensemble.n_lam", 0),
     ("ensemble", "ensemble.n_phi", 0),
     ("ensemble", "ensemble.n_psi", 0),
+    # empty lists of points, which made their assertions pass on nothing
+    ("larmor", "measure.larmor_grid.lams", []),
+    ("larmor", "measure.larmor_grid.q_values", []),
+    ("ensemble", "times", []),
+    ("equilibrium", "grid.q_values", []),
+    ("equilibrium", "grid.domain_products", []),
+    ("evolve", "measure.compare_linear.q_values", []),
     # a misspelt measure name
     ("larmor", "measure.precesion", {"element": [0, 1]}),
     # keys that no parse reads: integrator keys other than dt, t_final and
@@ -276,6 +283,13 @@ class TestExitCodes:
         # so that each cast above is the only error in its config
         for kind, cfg in CAST_BASES.items():
             assert main(["check", str(write_config(tmp_path, cfg, f"{kind}.json"))]) == 0
+
+    @pytest.mark.parametrize("key", ["q_values", "domain_products"])
+    def test_grid_without_points_exit_2(self, tmp_path, capsys, key):
+        cfg = json.loads(json.dumps(CAST_BASES["equilibrium"]))
+        del cfg["grid"][key]
+        assert main(["check", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == f"config error: missing config key: grid.{key}\n"
 
     @pytest.mark.parametrize("key, value", [("state.bloch.lam", 0.5), ("state.bloch.phi", 0.0)])
     def test_precession_without_signal_exit_2(self, tmp_path, capsys, key, value):

@@ -216,15 +216,15 @@ class TestEvolve:
         assert rep.max_negativity < 1e-12
 
     def test_pure_state_tracks_linear_trajectory(self):
-        # bound 1e-8 per step on the trace distance to the q=1 run
+        # bound 1e-8 per step on the trace distance to exp(-iHt) rho exp(iHt)
         rho = bloch_state(lam=1.0, phi=np.pi / 3, psi=0.1)
         cfg = IntegratorConfig(dt=1e-3, t_final=2.0, record_every=100)
-        linear = evolve(rho, -SIGMA_Z, PowerLaw(q=1.0), cfg)
         for q in (0.5, 2.0, 3.0):
             traj = evolve(rho, -SIGMA_Z, PowerLaw(q=q), cfg)
-            for k, (t, s) in enumerate(zip(traj.times, traj.states)):
+            for t, s in zip(traj.times, traj.states):
                 steps = max(round(t / cfg.dt), 1)
-                assert trace_distance(s, linear.states[k]) < 1e-8 * steps
+                u = np.diag(np.exp([1j * t, -1j * t]))
+                assert trace_distance(s, u @ rho.matrix @ u.conj().T) < 1e-8 * steps
 
     def test_pure_state_q_below_one_tracks_exact_linear_evolution(self, rng):
         # round-off eigenvalues near 0 must not meet the infinite slope of
@@ -361,9 +361,9 @@ class TestSU2Kernel:
         assert np.max(np.abs(traj.matrices - rho.matrix)) < 1e-12
 
 
-class TestConstantKernel:
-    # every kernel entry equal to c makes G = c H at every state, and _advance
-    # steps with the one propagator exp(-i c H dt) at d >= 3
+class TestLinearLimit:
+    # every kernel entry equal to c makes G = c H at every state, so the
+    # midpoint step is the exact propagator exp(-i c H dt) up to round-off
 
     def test_pure_state_linear_f_is_exact_conjugation(self):
         rho, h = seeded_problem(4, True, seed=7)
@@ -379,25 +379,6 @@ class TestConstantKernel:
         traj = evolve(rho, random_hermitian(3, rng), PowerLaw(q=2.5),
                       IntegratorConfig(dt=1e-2, t_final=5.0, record_every=50))
         assert np.max(np.abs(traj.matrices - rho.matrix)) < 1e-12
-
-    @pytest.mark.parametrize("numpy_step", [_step_spectral, one_stage_step],
-                             ids=["midpoint", "euler"])
-    def test_matches_repeated_numpy_step(self, numpy_step):
-        # G = c H does not depend on the state, so the midpoint and the
-        # one-stage rule are both the exact propagator
-        rho, h = seeded_problem(5, True, seed=3)
-        w, v = rho.eigenvalues, rho.eigenvectors
-        kernel = PowerLaw(q=1.0).divided_difference(w[:, None], w[None, :])
-        assert np.all(kernel == kernel.flat[0])
-        n = 1000
-        ((k, v_constant),) = _advance(v, h, kernel, 1e-3, n, n)
-        v_numpy = v
-        for _ in range(n):
-            v_numpy = numpy_step(v_numpy, h, kernel, 1e-3)
-        assert k == n
-        got = density_from_spectrum(w, v_constant).matrix
-        want = density_from_spectrum(w, v_numpy).matrix
-        assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestLarmorLaw:

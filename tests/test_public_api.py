@@ -7,8 +7,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nvne"
 
 # test oracles of [G, rho] = [H, f(rho)], of the variational derivative and
-# of the analytic gradients of ObservableFunctional
-ORACLES = {"generator", "effective_hamiltonian", "matrix_function", "finite_difference_gradient"}
+# of the analytic gradients of ObservableFunctional; free_energy is the
+# paper's F_q = U_q - T S_q, checked against the energy-Casimir identity
+ORACLES = {"generator", "effective_hamiltonian", "matrix_function", "finite_difference_gradient",
+           "free_energy"}
 
 
 def exported_names() -> set:
@@ -21,12 +23,20 @@ def exported_names() -> set:
 def used_names() -> set:
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    trees = [ast.parse(path.read_text()) for path in files]
+    # a class field that shares its name with an export (the field
+    # EquilibriumResult.free_energy, the function free_energy) is no caller,
+    # neither where it is declared nor where it is read
+    fields = {node.target for tree in trees for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.AnnAssign)}
+    members = {field.id for field in fields}
     names = set()
-    for path in files:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node not in fields:
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and node.attr not in members:
                 names.add(node.attr)
     return names
 

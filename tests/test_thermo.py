@@ -173,7 +173,8 @@ class TestSpinEquilibrium:
 
     def test_equilibrium_state_matrix(self):
         res = spin_equilibrium(ThermoParams(q=2.0, beta=0.5, mu=1.0))
-        assert np.allclose(res.state.matrix, np.diag([0.75, 0.25]), atol=1e-10)
+        state = bloch_state(lam=res.lam, phi=0.0, psi=0.0)
+        assert np.allclose(state.matrix, np.diag([0.75, 0.25]), atol=1e-10)
 
 
 class TestStability:
@@ -215,10 +216,11 @@ class TestStability:
         # within twice the initial trace distance
         p = ThermoParams(q=2.0, beta=0.5, mu=1.0)
         res = spin_equilibrium(p)
+        equilibrium = bloch_state(lam=res.lam, phi=0.0, psi=0.0)
         perturbed = bloch_state(lam=res.lam, phi=0.1, psi=0.0)
-        d0 = trace_distance(perturbed, res.state)
+        d0 = trace_distance(perturbed, equilibrium)
         cfg = IntegratorConfig(dt=1e-3, t_final=20.0, record_every=100)
         traj = evolve(perturbed, -p.mu * SIGMA_Z, PowerLaw(q=p.q), cfg)
-        worst = max(trace_distance(s, res.state) for s in traj.states)
+        worst = max(trace_distance(s, equilibrium) for s in traj.states)
         assert worst <= 2.0 * d0
 
