@@ -9,9 +9,11 @@ The eigenvalues are invariants, so the divided-difference kernel K is
 taken once per trajectory, and _advance steps in one of two branches:
 
 - d = 2: the same step on Python complex scalars with the closed-form
-  SU(2) exponential, which agrees with the numpy path (eigh) to round-off
-  and is about 5x faster;
-- d >= 3: numpy, with G rebuilt and diagonalized at every (half-)step.
+  SU(2) exponential, which agrees with the numpy path to round-off and is
+  about 5x faster;
+- d >= 3: numpy in the eigenframe of the state. The generator there is
+  A = (V^H H V) o K, and each exponential exp(-i A tau) is a scaled Taylor
+  polynomial (_expi), so no eigendecomposition runs while stepping.
 
 The step loop writes the eigenvectors of every recorded state into a
 preallocated (T, d, d) stack. The spectrum is invariant, so after the loop
@@ -30,8 +32,8 @@ import numpy as np
 
 from .deformation import DeformationFunction
 from .errors import DomainError, NumericalFailure
-from .hermitian import DensityMatrix, _zero_round_off, hermitian_part, require_hermitian
-from .structure import _divided_difference_transform, _kernel, hamiltonian_function
+from .hermitian import TOL_HERM, DensityMatrix, _zero_round_off, hermitian_part, require_hermitian
+from .structure import _eigenframe_generator, _kernel, hamiltonian_function
 
 # bytes of complex entries per block of the recording and invariant pass:
 # bounds the temporaries of the batched calls (1,024 states at d = 2, one
@@ -40,6 +42,18 @@ RECORD_BLOCK_BYTES = 65536
 
 # smallest |rho_ij| the precession phase fit accepts
 PHASE_FIT_FLOOR = 1e-6
+
+# exp(-i G tau) at d >= 3 (Higham, SIMAX 26 (2005); Al-Mohy & Higham,
+# SIMAX 31 (2009)): the Taylor terms of degree 9 on add at most
+# 2 ||X||^9/9! <= 2^-53 ||X|| for ||X|| <= TAYLOR_THETA (about 0.046),
+# since each is below a tenth of the one before
+TAYLOR_THETA = (math.factorial(9) * 2.0**-54) ** (1 / 8)
+# Paterson-Stockmeyer in X, X^2, X^3: p(X) = 1 + L0 + X^3 (L1 + X^3 L2),
+# row r of the matrix holding the coefficients of L_r
+TAYLOR_COEFFS = np.array([1.0 / math.factorial(k) for k in range(1, 9)] + [0.0]).reshape(3, 3)
+# each squaring at most doubles the round-off of the exponential; past this
+# many squarings that bound, 2^s eps, exceeds TOL_HERM
+MAX_SQUARINGS = int(math.log2(TOL_HERM / np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -87,7 +101,11 @@ def _advance(v, h, kernel, dt, n, every):
     every-th step and after the last. The kernel is fixed: the eigenvalues
     are invariants of the flow."""
     if v.shape == (2, 2):
-        yield from _advance_su2(v, h, kernel, dt, n, every)
+        try:
+            yield from _advance_su2(v, h, kernel, dt, n, every)
+        except ValueError as exc:
+            # math.cos and math.sin of an infinite phase: G overflowed
+            raise NumericalFailure(f"2x2 step failed, the generator overflowed: {exc}") from exc
         return
     for k in range(1, n + 1):
         v = _step_spectral(v, h, kernel, dt)
@@ -96,13 +114,50 @@ def _advance(v, h, kernel, dt, n, every):
 
 
 def _step_spectral(v, h, kernel, dt):
-    def rotate(gv, tau):
-        """exp(-i G tau) V, with G the generator at the eigenvectors gv
-        exponentiated through its spectral decomposition."""
-        gw, gu = np.linalg.eigh(_divided_difference_transform(gv, h, kernel))
-        return (gu * np.exp(-1j * gw * tau)) @ gu.conj().T @ v
+    """One midpoint step at d >= 3, taken in the eigenframe.
 
-    return rotate(rotate(v, dt / 2), dt)
+    With A(W) the eigenframe generator of unitary W, exp(-i G(W) tau) =
+    W exp(-i A(W) tau) W^H. The half step is W = V E1 with
+    E1 = exp(-i A(V) dt/2), and the full step exp(-i G(W) dt) V is
+    W E2 E1^H with E2 = exp(-i A(W) dt): no product returns to the lab
+    frame and no eigendecomposition is taken.
+    """
+    e1 = _expi(_eigenframe_generator(v, h, kernel), dt / 2)
+    w = v @ e1
+    e2 = _expi(_eigenframe_generator(w, h, kernel), dt)
+    return w @ e2 @ e1.conj().T
+
+
+def _expi(a, tau):
+    """exp(-i a tau) for a square a and tau > 0: the degree-8 Taylor
+    polynomial of X = -i a tau 2^-s by Paterson-Stockmeyer, squared s times,
+    with s the least that brings ||X||_F below TAYLOR_THETA.
+
+    A non-finite ||a tau||_F, or one that needs more than MAX_SQUARINGS
+    squarings, raises NumericalFailure.
+    """
+    dim = a.shape[0]
+    norm = math.sqrt(np.vdot(a, a).real) * tau
+    if not math.isfinite(norm):
+        raise NumericalFailure(f"generator norm ||G dt||_F = {norm} is not finite")
+    s = max(0, math.frexp(norm / TAYLOR_THETA)[1])
+    if s > MAX_SQUARINGS:
+        raise NumericalFailure(f"step too stiff: ||G dt||_F = {norm:.3e} needs {s} squarings "
+                               f"of the exponential (at most {MAX_SQUARINGS}); reduce dt")
+    powers = np.empty((3, dim, dim), dtype=complex)
+    x, x2, x3 = powers
+    np.multiply(a, -1j * tau / 2**s, out=x)
+    np.matmul(x, x, out=x2)
+    np.matmul(x2, x, out=x3)
+    # the L_r of TAYLOR_COEFFS, from one real product on the real view
+    l0, l1, l2 = (TAYLOR_COEFFS @ powers.view(float).reshape(3, -1)).view(complex).reshape(3, dim, dim)
+    # e = p(X) - 1, squared as (1 + e)^2 - 1 so that the identity does not
+    # swamp the small entries of the early squares
+    e = l0 + x3 @ (l1 + x3 @ l2)
+    for _ in range(s):
+        e = 2.0 * e + e @ e
+    e.reshape(-1)[:: dim + 1] += 1.0
+    return e
 
 
 def _advance_su2(v, h, kernel, dt, n, every):
@@ -173,6 +228,8 @@ def _record(rho0: DensityMatrix, steps, cfg: IntegratorConfig, energy) -> Trajec
     times[0], vs[0] = 0.0, rho0.eigenvectors
     for r, (k, v) in enumerate(steps, 1):
         times[r], vs[r] = k * cfg.dt, v
+    if not np.all(np.isfinite(vs)):
+        raise NumericalFailure("the integrator produced non-finite eigenvectors")
     # the step leaves the eigenvalues untouched, so every recorded state
     # shares the spectrum of rho0, with round-off zeros as in
     # density_from_spectrum

@@ -1,8 +1,10 @@
 """Validated Hermitian matrix algebra for density-matrix dynamics.
 
-Everything is dense complex numpy; matrix functions go through the
+Everything is dense complex numpy; matrix functions f(rho) go through the
 eigendecomposition (exact on the spectrum, no Taylor series), which also
-covers fractional powers x**q that have no expansion at 0.
+covers fractional powers x**q that have no expansion at 0. (The
+integrator's propagator exp(-i G dt) is a different matter: see
+dynamics._expi.)
 
 Conventions: hbar = k_B = 1; subsystem I is the slow (leftmost) Kronecker
 index.
@@ -24,8 +26,15 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A^dagger)/2 of a matrix or of each matrix in a stack."""
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    """(A + A^dagger)/2 of a matrix or of each matrix in a stack.
+
+    Halved before the sum, so that entries near the largest float do not
+    overflow; this is bitwise (A + A^dagger)/2 wherever that is finite and
+    not subnormal.
+    """
+    half = 0.5 * a
+    half += half.conj().swapaxes(-1, -2)
+    return half
 
 
 def hermiticity_defect(a: np.ndarray) -> float:

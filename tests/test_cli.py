@@ -306,6 +306,21 @@ class TestExitCodes:
         assert "error: cannot write outputs" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hamiltonian_near_float_max_exit_3(self, tmp_path, dim):
+        # finite entries pass check; H + H^dagger and the generator overflow,
+        # which run reports as a numerical failure, without a traceback
+        diag = [1.5e308, -1.5e308, 0.5][:dim]
+        matrix = [[[diag[i] if i == j else 0.0, 0.0] for j in range(dim)] for i in range(dim)]
+        path = write_config(tmp_path, {
+            "kind": "evolve", "system": {"dim": dim, "hamiltonian": {"matrix": matrix}},
+            "q": 2.0, "state": {"random": {"seed": 2}}, "integrator": {"dt": 1e-2, "t_final": 0.1}})
+        assert main(["check", str(path)]) == 0
+        proc = run_in_subprocess(path)
+        assert proc.returncode == 3, proc.stderr
+        assert any(line.startswith("error: ") for line in proc.stderr.splitlines()), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_numerical_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         def fail(traj, element):
             raise NumericalFailure("phase fit unreliable")

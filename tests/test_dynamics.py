@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from nvne.composite import CompositeSystem
+import nvne.composite
+import nvne.dynamics
+from nvne.composite import CompositeSystem, evolve_composite
 from nvne.deformation import PowerLaw
 from nvne.dynamics import (
+    MAX_SQUARINGS,
     RECORD_BLOCK_BYTES,
+    TAYLOR_THETA,
     IntegratorConfig,
     _advance,
     _advance_su2,
+    _blocks,
+    _expi,
     _record,
     _step_spectral,
     evolve,
@@ -27,23 +33,47 @@ from nvne.hermitian import (
     trace_distance,
     validate_density,
 )
-from nvne.structure import _divided_difference_transform, generator, hamiltonian_function
+from nvne.structure import (
+    _divided_difference_transform,
+    _eigenframe_generator,
+    generator,
+    hamiltonian_function,
+)
+
+
+def eigh_propagator(v, h, kernel, tau):
+    """exp(-i G tau) with G the generator at the eigenvectors v, from an
+    eigh of G in the lab frame."""
+    gw, gu = np.linalg.eigh(_divided_difference_transform(v, h, kernel))
+    return (gu * np.exp(-1j * gw * tau)) @ gu.conj().T
 
 
 def one_stage_step(v, h, kernel, dt):
     """exp(-i G dt) V with G taken at V itself: the one-stage (Euler)
     rule, exact when G is the same at every state."""
-    gw, gu = np.linalg.eigh(_divided_difference_transform(v, h, kernel))
-    return (gu * np.exp(-1j * gw * dt)) @ gu.conj().T @ v
+    return eigh_propagator(v, h, kernel, dt) @ v
 
 
-def one_stage_steps(v, h, kernel, dt, n, every):
-    """_advance with the one-stage rule: a step stream that is not the
-    integrator's, for the parts of evolve that do not depend on the rule."""
-    for k in range(1, n + 1):
-        v = one_stage_step(v, h, kernel, dt)
-        if k % every == 0 or k == n:
-            yield k, v
+def eigh_midpoint_step(v, h, kernel, dt):
+    """The midpoint step with both exponentials from eigh of the lab-frame
+    generator: the former d >= 3 step, the oracle for _step_spectral."""
+    return eigh_propagator(eigh_propagator(v, h, kernel, dt / 2) @ v, h, kernel, dt) @ v
+
+
+def advance_with(step):
+    """_advance with the given step rule at every dimension."""
+    def advance(v, h, kernel, dt, n, every):
+        for k in range(1, n + 1):
+            v = step(v, h, kernel, dt)
+            if k % every == 0 or k == n:
+                yield k, v
+
+    return advance
+
+
+# a step stream that is not the integrator's, for the parts of evolve that
+# do not depend on the rule
+one_stage_steps = advance_with(one_stage_step)
 
 
 def per_state_evolve(rho0, h, f, cfg, advance=_advance):
@@ -158,6 +188,15 @@ class TestEvolve:
         with pytest.raises(DomainError, match="NaN or infinite"):
             CompositeSystem(dim_1=dim, dim_2=2, h1=h, h2=-SIGMA_Z, q1=2.0, q2=2.0)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hamiltonian_near_float_max_raises_numerical_failure(self, rng, dim):
+        # finite, but H + H^dagger overflows and so does the generator: a
+        # NumericalFailure, neither a NaN trajectory nor a numpy error
+        h = np.diag([1.5e308, -1.5e308, 0.5][:dim]).astype(complex)
+        rho = random_density_matrix(dim, rng)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalFailure):
+            evolve(rho, h, PowerLaw(q=2.0), IntegratorConfig(dt=1e-2, t_final=0.1))
+
     @pytest.mark.parametrize("dim, h_dim", [(2, 3), (3, 2)])
     def test_hamiltonian_dim_mismatch_rejected(self, rng, dim, h_dim):
         rho = random_density_matrix(dim, rng)
@@ -242,15 +281,20 @@ class TestEvolve:
             # ||G|| <= 3 ||H||
             assert np.max(np.abs(generator(s, h, f))) < 3.0
 
-    def test_convergence_order_of_midpoint(self):
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_convergence_order_of_midpoint(self, dim):
         # q=3 tilted spin has a genuine second-order error (q=2 and
-        # equatorial states are integrated exactly)
-        rho = bloch_state(lam=0.75, phi=np.pi / 3, psi=0.3)
+        # equatorial states are integrated exactly); at d >= 3 a random
+        # mixed state in a random unit-norm field
+        if dim == 2:
+            rho, h = bloch_state(lam=0.75, phi=np.pi / 3, psi=0.3), -SIGMA_Z
+        else:
+            rho, h = seeded_problem(dim, False, seed=dim)
         f = PowerLaw(q=3.0)
 
         def end_state(dt):
             cfg = IntegratorConfig(dt=dt, t_final=2.0, record_every=10**9)
-            return evolve(rho, -SIGMA_Z, f, cfg).states[-1].matrix
+            return evolve(rho, h, f, cfg).states[-1].matrix
 
         ref = end_state(4e-4)
         err1 = np.linalg.norm(end_state(4e-3) - ref)
@@ -328,7 +372,8 @@ class TestRecordedStack:
 
 
 class TestSU2Kernel:
-    @pytest.mark.parametrize("numpy_step", [_step_spectral], ids=["midpoint"])
+    @pytest.mark.parametrize("numpy_step", [_step_spectral, eigh_midpoint_step],
+                             ids=["midpoint", "eigh-midpoint"])
     @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
     def test_matches_numpy_step(self, q, pure, numpy_step):
@@ -359,6 +404,109 @@ class TestSU2Kernel:
         h = np.diag(h_diag).astype(complex)
         traj = evolve(rho, h, PowerLaw(q=2.0), IntegratorConfig(dt=1e-2, t_final=5.0))
         assert np.max(np.abs(traj.matrices - rho.matrix)) < 1e-12
+
+
+class TestEigenframeStep:
+    @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("dim", [3, 4, 8, 16])
+    def test_matches_eigh_midpoint_step(self, dim, q, pure):
+        # the same scheme with its exponentials from eigh in the lab frame;
+        # the gap is round-off accumulated over 1,000 steps
+        rho, h = seeded_problem(dim, pure, seed=10 * dim + int(4 * q) + pure)
+        f = PowerLaw(q=q)
+        cfg = IntegratorConfig(dt=1e-3, t_final=1.0, record_every=100)
+        traj = evolve(rho, h, f, cfg)
+        _, states, _ = per_state_evolve(rho, h, f, cfg, advance_with(eigh_midpoint_step))
+        assert np.max(np.abs(traj.matrices - [s.matrix for s in states])) < 1e-12
+
+    def test_stiff_step_matches_eigh_midpoint_step(self):
+        # ||A(V) dt||_F = 3: the half step alone squares its exponential
+        # 6 times
+        rho, h = seeded_problem(4, False, seed=0)
+        f = PowerLaw(q=2.0)
+        w = rho.eigenvalues
+        a = _eigenframe_generator(rho.eigenvectors, h, f.divided_difference(w[:, None], w[None, :]))
+        dt = 3.0 / np.linalg.norm(a)
+        assert 1.5 / TAYLOR_THETA > 2**5
+        cfg = IntegratorConfig(dt=dt, t_final=100 * dt, record_every=10)
+        traj = evolve(rho, h, f, cfg)
+        _, states, _ = per_state_evolve(rho, h, f, cfg, advance_with(eigh_midpoint_step))
+        assert np.max(np.abs(traj.matrices - [s.matrix for s in states])) < 1e-12
+
+    def test_steps_take_no_eigendecomposition(self, monkeypatch):
+        # the eigensolvers count only while _advance runs, except eigvalsh,
+        # which the recording pass calls once per block
+        calls = {"eigh": 0, "eigvalsh": 0, "stepping": 0}
+        stepping = [False]
+
+        def counted(name):
+            solver = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                calls["stepping" if stepping[0] else name] += 1
+                return solver(*args, **kwargs)
+
+            return call
+
+        def advance(*args):
+            steps = _advance(*args)
+            while True:
+                stepping[0] = True
+                try:
+                    item = next(steps)
+                except StopIteration:
+                    return
+                finally:
+                    stepping[0] = False
+                yield item
+
+        rho, h = seeded_problem(16, False, seed=1)
+        system = CompositeSystem(dim_1=4, dim_2=4, h1=seeded_problem(4, False, 3)[1],
+                                 h2=seeded_problem(4, False, 4)[1], q1=1.5, q2=2.5)
+        cfg = IntegratorConfig(dt=1e-3, t_final=0.1, record_every=10)
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        monkeypatch.setattr(nvne.dynamics, "_advance", advance)
+        monkeypatch.setattr(nvne.composite, "_advance", advance)
+        traj = evolve(rho, h, PowerLaw(q=2.0), cfg)
+        assert calls == {"eigh": 0, "eigvalsh": len(_blocks(0, len(traj.times), 16)), "stepping": 0}
+        evolve_composite(rho, system, cfg)
+        assert calls["stepping"] == 0
+
+
+class TestExpi:
+    # ||a tau||_F at the middle of each scaling branch s = 0..10, then 50 (s = 11)
+    NORMS = [TAYLOR_THETA * 2.0 ** (s - 0.5) for s in range(11)] + [50.0]
+
+    @pytest.mark.parametrize("norm", NORMS, ids=[f"s{s}" for s in range(12)])
+    @pytest.mark.parametrize("dim", [3, 8, 64])
+    def test_matches_spectral_exponential(self, dim, norm):
+        tau = 0.5
+        a = random_hermitian(dim, np.random.default_rng(dim))
+        a *= norm / (tau * np.linalg.norm(a))
+        w, u = np.linalg.eigh(a)
+        got = _expi(a, tau)
+        assert np.max(np.abs(got - (u * np.exp(-1j * w * tau)) @ u.conj().T)) < 1e-13 * max(1.0, norm)
+        assert np.max(np.abs(got.conj().T @ got - np.eye(dim))) < 1e-13
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_zero_matrix_gives_identity(self, dim):
+        assert np.array_equal(_expi(np.zeros((dim, dim), dtype=complex), 0.7), np.eye(dim))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_norm_raises(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[0, 0] = bad
+        with pytest.raises(NumericalFailure, match="not finite"):
+            _expi(a, 1e-3)
+
+    def test_too_many_squarings_raise(self):
+        a = np.diag([1.0, -1.0, 0.0]).astype(complex)
+        tau = TAYLOR_THETA * 2.0**MAX_SQUARINGS / np.sqrt(2.0)
+        assert np.all(np.isfinite(_expi(a, 0.99 * tau)))
+        with pytest.raises(NumericalFailure, match="reduce dt"):
+            _expi(a, 1.01 * tau)
 
 
 class TestLinearLimit:

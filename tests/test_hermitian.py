@@ -14,11 +14,13 @@ from nvne.hermitian import (
     SIGMA_Z,
     DensityMatrix,
     bloch_state,
+    hermitian_part,
     matrix_function,
     partial_trace,
     pure_state,
     random_density_matrix,
     random_hermitian,
+    require_hermitian,
     trace_distance,
     trace_norm,
     validate_density,
@@ -285,6 +287,23 @@ class TestBloch:
                                       np.cos(phi)])
         rebuilt = 0.5 * (IDENTITY_2 + n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
         assert np.allclose(rebuilt, rho.matrix, atol=1e-12)
+
+
+class TestHermitianPart:
+    def test_bitwise_half_sum_in_range(self, rng):
+        # halving before the sum changes no bit where the sum is finite and
+        # normal, for one matrix and for a stack
+        for shape in [(4, 4), (5, 3, 3)]:
+            a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            assert np.array_equal(hermitian_part(a), 0.5 * (a + a.conj().swapaxes(-1, -2)))
+
+    def test_entries_near_float_max_stay_finite(self):
+        # 1.5e308 + 1.5e308 overflows; the Hermitian part of a Hermitian
+        # matrix is the matrix itself
+        h = np.diag([1.5e308, -1.5e308, 0.5]).astype(complex)
+        h[0, 2], h[2, 0] = 1e308 + 1e308j, 1e308 - 1e308j
+        assert np.array_equal(hermitian_part(h), h)
+        assert np.array_equal(require_hermitian(h), h)
 
 
 class TestRandomHermitian:
