@@ -380,12 +380,12 @@ def _parse_compare_linear(spec, path: str, state, h, icfg, **_):
         u = (v * np.exp(-1j * w * traj.times[-1])) @ v.conj().T
         linear = u @ state.matrix @ u.conj().T
         if laws:
-            dists = [trace_distance(dynamics.evolve(state, h, law, icfg).states[-1], linear)
+            dists = [trace_distance(dynamics.evolve(state, h, law, icfg).matrices[-1], linear)
                      for law in laws]
             headline["linear_trace_distance"] = {f"q={law.q:g}": d for law, d in zip(laws, dists)}
             measured["linear_trace_distance"] = max(dists)
         else:
-            dist = trace_distance(traj.states[-1], linear)
+            dist = trace_distance(traj.matrices[-1], linear)
             headline["linear_trace_distance"] = measured["linear_trace_distance"] = dist
     return ["linear_trace_distance"], run
 
@@ -429,7 +429,7 @@ def _parse_stability_reference(spec, path: str, dim, state, **_):
         raise ConfigError(f"config key {path} equals the initial state")
 
     def run(traj, headline, measured):
-        worst = max(trace_distance(s, ref) for s in traj.states)
+        worst = max(trace_distance(m, ref) for m in traj.matrices)
         headline["stability"] = {"initial_distance": d0, "max_distance": worst,
                                  "factor": worst / d0}
         measured["stability_factor"] = worst / d0
@@ -446,7 +446,7 @@ def _parse_convergence(spec, path: str, state, h, f, **_):
             for step in (dt / divisor, dt, dt / 2)]
 
     def run(traj, headline, measured):
-        ref, coarse, fine = (dynamics.evolve(state, h, f, c).states[-1].matrix for c in runs)
+        ref, coarse, fine = (dynamics.evolve(state, h, f, c).matrices[-1] for c in runs)
         err_coarse = float(np.linalg.norm(coarse - ref))
         err_fine = float(np.linalg.norm(fine - ref))
         ratio = err_coarse / max(err_fine, 1e-300)
@@ -621,7 +621,7 @@ def _parse_ensemble(cfg: dict):
                 drift = max(drift, dynamics.invariant_report(traj).eigenvalue_drift)
                 short = dynamics.evolve(rho0, h, f, ccfg)
                 closed = ensemble.evolve_node(espec, lam, phi, psi, short.times[-1])
-                cross = max(cross, float(np.max(np.abs(short.states[-1].matrix - closed.matrix))))
+                cross = max(cross, float(np.max(np.abs(short.matrices[-1] - closed.matrix))))
             headline["node_check"] = {"eigenvalue_drift": drift, "closed_form_gap": cross}
             measured.update(node_eigenvalue_drift=drift, node_crosscheck=cross)
         return headline, measured, None, plot
@@ -690,7 +690,8 @@ def write_trajectory_csv(traj: dynamics.Trajectory, path: Path) -> None:
 
 
 def write_series_csv(rows, header: list, path: Path) -> None:
-    lines = [",".join(header)] + [",".join(format(float(x), ".17g") for x in row) for row in rows]
+    line = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [line % tuple(row.tolist()) for row in np.asarray(rows, dtype=float)]
     path.write_text("\n".join(lines) + "\n")
 
 

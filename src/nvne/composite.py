@@ -10,9 +10,10 @@ each reduction obeys its own isospectral equation: its spectrum and kernel
 are constants of the flow. evolve_composite therefore steps the
 eigenvectors V_I, V_II of the two reductions through dynamics._advance
 (kernels taken once from the initial reductions) and forms the joint state
-only at record points, with eigenvectors kron(W_I, W_II) V_0, where
-W = V(t) V(0)^dagger, and the invariant spectrum of rho_AB(0). The partial
-trace of the joint trajectory tracks the independently integrated
+at the record points, with eigenvectors kron(W_I, W_II) V_0, where
+W = V(t) V(0)^dagger, and the invariant spectrum of rho_AB(0); the energy
+log comes from the spectra and eigenvector stacks of the reductions. The
+partial trace of the joint trajectory tracks the independently integrated
 subsystem equations to round-off.
 """
 from __future__ import annotations
@@ -61,15 +62,17 @@ def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorC
     if rho0.dim != d:
         raise DomainError(f"joint state dim {rho0.dim} != {sys.dim_1}*{sys.dim_2}")
     dims = (sys.dim_1, sys.dim_2)
-    runs, starts = [], []
+    runs = []
     for keep, h, f in (("I", sys.h1, sys.f1), ("II", sys.h2, sys.f2)):
         red = partial_trace(rho0, dims, keep)
-        v = red.eigenvectors
-        runs.append(_advance(v, h, _kernel(red.eigenvalues, f), cfg.dt, cfg.n_steps, cfg.record_every))
-        starts.append(v.conj().T)
-    steps = ((k, np.kron(v1 @ starts[0], v2 @ starts[1]) @ rho0.eigenvectors)
-             for (k, v1), (_, v2) in zip(*runs))
-    return _record(rho0, steps, cfg, lambda block: [composite_energy(s, sys) for s in block])
+        runs.append((red.eigenvalues, _advance(red.eigenvectors, h, _kernel(red.eigenvalues, f),
+                                               cfg.dt, cfg.n_steps, cfg.record_every), h, f))
+    # W = V(t) V(0)^dagger of each reduction
+    w1, w2 = (v @ v[0].conj().T for _, v, _, _ in runs)
+    vs = np.einsum("tij,tkl->tikjl", w1, w2).reshape(-1, d, d) @ rho0.eigenvectors
+    vs[0] = rho0.eigenvectors
+    # the energies of the reductions V(t) diag(w) V(t)^dagger, from their stacks
+    return _record(rho0, vs, cfg, lambda b: sum(hamiltonian_function((w, v[b]), h, f) for w, v, h, f in runs))
 
 
 def composite_energy(state: DensityMatrix, sys: CompositeSystem) -> float:
@@ -97,13 +100,13 @@ def reduction_consistency(traj_ab: Trajectory, sys: CompositeSystem, cfg: Integr
     equation and compare against the partial traces of the joint run at the
     recorded times."""
     dims = (sys.dim_1, sys.dim_2)
-    r1_traj = evolve(partial_trace(traj_ab.states[0], dims, "I"), sys.h1, sys.f1, cfg)
-    r2_traj = evolve(partial_trace(traj_ab.states[0], dims, "II"), sys.h2, sys.f2, cfg)
+    r1_traj = evolve(partial_trace(traj_ab.matrices[0], dims, "I"), sys.h1, sys.f1, cfg)
+    r2_traj = evolve(partial_trace(traj_ab.matrices[0], dims, "II"), sys.h2, sys.f2, cfg)
     if not np.array_equal(r1_traj.times, traj_ab.times):
         raise DomainError("reduction_consistency needs the integrator config of the joint run: "
                           f"its times differ from the joint run's {len(traj_ab.times)} recorded times")
     dev1 = dev2 = 0.0
-    for s, s1, s2 in zip(traj_ab.states, r1_traj.states, r2_traj.states):
-        dev1 = max(dev1, trace_norm(partial_trace(s, dims, "I").matrix - s1.matrix))
-        dev2 = max(dev2, trace_norm(partial_trace(s, dims, "II").matrix - s2.matrix))
+    for m, m1, m2 in zip(traj_ab.matrices, r1_traj.matrices, r2_traj.matrices):
+        dev1 = max(dev1, trace_norm(partial_trace(m, dims, "I").matrix - m1))
+        dev2 = max(dev2, trace_norm(partial_trace(m, dims, "II").matrix - m2))
     return ClosureReport(max_deviation_1=dev1, max_deviation_2=dev2)

@@ -4,22 +4,25 @@ Steps conjugate the state with exp(-i G dt) where G is the
 divided-difference generator, so spectrum, trace and positivity are
 preserved by construction; discretization error lives only in the orbit
 phase. Each step is the midpoint rule: G is evaluated at a half-step
-state, which makes it second order. All stepping goes through _advance.
-The eigenvalues are invariants, so the divided-difference kernel K is
-taken once per trajectory, and _advance steps in one of two branches:
+state, which makes it second order. All stepping goes through _advance,
+which returns the (T, d, d) stack of eigenvectors at the record points,
+filled in place. The eigenvalues are invariants, so the divided-difference
+kernel K is taken once per trajectory, and _advance steps in two branches:
 
-- d = 2: the same step on Python complex scalars with the closed-form
-  SU(2) exponential, which agrees with the numpy path to round-off and is
-  about 5x faster;
+- d = 2: Python floats in Bloch form. With beta = K_01, G = beta H +
+  V diag(c) V^H with c_i = (K_ii - beta)(V^H H V)_ii, whose traceless part
+  is w = beta h + (c_0 - c_1)/2 n for the Bloch vectors h of H and n of
+  V's first column; exp(-i G tau) is cos(|w| tau) - i sin(|w| tau)
+  w_hat.sigma times a global phase, which cancels in every state and is
+  dropped. So det V is invariant, and only V's first column is stepped;
 - d >= 3: numpy in the eigenframe of the state. The generator there is
   A = (V^H H V) o K, and each exponential exp(-i A tau) is a scaled Taylor
   polynomial (_expi), so no eigendecomposition runs while stepping.
 
-The step loop writes the eigenvectors of every recorded state into a
-preallocated (T, d, d) stack. The spectrum is invariant, so after the loop
-the recorded matrices and the whole invariant log are computed in batched
-numpy calls over blocks of that stack (RECORD_BLOCK_BYTES of complex
-entries each). The logged eigenvalues come from one eigvalsh per block of
+The spectrum is invariant, so after the loop the recorded matrices and the
+whole invariant log are computed in batched numpy calls over blocks of the
+stack (RECORD_BLOCK_BYTES of complex entries each); a Trajectory holds
+them as arrays. The logged eigenvalues come from one eigvalsh per block of
 the materialized matrices, an independent check of the spectrum the
 integrator holds fixed. Composite runs record through the same pass.
 """
@@ -84,33 +87,50 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded states with per-time invariants (C_1..C_5 and the energy).
-
-    matrices is the read-only (T, d, d) stack of the recorded density
-    matrices; the states of an evolve run after the first are views into it.
-    """
+    """A recorded run as read-only arrays: times (T,), the invariant spectrum
+    eigenvalues (d,), the recorded eigenvectors and matrices (T, d, d), and
+    the invariant log (C1..C5, Hq, recomputed eigenvalues, hermiticity)."""
 
     times: np.ndarray
-    states: tuple
-    invariant_log: dict
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     matrices: np.ndarray
+    invariant_log: dict
+
+    @property
+    def states(self) -> tuple:
+        """The recorded states, as DensityMatrix views into the stacks."""
+        return tuple(DensityMatrix(matrix=m, eigenvalues=self.eigenvalues, eigenvectors=v)
+                     for m, v in zip(self.matrices, self.eigenvectors))
 
 
 def _advance(v, h, kernel, dt, n, every):
-    """Take n steps from the eigenvectors v, yielding (k, V) after every
-    every-th step and after the last. The kernel is fixed: the eigenvalues
-    are invariants of the flow."""
+    """The eigenvectors after every every-th of n steps from v, and after
+    the last: the (T, d, d) stack of the record points, row 0 = v. The
+    kernel is fixed: the eigenvalues are invariants of the flow."""
+    sizes = [every] * (n // every) + [n % every] * (n % every != 0)
+    vs = np.empty((1 + len(sizes),) + v.shape, dtype=complex)
+    vs[0] = v
     if v.shape == (2, 2):
         try:
-            yield from _advance_su2(v, h, kernel, dt, n, every)
+            cols = np.array(_advance_su2(v, h, kernel, dt, sizes)).view(complex).reshape(-1, 2)
         except ValueError as exc:
             # math.cos and math.sin of an infinite phase: G overflowed
             raise NumericalFailure(f"2x2 step failed, the generator overflowed: {exc}") from exc
-        return
-    for k in range(1, n + 1):
-        v = _step_spectral(v, h, kernel, dt)
-        if k % every == 0 or k == n:
-            yield k, v
+        # the steps are in SU(2): the second column stays det(v) (-conj(c), conj(a))
+        det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
+        vs[1:, :, 0], vs[1:, :, 1] = cols, det * cols[:, ::-1].conj() * [-1.0, 1.0]
+        return vs
+    # once per run: an overflowing generator raises instead of printing a warning
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for r, size in enumerate(sizes, 1):
+                for _ in range(size):
+                    v = _step_spectral(v, h, kernel, dt)
+                vs[r] = v
+        except FloatingPointError as exc:
+            raise NumericalFailure(f"step failed, the generator overflowed: {exc}") from exc
+    return vs
 
 
 def _step_spectral(v, h, kernel, dt):
@@ -160,42 +180,41 @@ def _expi(a, tau):
     return e
 
 
-def _advance_su2(v, h, kernel, dt, n, every):
-    """_advance at d = 2 on Python complex scalars, V = (a, b, c, d) row-major.
+def _advance_su2(v, h, kernel, dt, sizes):
+    """The first column (a, c) of V at d = 2, stepped on Python floats by
+    exp(-i w.sigma tau) (see the module docstring) size steps at a time for
+    each size in sizes: one flat list of Re a, Im a, Re c, Im c after each."""
+    (h00, h01), (_, h11) = h.tolist()
+    (k00, beta), (_, k11) = kernel.tolist()
+    hx, hy, hz = h01.real, -h01.imag, 0.5 * h00.real - 0.5 * h11.real
+    bx, by, bz = beta * hx, beta * hy, beta * hz
+    # (c_0 - c_1)/2 = p + r h.n, with (V^H H V)_ii = h_0 +- h.n
+    p = 0.5 * (k00 - k11) * (0.5 * h00.real + 0.5 * h11.real)
+    r = 0.5 * (k00 + k11) - beta
+    cos, sin, sqrt = math.cos, math.sin, math.sqrt
 
-    The generator is that of _step_spectral; writing G = m*1 + w.sigma,
-    exp(-i G tau) = exp(-i m tau) (cos(|w| tau) 1 - i sin(|w| tau) w_hat.sigma).
-    """
-    (h00, h01), (h10, h11) = h.tolist()
-    (k00, k01), (k10, k11) = kernel.tolist()
+    def rotor(ar, ai, cr, ci, tau):  # cos(|w| tau), sin(|w| tau) w_hat at the column (a, c)
+        nx, ny = 2.0 * (ar * cr + ai * ci), 2.0 * (ar * ci - ai * cr)
+        nz = ar * ar + ai * ai - cr * cr - ci * ci
+        g = p + r * (hx * nx + hy * ny + hz * nz)
+        wx, wy, wz = bx + g * nx, by + g * ny, bz + g * nz
+        norm = sqrt(wx * wx + wy * wy + wz * wz)
+        sn = 0.0 if norm < 1e-300 else sin(norm * tau) / norm
+        return cos(norm * tau), sn * wx, sn * wy, sn * wz
 
-    def rotate(gv, tau, v):
-        """exp(-i G tau) V, with G the generator at the eigenvectors gv."""
-        a, b, c, d = gv
-        # A = (V^H H V) o K, B = V A and G = B V^H, Hermitian
-        ha, hb = h00 * a + h01 * c, h00 * b + h01 * d
-        hc, hd = h10 * a + h11 * c, h10 * b + h11 * d
-        ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-        a00, a01 = (ac * ha + cc * hc) * k00, (ac * hb + cc * hd) * k01
-        a10, a11 = (bc * ha + dc * hc) * k10, (bc * hb + dc * hd) * k11
-        b00, b01 = a * a00 + b * a10, a * a01 + b * a11
-        b10, b11 = c * a00 + d * a10, c * a01 + d * a11
-        g00, g01, g11 = (b00 * ac + b01 * bc).real, b00 * cc + b01 * dc, (b10 * cc + b11 * dc).real
-        mean, wz, wx, wy = 0.5 * (g00 + g11), 0.5 * (g00 - g11), g01.real, -g01.imag
-        norm = math.sqrt(wx * wx + wy * wy + wz * wz)
-        cs = math.cos(norm * tau)
-        sn = 0.0 if norm < 1e-300 else math.sin(norm * tau) / norm
-        phase = complex(math.cos(mean * tau), -math.sin(mean * tau))
-        u00, u01 = phase * complex(cs, -sn * wz), phase * complex(-sn * wy, -sn * wx)
-        u10, u11 = phase * complex(sn * wy, -sn * wx), phase * complex(cs, sn * wz)
-        a, b, c, d = v
-        return u00 * a + u01 * c, u00 * b + u01 * d, u10 * a + u11 * c, u10 * b + u11 * d
-
-    v = tuple(v.ravel().tolist())
-    for k in range(1, n + 1):
-        v = rotate(rotate(v, dt / 2, v), dt, v)
-        if k % every == 0 or k == n:
-            yield k, np.array(v).reshape(2, 2)
+    (a, _), (c, _) = v.tolist()
+    ar, ai, cr, ci = a.real, a.imag, c.real, c.imag
+    half, out = 0.5 * dt, []
+    for size in sizes:
+        for _ in range(size):
+            # the half step needs only the first column of W = exp(-i G dt/2) V
+            cs, x, y, z = rotor(ar, ai, cr, ci, half)
+            cs, x, y, z = rotor(cs * ar + z * ai + x * ci - y * cr, cs * ai - z * ar - x * cr - y * ci,
+                                cs * cr - z * ci + x * ai + y * ar, cs * ci + z * cr - x * ar + y * ai, dt)
+            ar, ai, cr, ci = (cs * ar + z * ai + x * ci - y * cr, cs * ai - z * ar - x * cr - y * ci,
+                              cs * cr - z * ci + x * ai + y * ar, cs * ci + z * cr - x * ar + y * ai)
+        out += (ar, ai, cr, ci)
+    return out
 
 
 def evolve(
@@ -207,8 +226,8 @@ def evolve(
     if h.shape[0] != rho0.dim:
         raise DomainError(f"hamiltonian dim {h.shape[0]} != state dim {rho0.dim}")
     kernel = _kernel(rho0.eigenvalues, f)
-    steps = _advance(rho0.eigenvectors, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every)
-    return _record(rho0, steps, cfg, lambda block: hamiltonian_function(block, h, f))
+    vs = _advance(rho0.eigenvectors, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every)
+    return _record(rho0, vs, cfg, lambda b: hamiltonian_function((rho0.eigenvalues, vs[b]), h, f))
 
 
 def _blocks(start: int, stop: int, dim: int) -> list:
@@ -216,20 +235,14 @@ def _blocks(start: int, stop: int, dim: int) -> list:
     return [slice(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
 
 
-def _record(rho0: DensityMatrix, steps, cfg: IntegratorConfig, energy) -> Trajectory:
-    """Trajectory of rho0 from the (k, V) pairs that steps yields at the
-    record points of cfg, V being the eigenvectors of the state after k
-    steps. The recorded matrices and their invariant log are taken in
-    blocks of the stack; energy maps a tuple of states to their energies."""
-    n, every, dim = cfg.n_steps, cfg.record_every, rho0.dim
-    count = 1 + n // every + (n % every != 0)
-    times = np.empty(count)
-    vs = np.empty((count, dim, dim), dtype=complex)
-    times[0], vs[0] = 0.0, rho0.eigenvectors
-    for r, (k, v) in enumerate(steps, 1):
-        times[r], vs[r] = k * cfg.dt, v
+def _record(rho0: DensityMatrix, vs: np.ndarray, cfg: IntegratorConfig, energy) -> Trajectory:
+    """Trajectory of rho0 from vs, its eigenvectors at the record points of
+    cfg, with the matrices and invariant log taken in blocks of the stack;
+    energy maps a slice of the stack to the energies of its states."""
     if not np.all(np.isfinite(vs)):
         raise NumericalFailure("the integrator produced non-finite eigenvectors")
+    count, dim = vs.shape[:2]
+    times = np.minimum(np.arange(count) * cfg.record_every, cfg.n_steps) * cfg.dt
     # the step leaves the eigenvalues untouched, so every recorded state
     # shares the spectrum of rho0, with round-off zeros as in
     # density_from_spectrum
@@ -241,17 +254,8 @@ def _record(rho0: DensityMatrix, steps, cfg: IntegratorConfig, energy) -> Trajec
         matrices[b] = hermitian_part((vb * w) @ vb.conj().swapaxes(1, 2))
     for a in (times, vs, matrices, w):
         a.setflags(write=False)
-    states = (rho0,) + tuple(
-        DensityMatrix(matrix=m, eigenvalues=w, eigenvectors=u)
-        for m, u in zip(matrices[1:], vs[1:])
-    )
-    log = {
-        "eigenvalues": np.empty((count, dim)),
-        "Hq": np.empty(count),
-        "hermiticity": np.empty(count),
-    }
-    for n in range(1, 6):
-        log[f"C{n}"] = np.empty(count)
+    log = {"eigenvalues": np.empty((count, dim))}
+    log.update((key, np.empty(count)) for key in ["Hq", "hermiticity"] + [f"C{n}" for n in range(1, 6)])
     for b in _blocks(0, count, dim):
         m = matrices[b]
         # eigenvalues recomputed from the materialized matrices so the log
@@ -260,9 +264,10 @@ def _record(rho0: DensityMatrix, steps, cfg: IntegratorConfig, energy) -> Trajec
         log["eigenvalues"][b] = ev
         for n in range(1, 6):
             log[f"C{n}"][b] = np.sum(ev**n, axis=1)
-        log["Hq"][b] = energy(states[b])
+        log["Hq"][b] = energy(b)
         log["hermiticity"][b] = np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
-    return Trajectory(times=times, states=states, invariant_log=log, matrices=matrices)
+    return Trajectory(times=times, eigenvalues=w, eigenvectors=vs, matrices=matrices,
+                      invariant_log=log)
 
 
 @dataclass(frozen=True)

@@ -178,9 +178,8 @@ def _ensemble_average_integrated(spec: EnsembleSpec, t: float, cfg: IntegratorCo
     acc = np.zeros((2, 2), dtype=complex)
     for k in range(lam.size):
         state = bloch_state(lam=lam[k], phi=phi[k], psi=psi[k])
-        if run_cfg is not None:
-            state = evolve(state, spec.h, spec.f, run_cfg).states[-1]
-        acc += w[k] * state.matrix
+        acc += w[k] * (state.matrix if run_cfg is None
+                       else evolve(state, spec.h, spec.f, run_cfg).matrices[-1])
     return validate_density(acc)
 
 

@@ -36,13 +36,13 @@ def hamiltonian_function(rho, h: np.ndarray, f: DeformationFunction):
     """Energy (Tr rho) * Tr[f(rho / Tr rho) H].
 
     Accepts a DensityMatrix or any Hermitian PSD matrix with positive
-    trace; 1-homogeneous under rho -> c*rho. A sequence of DensityMatrix
-    gives the array of their energies from one batched eigenbasis diagonal.
+    trace; 1-homogeneous under rho -> c*rho. A pair (w, V) of a spectrum
+    and a (T, d, d) eigenvector stack gives the array of the energies of
+    the states V diag(w) V^dagger from one batched eigenbasis diagonal.
     """
     h = np.asarray(h, dtype=complex)
-    if isinstance(rho, (list, tuple)):
-        w = np.array([s.eigenvalues for s in rho])
-        v = np.array([s.eigenvectors for s in rho])
+    if isinstance(rho, tuple):
+        w, v = rho
         return np.sum(f.f(w) * _eigenbasis_diagonal(v, h), axis=1)
     if isinstance(rho, DensityMatrix):
         w, v = rho.eigenvalues, rho.eigenvectors

@@ -320,6 +320,7 @@ class TestExitCodes:
         assert proc.returncode == 3, proc.stderr
         assert any(line.startswith("error: ") for line in proc.stderr.splitlines()), proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
     def test_numerical_failure_exit_3(self, tmp_path, monkeypatch, capsys):
         def fail(traj, element):
@@ -460,6 +461,20 @@ class TestOutputs:
         assert all("threshold" in a for a in summary["assertions"])
         assert summary["headline"]["omega_measured"] == pytest.approx(2.0, abs=1e-5)
         assert summary["headline"]["omega_predicted"] == pytest.approx(2.0)
+
+    def test_csv_bytes_match_per_element_format(self, tmp_path):
+        # one "%.17g" format per row writes what format(x, ".17g") per
+        # element wrote, on special values, signed zeros and subnormals too
+        values = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                  1.7976931348623157e308, 0.1, -1.0 / 3.0, 1e16, 123456789.0, 2.0**-1074 * 3]
+        rows = np.array(values * 2).reshape(4, -1)
+        header = [f"c{i}" for i in range(rows.shape[1])]
+        nvne.cli.write_series_csv(rows, header, tmp_path / "a.csv")
+        want = "\n".join([",".join(header)] + [",".join(format(float(x), ".17g") for x in row)
+                                               for row in rows]) + "\n"
+        assert (tmp_path / "a.csv").read_bytes() == want.encode()
+        nvne.cli.write_series_csv([tuple(row) for row in rows], header, tmp_path / "b.csv")
+        assert (tmp_path / "b.csv").read_bytes() == want.encode()
 
     def test_deterministic_csv(self, tmp_path):
         cfg = tiny_evolve_config()

@@ -128,7 +128,10 @@ class TestEvolveComposite:
     @pytest.mark.parametrize("dims, record_every", [((2, 2), 1), ((2, 3), 4)])
     def test_log_matches_per_state_oracle(self, rng, dims, record_every):
         # the composite run shares the block logger of evolve; the oracle is
-        # the per-state loop it replaced
+        # the per-state loop it replaced. The run takes Hq from the spectra
+        # and eigenvector stacks of the reductions, the oracle from the
+        # partial traces of each joint state: equal up to round-off
+        # (4.4e-15 at most over 120 seeded runs of O(1) energies)
         sys_ = CompositeSystem(dim_1=dims[0], dim_2=dims[1],
                                h1=random_hermitian(dims[0], rng),
                                h2=random_hermitian(dims[1], rng), q1=1.5, q2=0.7)
@@ -143,6 +146,8 @@ class TestEvolveComposite:
                 oracle[f"C{n}"].append(float(np.sum(ev**n)))
             oracle["Hq"].append(composite_energy(s, sys_))
             oracle["hermiticity"].append(hermiticity_defect(s.matrix))
+        hq = oracle.pop("Hq")
+        assert np.max(np.abs(traj.invariant_log["Hq"] - hq)) < 1e-13
         for key, value in oracle.items():
             assert np.array_equal(traj.invariant_log[key], np.asarray(value)), key
         assert np.array_equal(traj.matrices, np.array([s.matrix for s in traj.states]))

@@ -11,7 +11,6 @@ from nvne.dynamics import (
     TAYLOR_THETA,
     IntegratorConfig,
     _advance,
-    _advance_su2,
     _blocks,
     _expi,
     _record,
@@ -61,12 +60,15 @@ def eigh_midpoint_step(v, h, kernel, dt):
 
 
 def advance_with(step):
-    """_advance with the given step rule at every dimension."""
+    """_advance with the given step rule at every dimension: the stack of
+    the eigenvectors at the record points, row 0 = v."""
     def advance(v, h, kernel, dt, n, every):
+        vs = [v]
         for k in range(1, n + 1):
             v = step(v, h, kernel, dt)
             if k % every == 0 or k == n:
-                yield k, v
+                vs.append(v)
+        return np.array(vs)
 
     return advance
 
@@ -80,12 +82,15 @@ def per_state_evolve(rho0, h, f, cfg, advance=_advance):
     """The integrator with one density_from_spectrum, eigvalsh and energy
     call per recorded state: the oracle for the recorded stack and the
     block pass of evolve. It steps through the same seam as evolve."""
-    w, v = rho0.eigenvalues, rho0.eigenvectors
+    w = rho0.eigenvalues
     kernel = f.divided_difference(w[:, None], w[None, :])
-    times, states = [0.0], [rho0]
-    for k, v in advance(v, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every):
-        times.append(k * cfg.dt)
-        states.append(density_from_spectrum(w, v))
+    vs = advance(rho0.eigenvectors, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every)
+    steps = [k for k in range(1, cfg.n_steps + 1)
+             if k % cfg.record_every == 0 or k == cfg.n_steps]
+    assert vs.shape == (1 + len(steps), rho0.dim, rho0.dim)
+    assert np.array_equal(vs[0], rho0.eigenvectors)
+    times = [0.0] + [k * cfg.dt for k in steps]
+    states = [rho0] + [density_from_spectrum(w, v) for v in vs[1:]]
     log = {key: [] for key in ("eigenvalues", "Hq", "hermiticity", "C1", "C2", "C3", "C4", "C5")}
     for s in states:
         ev = np.sort(np.linalg.eigvalsh(s.matrix))
@@ -320,14 +325,15 @@ class TestRecordedStack:
             advance = one_stage_steps
             w = rho.eigenvalues
             kernel = f.divided_difference(w[:, None], w[None, :])
-            steps = advance(rho.eigenvectors, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every)
-            traj = _record(rho, steps, cfg, lambda block: hamiltonian_function(block, h, f))
+            vs = advance(rho.eigenvectors, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every)
+            traj = _record(rho, vs, cfg, lambda b: hamiltonian_function((w, vs[b]), h, f))
         times, states, log = per_state_evolve(rho, h, f, cfg, advance)
         assert np.array_equal(traj.times, times)
         assert set(traj.invariant_log) == set(log)
         for key, value in log.items():
             assert np.array_equal(traj.invariant_log[key], value), key
         assert np.array_equal(traj.matrices, np.array([s.matrix for s in states]))
+        assert np.array_equal(traj.eigenvectors, np.array([s.eigenvectors for s in states]))
         for got, want in zip(traj.states, states, strict=True):
             assert np.array_equal(got.matrix, want.matrix)
             assert np.array_equal(got.eigenvalues, want.eigenvalues)
@@ -346,29 +352,36 @@ class TestRecordedStack:
             assert np.array_equal(traj.invariant_log[key], value), key
         assert np.array_equal(traj.matrices, np.array([s.matrix for s in states]))
 
-    def test_stack_is_read_only_and_backs_the_states(self, rng):
-        rho = random_density_matrix(3, rng)
-        traj = evolve(rho, random_hermitian(3, rng), PowerLaw(q=2.0),
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stacks_are_read_only_and_back_the_states(self, rng, dim):
+        rho = random_density_matrix(dim, rng)
+        traj = evolve(rho, random_hermitian(dim, rng), PowerLaw(q=2.0),
                       IntegratorConfig(dt=1e-2, t_final=0.1, record_every=3))
-        assert traj.matrices.shape == (len(traj.times), 3, 3)
-        assert not traj.matrices.flags.writeable
+        assert traj.matrices.shape == traj.eigenvectors.shape == (len(traj.times), dim, dim)
+        assert np.array_equal(traj.eigenvalues, rho.eigenvalues)
+        for a in (traj.times, traj.eigenvalues, traj.eigenvectors, traj.matrices):
+            assert not a.flags.writeable
         with pytest.raises(ValueError):
             traj.matrices[0, 0, 0] = 1.0
-        assert traj.states[0] is rho
-        for s in traj.states[1:]:
+        assert np.array_equal(traj.matrices[0], rho.matrix)
+        assert np.array_equal(traj.eigenvectors[0], rho.eigenvectors)
+        for s in traj.states:
             assert np.shares_memory(s.matrix, traj.matrices)
+            assert np.shares_memory(s.eigenvectors, traj.eigenvectors)
             assert not s.matrix.flags.writeable
             assert not s.eigenvectors.flags.writeable
         assert np.array_equal(traj.matrices[:, 0, 1], [s.matrix[0, 1] for s in traj.states])
 
-    def test_sequence_energy_equals_per_state_floats(self, rng):
+    @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+    def test_stack_energy_equals_per_state_floats(self, rng, pure):
         h = random_hermitian(4, rng)
         f = PowerLaw(q=0.7)
-        states = [random_density_matrix(4, rng) for _ in range(5)]
-        states.append(pure_state(rng.normal(size=4) + 1j * rng.normal(size=4)))
-        energies = hamiltonian_function(tuple(states), h, f)
-        assert energies.shape == (len(states),)
-        assert np.array_equal(energies, [hamiltonian_function(s, h, f) for s in states])
+        w = seeded_problem(4, pure, seed=3)[0].eigenvalues
+        vs = np.array([random_density_matrix(4, rng).eigenvectors for _ in range(6)])
+        energies = hamiltonian_function((w, vs), h, f)
+        assert energies.shape == (len(vs),)
+        assert np.array_equal(energies, [hamiltonian_function(density_from_spectrum(w, v), h, f)
+                                         for v in vs])
 
 
 class TestSU2Kernel:
@@ -382,15 +395,38 @@ class TestSU2Kernel:
         rho, h = seeded_problem(2, pure, seed=int(4 * q) + 10 * pure)
         w, v = rho.eigenvalues, rho.eigenvectors
         kernel = PowerLaw(q=q).divided_difference(w[:, None], w[None, :])
-        n, dt = 20000, 1e-3
-        ((k, v_scalar),) = _advance_su2(v, h, kernel, dt, n, n)
+        n, dt = 2000, 1e-3
+        stack = _advance(v, h, kernel, dt, n, n)
+        assert stack.shape == (2, 2, 2)
+        v_scalar = stack[-1]
         v_numpy = v
         for _ in range(n):
             v_numpy = numpy_step(v_numpy, h, kernel, dt)
-        assert k == n
         got = density_from_spectrum(w, v_scalar).matrix
         want = density_from_spectrum(w, v_numpy).matrix
-        assert np.max(np.abs(got - want)) < 1e-10
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
+    def test_bloch_form_of_the_generator(self, q, pure):
+        # the kernel's w = beta h + (c_0 - c_1)/2 n, with beta = K_01,
+        # c_i = (K_ii - beta)(V^H H V)_ii and n the Bloch vector of V's
+        # first column, is the traceless part of G = V ((V^H H V) o K) V^H
+        # (a random V and a tilted H from each seed)
+        for seed in range(20):
+            rho, h = seeded_problem(2, pure, seed=100 * seed + int(4 * q))
+            w, v = rho.eigenvalues, rho.eigenvectors
+            kernel = PowerLaw(q=q).divided_difference(w[:, None], w[None, :])
+            g = _divided_difference_transform(v, h, kernel)
+            want = [g[0, 1].real, -g[0, 1].imag, 0.5 * (g[0, 0] - g[1, 1]).real]
+            beta = kernel[0, 1]
+            c = (np.diag(kernel) - beta) * np.einsum("ji,jk,ki->i", v.conj(), h, v).real
+            a0, c0 = v[:, 0]
+            n = [2 * (a0.conjugate() * c0).real, 2 * (a0.conjugate() * c0).imag,
+                 abs(a0) ** 2 - abs(c0) ** 2]
+            bloch_h = [h[0, 1].real, -h[0, 1].imag, 0.5 * (h[0, 0] - h[1, 1]).real]
+            got = beta * np.array(bloch_h) + 0.5 * (c[0] - c[1]) * np.array(n)
+            assert np.max(np.abs(got - want)) < 1e-14
 
     @pytest.mark.parametrize("diag, h_diag", [((0.7, 0.3), (-1.0, 1.0)),
                                               ((0.25, 0.75), (3.0, 1.0))],
@@ -450,16 +486,11 @@ class TestEigenframeStep:
             return call
 
         def advance(*args):
-            steps = _advance(*args)
-            while True:
-                stepping[0] = True
-                try:
-                    item = next(steps)
-                except StopIteration:
-                    return
-                finally:
-                    stepping[0] = False
-                yield item
+            stepping[0] = True
+            try:
+                return _advance(*args)
+            finally:
+                stepping[0] = False
 
         rho, h = seeded_problem(16, False, seed=1)
         system = CompositeSystem(dim_1=4, dim_2=4, h1=seeded_problem(4, False, 3)[1],

@@ -6,11 +6,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "nvne"
 
-# test oracles of [G, rho] = [H, f(rho)], of the variational derivative and
-# of the analytic gradients of ObservableFunctional; free_energy is the
-# paper's F_q = U_q - T S_q, checked against the energy-Casimir identity
+# test oracles of [G, rho] = [H, f(rho)], of the variational derivative, of
+# the analytic gradients of ObservableFunctional and (composite_energy, from
+# the partial traces of each joint state) of the composite energy log;
+# free_energy is the paper's F_q = U_q - T S_q, checked against the
+# energy-Casimir identity
 ORACLES = {"generator", "effective_hamiltonian", "matrix_function", "finite_difference_gradient",
-           "free_energy"}
+           "free_energy", "composite_energy"}
 
 
 def exported_names() -> set:
