@@ -6,7 +6,7 @@ eigenvalue-dependent rates. Integration is by unitary conjugation with
 the divided-difference generator, so spectra, Casimirs Tr(rho^n) and the
 deformed energy are conserved structurally. Includes the two-subsystem
 extension, nonextensive thermodynamics (S_q, U_q, F = U_q - T S_q,
-spin-1/2 equilibrium), classical-ensemble averaging with dephasing
+the q-equilibrium of any Hamiltonian), classical-ensemble averaging with dephasing
 diagnostics, and a JSON-config CLI (`nvne run`).
 """
 
@@ -70,9 +70,7 @@ from .thermo import (
     EquilibriumResult,
     ThermoParams,
     free_energy,
-    spin_equilibrium,
-    spin_free_energy,
-    stability_second_derivative,
+    q_equilibrium,
     tsallis_entropy,
 )
 

@@ -495,9 +495,11 @@ def _parse_composite(cfg: dict):
 
 
 def _parse_equilibrium(cfg: dict):
+    # the spin H = -mu sigma_z of each section, whose populations are (lam, 1 - lam)
     spec = _get(cfg, "thermo", "")
-    params = _build("thermo", thermo.ThermoParams, **{
-        k: _number(_get(spec, k, "thermo."), f"thermo.{k}") for k in ("q", "beta", "mu")})
+    q, beta = (_number(_get(spec, k, "thermo."), f"thermo.{k}") for k in ("q", "beta"))
+    params = _build("thermo", thermo.ThermoParams, q=q, beta=beta)
+    h = -_number(_get(spec, "mu", "thermo."), "thermo.mu", 0.0, strict=True) * SIGMA_Z
     names = {"stationarity", "second_derivative_positive"}
     expected = gibbs = grid = None
     if "expected_lambda" in cfg:
@@ -505,9 +507,10 @@ def _parse_equilibrium(cfg: dict):
         names.add("lambda_error")
     if "gibbs_check" in cfg:
         g = cfg["gibbs_check"]
-        beta, mu = (_number(_get(g, k, "gibbs_check."), f"gibbs_check.{k}") for k in ("beta", "mu"))
-        gibbs = [_build("gibbs_check", thermo.ThermoParams, q=q_near, beta=beta, mu=mu)
-                 for q_near in (1.0 + 1e-6, 1.0 - 1e-6)]
+        beta = _number(_get(g, "beta", "gibbs_check."), "gibbs_check.beta")
+        h_gibbs = -_number(_get(g, "mu", "gibbs_check."), "gibbs_check.mu", 0.0, strict=True) * SIGMA_Z
+        gibbs = [_build("gibbs_check", thermo.ThermoParams, q=q_near, beta=beta)
+                 for q_near in (1.0, 1.0 + 1e-6, 1.0 - 1e-6)]
         names.add("gibbs_limit")
     if "grid" in cfg:
         g = _object(cfg["grid"], "grid")
@@ -516,32 +519,32 @@ def _parse_equilibrium(cfg: dict):
         if any(abs(qv - 1.0) < 1e-8 for qv in q_values) or any(not 0.0 < c < 1.0 for c in products):
             raise ConfigError("config key grid: q_values must exclude 1 and "
                               "domain_products must lie in (0, 1)")
-        grid = [_build("grid.q_values", thermo.ThermoParams, q=qv, beta=c / abs(qv - 1.0),
-                       mu=params.mu) for qv in q_values for c in products]
+        grid = [_build("grid.q_values", thermo.ThermoParams, q=qv, beta=c / abs(qv - 1.0))
+                for qv in q_values for c in products]
         names.update({"grid_second_derivative_positive", "grid_stationarity"})
 
     def run():
-        result = thermo.spin_equilibrium(params)
-        headline = {"lambda_eq": result.lam, "free_energy": result.free_energy,
-                    "second_derivative": result.second_derivative}
-        measured = {"stationarity": abs(thermo.spin_free_energy_gradient(result.lam, params)),
-                    "second_derivative_positive": result.second_derivative}
+        result = thermo.q_equilibrium(h, params)
+        # along lam, dF/dlam = g_0 - g_1 and d^2F/dlam^2 = H_00 + H_11
+        curvature = float(np.sum(result.hessian))
+        headline = {"lambda_eq": float(result.populations[0]), "free_energy": result.free_energy,
+                    "second_derivative": curvature}
+        measured = {"stationarity": float(np.ptp(result.gradient)),
+                    "second_derivative_positive": curvature}
         if expected is not None:
-            measured["lambda_error"] = abs(result.lam - expected)
+            measured["lambda_error"] = abs(headline["lambda_eq"] - expected)
         if gibbs is not None:
-            target = thermo._gibbs_lambda(gibbs[0])
-            worst = max(abs(thermo.spin_equilibrium(p).lam - target) for p in gibbs)
+            target, *near = (thermo.q_equilibrium(h_gibbs, pg).populations[0] for pg in gibbs)
+            worst = float(max(abs(lam - target) for lam in near))
             headline["gibbs_limit_gap"] = worst
             measured["gibbs_limit"] = worst
         if grid is not None:
-            results = [thermo.spin_equilibrium(pg) for pg in grid]
-            min_curv = min(res.second_derivative for res in results)
-            max_stat = max(abs(thermo.spin_free_energy_gradient(res.lam, pg))
-                           for res, pg in zip(results, grid))
-            headline["grid"] = {"points": len(grid), "min_second_derivative": float(min_curv),
-                                "max_stationarity": float(max_stat)}
-            measured.update(grid_second_derivative_positive=float(min_curv),
-                            grid_stationarity=float(max_stat))
+            results = [thermo.q_equilibrium(h, pg) for pg in grid]
+            min_curv = min(float(np.sum(res.hessian)) for res in results)
+            max_stat = max(float(np.ptp(res.gradient)) for res in results)
+            headline["grid"] = {"points": len(grid), "min_second_derivative": min_curv,
+                                "max_stationarity": max_stat}
+            measured.update(grid_second_derivative_positive=min_curv, grid_stationarity=max_stat)
         return headline, measured, None, None
     return names, run
 

@@ -12,10 +12,6 @@ import numpy as np
 
 from .errors import DomainError
 
-# eigenvalue pairs closer than this use the derivative limit of the
-# divided difference of a CoefficientSeries (PowerLaw needs no threshold)
-DEGENERACY_TOL = 1e-10
-
 _ENDPOINT_TOL = 1e-12
 
 
@@ -30,11 +26,8 @@ class DeformationFunction:
 
     def divided_difference(self, a, b):
         """(f(a) - f(b)) / (a - b) elementwise, with the derivative limit f'
-        on degenerate pairs.
-
-        PowerLaw evaluates the ratio without cancellation and takes f' only
-        where a == b; other functions take f' at the midpoint of pairs
-        closer than DEGENERACY_TOL.
+        where a == b. Both families evaluate it without cancellation, so no
+        pair, however close, needs a threshold.
 
         Where the derivative limit itself diverges (power law with q < 1 at
         zero) the entry is set to 0; the commutator it feeds vanishes there
@@ -49,14 +42,7 @@ class DeformationFunction:
         return out
 
     def _divided_difference(self, a, b):
-        # pairs closer than DEGENERACY_TOL take f' at their midpoint
-        diff = a - b
-        safe = np.where(diff == 0.0, 1.0, diff)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (self.f(a) - self.f(b)) / safe
-            limit = self.fprime((a + b) / 2.0)
-        limit = np.where(np.isfinite(limit), limit, 0.0)
-        return np.where(np.abs(diff) > DEGENERACY_TOL, ratio, limit)
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -133,3 +119,13 @@ class CoefficientSeries(DeformationFunction):
     def fprime(self, x):
         x = np.asarray(x, dtype=float)
         return sum(k * c * x ** (k - 1) for k, c in enumerate(self.coeffs, start=1))
+
+    def _divided_difference(self, a, b):
+        # sum_k c_k (a^k - b^k)/(a - b) = sum_k c_k s_k with s_1 = 1 and
+        # s_k = a s_(k-1) + b^(k-1), the sum of a^j b^(k-1-j): no division,
+        # so exact at every gap, a == b (where it is f'(a)) included
+        s, b_pow, out = 0.0, 1.0, np.zeros(np.broadcast(a, b).shape)
+        for c in self.coeffs:
+            s, b_pow = a * s + b_pow, b_pow * b
+            out += c * s
+        return out

@@ -205,9 +205,11 @@ def bloch_state(*, lam, phi, psi) -> DensityMatrix:
     return validate_density(0.5 * IDENTITY_2 + c * direction)
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(a)))))
+def trace_norm(a: np.ndarray):
+    """Sum of absolute eigenvalues of a Hermitian matrix (a float), or of
+    each matrix in a stack (an array)."""
+    norms = np.sum(np.abs(np.linalg.eigvalsh(hermitian_part(a))), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .deformation import DEGENERACY_TOL, DeformationFunction, PowerLaw
+from .deformation import DeformationFunction, PowerLaw
 from .errors import DomainError, NumericalFailure
 from .hermitian import (
     DensityMatrix,
@@ -26,6 +26,8 @@ from .hermitian import (
 )
 
 FD_STEP = 1e-6
+# eigenvalues at or below this are the kernel of rho in effective_hamiltonian
+KERNEL_TOL = 1e-10
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -104,7 +106,7 @@ def effective_hamiltonian(rho: DensityMatrix, h: np.ndarray, f: DeformationFunct
     Tr[rho Heff(rho)] reproduces the energy exactly.
     """
     w = rho.eigenvalues
-    if isinstance(f, PowerLaw) and f.q < 1.0 and np.any(w <= DEGENERACY_TOL):
+    if isinstance(f, PowerLaw) and f.q < 1.0 and np.any(w <= KERNEL_TOL):
         raise DomainError(
             f"f'(0) diverges for q={f.q} < 1; effective Hamiltonian undefined "
             "on the kernel of rho"

@@ -1,5 +1,5 @@
 """Nonextensive thermodynamics: entropy S_q, internal energy U_q, free
-energy F = U_q - T S_q, and the spin-1/2 equilibrium.
+energy F = U_q - T S_q, and the q-equilibrium of any Hamiltonian.
 
 F doubles as the energy-Casimir stability function: with Phi(C_1, C_q) =
 -T (C_1 - C_q)/(q - 1) one has F = U_q + Phi identically, so extremizing
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .hermitian import DensityMatrix
+from .hermitian import DensityMatrix, require_hermitian
 from .structure import q_average
 
 Q_ONE_THRESHOLD = 1e-8
@@ -23,15 +23,12 @@ Q_ONE_THRESHOLD = 1e-8
 class ThermoParams:
     q: float
     beta: float
-    mu: float
 
     def __post_init__(self):
         if self.q <= 0:
             raise DomainError(f"q must be positive, got {self.q}")
         if self.beta <= 0:
             raise DomainError(f"beta must be positive, got {self.beta}")
-        if self.mu <= 0:
-            raise DomainError(f"mu must be positive, got {self.mu}")
 
     @property
     def temperature(self) -> float:
@@ -59,85 +56,47 @@ def free_energy(rho: DensityMatrix, h: np.ndarray, p: ThermoParams) -> float:
     return q_average(rho, h, p.q) - p.temperature * tsallis_entropy(rho, p.q)
 
 
-def spin_free_energy(lam: float, p: ThermoParams) -> float:
-    """F(lam) for the two-level state diag(lam, 1-lam) aligned with the
-    field (cos phi = 1), H = -mu sigma_z."""
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"lam must lie in [0, 1], got {lam}")
-    u = -p.mu * (lam**p.q - (1.0 - lam) ** p.q)
-    s = entropy_from_eigenvalues(np.array([lam, 1.0 - lam]), p.q)
-    return u - p.temperature * s
-
-
-def spin_free_energy_gradient(lam: float, p: ThermoParams) -> float:
-    """Analytic dF/dlam of the aligned spin free energy.
-
-    Used for the stationarity assertion: near the domain boundary the
-    equilibrium sits close to lam = 1 where a finite-difference probe's
-    truncation error would swamp the 1e-8 stationarity tolerance.
-    """
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"lam must lie strictly inside (0, 1), got {lam}")
-    la, lb = lam, 1.0 - lam
-    if abs(p.q - 1.0) < Q_ONE_THRESHOLD:
-        return float(-2.0 * p.mu + p.temperature * np.log(la / lb))
-    du = -p.mu * p.q * (la ** (p.q - 1.0) + lb ** (p.q - 1.0))
-    ds = -p.q * (la ** (p.q - 1.0) - lb ** (p.q - 1.0)) / (p.q - 1.0)
-    return float(du - p.temperature * ds)
-
-
-def stability_second_derivative(p: ThermoParams, lam: float) -> float:
-    """Analytic d^2F/dlam^2 of the aligned spin free energy, q [T (a + b) -
-    mu (q-1) (a - b)] with a = lam^(q-2), b = (1-lam)^(q-2); T (1/lam +
-    1/(1-lam)) at q = 1. Exact up to lam -> 1, where a difference probe
-    would step outside [0, 1]."""
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"lam must lie strictly inside (0, 1), got {lam}")
-    if abs(p.q - 1.0) < Q_ONE_THRESHOLD:
-        return float(p.temperature * (1.0 / lam + 1.0 / (1.0 - lam)))
-    a, b = lam ** (p.q - 2.0), (1.0 - lam) ** (p.q - 2.0)
-    return float(p.q * (p.temperature * (a + b) - p.mu * (p.q - 1.0) * (a - b)))
-
-
 @dataclass(frozen=True)
 class EquilibriumResult:
-    lam: float
+    """The q-equilibrium in the eigenbasis of H, in ascending energy: the
+    populations p_i, F, dF/dp_i and the diagonal Hessian d^2F/dp_i^2."""
+
+    populations: np.ndarray
     free_energy: float
-    second_derivative: float
+    gradient: np.ndarray
+    hessian: np.ndarray
 
 
-def _gibbs_lambda(p: ThermoParams) -> float:
-    bm = p.beta * p.mu
-    return float(np.exp(bm) / (2.0 * np.cosh(bm)))
-
-
-def spin_equilibrium(p: ThermoParams) -> EquilibriumResult:
-    """Solve (lam/(1-lam))**(q-1) = (1 + x)/(1 - x), x = (q-1) beta mu, in
-    closed form: lam = 1/(1 + exp(-2 artanh(x)/(q-1))), in (1/2, 1).
-
-    Outside 0 < |q-1| beta mu < 1 the closed form is invalid and
-    DomainError is raised; q = 1 takes the Gibbs limit.
+def q_equilibrium(h: np.ndarray, p: ThermoParams) -> EquilibriumResult:
+    """The minimizer of F = U_q - T S_q, U_q = Tr(rho^q H) (Curado and Tsallis,
+    J. Phys. A 24 (1991) L69). It commutes with H; over the energies E_i of H,
+    p_i ~ (1 + (q-1) beta E_i)^(-1/(q-1)), each from its own log weight, never
+    as 1 minus the others (-beta E_i for |q-1| < Q_ONE_THRESHOLD). With S_q =
+    (sum p - sum p^q)/(q-1), dF/dp_i = q p^(q-1) E + T (1 + q expm1((q-1) ln p)
+    /(q-1)) and d^2F/dp_i^2 = q p^(q-2) ((q-1) E + T) > 0, at q = 1 too.
+    DomainError: some 1 + (q-1) beta E_i <= 0. NumericalFailure: a population
+    or Hessian entry out of float range, or a spread of dF/dp_i over i (0 where
+    F is stationary on the simplex) above 1e-8 max(1, T), as its round-off
+    grows with T.
     """
-    if abs(p.q - 1.0) < Q_ONE_THRESHOLD:
-        lam = _gibbs_lambda(p)
-    else:
-        x = (p.q - 1.0) * p.beta * p.mu
-        if abs(x) >= 1.0:
-            raise DomainError(
-                f"|q-1|*beta*mu = {abs(x):.6g} >= 1; closed-form equilibrium invalid"
-            )
-        lam = float(1.0 / (1.0 + np.exp(-2.0 * np.arctanh(x) / (p.q - 1.0))))
-
-    # the closed form gives lam to round-off, but dF/dlam there is a
-    # cancellation of terms that grow with T, so its round-off residue, and
-    # with it the 1e-8 stationarity check, scales with T
-    grad = spin_free_energy_gradient(lam, p)
-    if abs(grad) > 1e-8 * max(1.0, p.temperature):
-        raise NumericalFailure(
-            f"equilibrium candidate lam={lam!r} has |dF/dlam| = {abs(grad):.3e}"
-        )
-    return EquilibriumResult(
-        lam=float(lam),
-        free_energy=spin_free_energy(lam, p),
-        second_derivative=stability_second_derivative(p, lam),
-    )
+    energies = np.linalg.eigvalsh(require_hermitian(h, what="H"))
+    q, t = p.q, p.temperature
+    x = (q - 1.0) * p.beta * energies
+    if np.any(x <= -1.0):
+        raise DomainError(f"1 + (q-1)*beta*E = {1 + np.min(x):.6g} <= 0; no q-equilibrium")
+    near_one = abs(q - 1.0) < Q_ONE_THRESHOLD
+    log_p = -p.beta * energies if near_one else -np.log1p(x) / (q - 1.0)
+    log_p -= np.max(log_p)
+    log_p -= np.log(np.sum(np.exp(log_p)))
+    pops = np.exp(log_p)
+    with np.errstate(over="ignore"):
+        hess = q * np.exp((q - 2.0) * log_p) * ((q - 1.0) * energies + t)
+    if np.min(pops) < np.finfo(float).tiny or not np.all(np.isfinite(hess)):
+        raise NumericalFailure(f"q-equilibrium population {float(np.min(pops)):.3e} "
+                               f"is out of floating-point range at beta = {p.beta:g}")
+    q_log = log_p if near_one else np.expm1((q - 1.0) * log_p) / (q - 1.0)
+    grad = q * np.exp((q - 1.0) * log_p) * energies + t * (1.0 + q * q_log)
+    f = float(np.sum(pops**q * energies)) - t * entropy_from_eigenvalues(pops, q, float(np.sum(pops)))
+    if np.ptp(grad) > 1e-8 * max(1.0, t):
+        raise NumericalFailure(f"q-equilibrium {pops!r} has gradient spread {np.ptp(grad):.3e}")
+    return EquilibriumResult(pops, f, grad, hess)

@@ -126,6 +126,8 @@ MALFORMED_CASTS = [
     ("composite", "system.dims", ["x", 2]),
     ("equilibrium", "gibbs_check.epsilon", "x"),
     ("equilibrium", "grid.q_values", ["x"]),
+    ("equilibrium", "thermo.mu", 0.0),
+    ("equilibrium", "gibbs_check.mu", -1.0),
     # wrong container types
     ("evolve", "state.pure", [["x", 0.0], [1.0, 0.0]]),
     ("evolve", "measure", [1]),
@@ -259,6 +261,24 @@ class TestExitCodes:
         }
         path = write_config(tmp_path, cfg)
         assert main(["run", str(path)]) == 3
+
+    @pytest.mark.parametrize("product", [0.99, 0.999])
+    def test_equilibrium_next_to_the_domain_edge(self, tmp_path, capsys, product):
+        # the excited population, about 3e-12 and 3e-17 here, is formed on
+        # its own rather than as 1 - lam
+        cfg = {**CAST_BASES["equilibrium"],
+               "grid": {"q_values": [1.2], "domain_products": [product]},
+               "assertions": {"grid_stationarity": 1e-8, "grid_second_derivative_positive": 0.0}}
+        assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+        assert "PASS" in capsys.readouterr().out
+
+    def test_underflowing_population_exit_3(self, tmp_path):
+        # exp(-2000) underflows: one error line, no numpy RuntimeWarning
+        cfg = {"kind": "equilibrium", "thermo": {"q": 1, "beta": 1000, "mu": 1}}
+        proc = run_in_subprocess(write_config(tmp_path, cfg))
+        assert proc.returncode == 3, proc.stderr
+        assert [line for line in proc.stderr.splitlines() if line] == [
+            "error: q-equilibrium population 0.000e+00 is out of floating-point range at beta = 1000"]
 
     @pytest.mark.parametrize("section, key, value", [
         ("integrator", "dt", float("nan")),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nvne.deformation import CoefficientSeries, PowerLaw
@@ -115,6 +115,28 @@ class TestCoefficientSeries:
         x = np.linspace(0, 1, 11)
         assert np.allclose(series.f(x), power.f(x))
         assert np.allclose(series.fprime(x), power.fprime(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        b=st.floats(1e-3, 1.0),
+        gap=st.one_of(st.just(0.0), st.floats(1e-12, 1e-2)),
+    )
+    @example(b=0.618, gap=1.01e-10)
+    def test_close_pairs_match_high_precision(self, b, gap):
+        # sum_k c_k sum_j a^j b^(k-1-j) has no cancellation at any gap; a
+        # ratio with a derivative limit below 1e-10 lost 4e-7 relative at
+        # the example's gap
+        mpmath = pytest.importorskip("mpmath")
+        coeffs = (0.2, 0.3, 0.5)
+        a = b + gap
+        with mpmath.workdps(40):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            if a == b:
+                exact = sum(k * c * mb ** (k - 1) for k, c in enumerate(coeffs, start=1))
+            else:
+                exact = sum(c * (ma**k - mb**k) for k, c in enumerate(coeffs, start=1)) / (ma - mb)
+            rel = abs((CoefficientSeries(coeffs=coeffs).divided_difference(a, b) - exact) / exact)
+        assert rel < 1e-12
 
     def test_mixture(self):
         f = CoefficientSeries(coeffs=(0.25, 0.75))

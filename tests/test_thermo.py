@@ -16,15 +16,7 @@ from nvne.hermitian import (
     validate_density,
 )
 from nvne.structure import q_average
-from nvne.thermo import (
-    ThermoParams,
-    free_energy,
-    spin_equilibrium,
-    spin_free_energy,
-    spin_free_energy_gradient,
-    stability_second_derivative,
-    tsallis_entropy,
-)
+from nvne.thermo import ThermoParams, free_energy, q_equilibrium, tsallis_entropy
 
 from conftest import make_states
 
@@ -86,25 +78,34 @@ class TestEnergies:
             assert q_average(rho, -SIGMA_Z, q) == pytest.approx(0.0, abs=1e-12)
 
 
+def spin_free_energy(lam, p, mu=1.0):
+    """F of the state diag(lam, 1 - lam) aligned with H = -mu sigma_z."""
+    return free_energy(validate_density(np.diag([lam, 1.0 - lam]).astype(complex)), -mu * SIGMA_Z, p)
+
+
+def spin_equilibrium(q, beta, mu=1.0):
+    return q_equilibrium(-mu * SIGMA_Z, ThermoParams(q=q, beta=beta))
+
+
 class TestFreeEnergy:
     def test_pure_excited(self):
         rho = validate_density(np.diag([0.0, 1.0]).astype(complex))
-        p = ThermoParams(q=2.0, beta=1.0, mu=1.0)
+        p = ThermoParams(q=2.0, beta=1.0)
         assert free_energy(rho, -SIGMA_Z, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_oracle(self):
         rho = validate_density(np.diag([0.75, 0.25]).astype(complex))
-        p = ThermoParams(q=2.0, beta=1.0, mu=1.0)
+        p = ThermoParams(q=2.0, beta=1.0)
         assert free_energy(rho, -SIGMA_Z, p) == pytest.approx(-0.875)
 
     def test_maximally_mixed_oracle(self):
         rho = validate_density(0.5 * np.eye(2, dtype=complex))
-        p = ThermoParams(q=2.0, beta=1.0, mu=1.0)
+        p = ThermoParams(q=2.0, beta=1.0)
         assert free_energy(rho, -SIGMA_Z, p) == pytest.approx(-0.5)
 
     def test_energy_casimir_identity(self, rng):
         # F = U_q + Phi(C_1, C_q) identically in rho, Phi = -T (C_1 - C_q)/(q - 1)
-        p = ThermoParams(q=2.5, beta=0.7, mu=1.3)
+        p = ThermoParams(q=2.5, beta=0.7)
         for rho in make_states(rng, dims=(2, 3), per_dim=3):
             h = random_hermitian(rho.dim, rng)
             lhs = free_energy(rho, h, p)
@@ -112,115 +113,169 @@ class TestFreeEnergy:
             rhs = q_average(rho, h, p.q) - p.temperature * (c1 - cq) / (p.q - 1.0)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_spin_free_energy_consistent_with_matrix_form(self):
-        p = ThermoParams(q=2.0, beta=0.5, mu=1.0)
-        for lam in (0.55, 0.75, 0.9):
-            rho = bloch_state(lam=lam, phi=0.0, psi=0.0)
-            assert spin_free_energy(lam, p) == pytest.approx(
-                free_energy(rho, -p.mu * SIGMA_Z, p), abs=1e-12)
+    def test_equilibrium_free_energy_consistent_with_matrix_form(self):
+        for q, beta in ((2.0, 0.5), (0.5, 1.2), (1.0, 0.5)):
+            res = spin_equilibrium(q, beta, mu=1.3)
+            assert res.free_energy == pytest.approx(
+                spin_free_energy(res.populations[0], ThermoParams(q=q, beta=beta), mu=1.3), abs=1e-12)
 
 
 class TestSpinEquilibrium:
     def test_q2_closed_form(self):
-        res = spin_equilibrium(ThermoParams(q=2.0, beta=0.5, mu=1.0))
-        assert res.lam == pytest.approx(0.75, abs=1e-10)
-        assert res.second_derivative > 0
+        res = spin_equilibrium(2.0, 0.5)
+        assert res.populations[0] == pytest.approx(0.75, abs=1e-10)
+        assert np.sum(res.hessian) > 0
 
     def test_closed_form_ratio_oracle(self):
         # the closed-form result must satisfy the defining ratio equation
         for q, beta in ((1.5, 0.9), (2.0, 0.3), (3.0, 0.4), (0.5, 1.2)):
-            p = ThermoParams(q=q, beta=beta, mu=1.0)
-            res = spin_equilibrium(p)
-            lhs = (res.lam / (1 - res.lam)) ** (q - 1.0)
-            x = (q - 1.0) * beta * p.mu
+            lam, other = spin_equilibrium(q, beta).populations
+            lhs = (lam / other) ** (q - 1.0)
+            x = (q - 1.0) * beta
             assert lhs == pytest.approx((1 + x) / (1 - x), rel=1e-9)
 
     def test_gibbs_limit(self):
-        p = ThermoParams(q=1.0, beta=0.5, mu=1.0)
-        res = spin_equilibrium(p)
-        assert res.lam == pytest.approx(np.exp(0.5) / (np.exp(0.5) + np.exp(-0.5)), abs=1e-12)
+        res = spin_equilibrium(1.0, 0.5)
+        lam = res.populations[0]
+        assert lam == pytest.approx(np.exp(0.5) / (np.exp(0.5) + np.exp(-0.5)), abs=1e-12)
         for eps in (1e-6, -1e-6):
-            near = spin_equilibrium(ThermoParams(q=1.0 + eps, beta=0.5, mu=1.0))
-            assert near.lam == pytest.approx(res.lam, abs=1e-6)
+            near = spin_equilibrium(1.0 + eps, 0.5)
+            assert near.populations[0] == pytest.approx(lam, abs=1e-6)
 
     def test_boundary_adjacent(self):
-        res = spin_equilibrium(ThermoParams(q=2.0, beta=0.999, mu=1.0))
-        assert res.lam / (1 - res.lam) == pytest.approx(1999.0, rel=1e-9)
-        assert res.lam == pytest.approx(0.9995, abs=1e-9)
+        lam, other = spin_equilibrium(2.0, 0.999).populations
+        assert lam / other == pytest.approx(1999.0, rel=1e-9)
+        assert lam == pytest.approx(0.9995, abs=1e-9)
 
     def test_curvature_next_to_the_domain_edge(self):
         # |x| = 0.99999 < 1 puts lam within 5e-6 of 1; at q = 2 the
         # curvature is 4 T exactly
-        res = spin_equilibrium(ThermoParams(q=2.0, beta=0.99999, mu=1.0))
-        assert res.lam == pytest.approx(0.999995, abs=1e-9)
-        assert res.second_derivative == pytest.approx(4.0 / 0.99999, rel=1e-12)
+        res = spin_equilibrium(2.0, 0.99999)
+        assert res.populations[0] == pytest.approx(0.999995, abs=1e-9)
+        assert np.sum(res.hessian) == pytest.approx(4.0 / 0.99999, rel=1e-12)
 
     def test_out_of_domain(self):
-        message = "|q-1|*beta*mu = {} >= 1; closed-form equilibrium invalid"
-        with pytest.raises(DomainError, match=re.escape(message.format(1))):
-            spin_equilibrium(ThermoParams(q=2.0, beta=1.0, mu=1.0))
-        with pytest.raises(DomainError, match=re.escape(message.format(1.2))):
-            spin_equilibrium(ThermoParams(q=3.0, beta=0.6, mu=1.0))
+        # at d = 2, 1 + (q-1) beta E_0 = 1 - |q-1| beta mu
+        message = "1 + (q-1)*beta*E = {} <= 0; no q-equilibrium"
+        with pytest.raises(DomainError, match=re.escape(message.format(0))):
+            spin_equilibrium(2.0, 1.0)
+        with pytest.raises(DomainError, match=re.escape(message.format(-0.2))):
+            spin_equilibrium(3.0, 0.6)
 
     def test_stationarity_and_stability_on_grid(self):
         for q in (0.5, 0.8, 1.2, 1.5, 2.0, 3.0):
             for c in (0.2, 0.5, 0.8):
-                p = ThermoParams(q=q, beta=c / abs(q - 1.0), mu=1.0)
-                res = spin_equilibrium(p)
-                assert abs(spin_free_energy_gradient(res.lam, p)) < 1e-8
-                assert res.second_derivative > 0
-                assert 0.5 < res.lam < 1.0
+                res = spin_equilibrium(q, c / abs(q - 1.0))
+                assert np.ptp(res.gradient) < 1e-8
+                assert np.sum(res.hessian) > 0
+                assert 0.5 < res.populations[0] < 1.0
 
     def test_equilibrium_state_matrix(self):
-        res = spin_equilibrium(ThermoParams(q=2.0, beta=0.5, mu=1.0))
-        state = bloch_state(lam=res.lam, phi=0.0, psi=0.0)
+        res = spin_equilibrium(2.0, 0.5)
+        state = bloch_state(lam=res.populations[0], phi=0.0, psi=0.0)
         assert np.allclose(state.matrix, np.diag([0.75, 0.25]), atol=1e-10)
 
 
 class TestStability:
-    def test_second_derivative_positive_at_equilibrium(self):
-        p = ThermoParams(q=2.0, beta=0.5, mu=1.0)
-        assert stability_second_derivative(p, 0.75) > 0
+    def test_hessian_positive_at_equilibrium(self):
+        assert np.all(spin_equilibrium(2.0, 0.5).hessian > 0)
 
     def test_entropy_dominated_limit(self):
         # beta -> 0: minimum moves to lam = 1/2 and stays a minimum
-        p = ThermoParams(q=2.0, beta=1e-6, mu=1.0)
-        res = spin_equilibrium(p)
-        assert res.lam == pytest.approx(0.5, abs=1e-5)
-        assert stability_second_derivative(p, 0.5) > 0
+        res = spin_equilibrium(2.0, 1e-6)
+        assert res.populations[0] == pytest.approx(0.5, abs=1e-5)
+        assert np.sum(res.hessian) > 0
 
     @staticmethod
     def central_difference(p, lam, h=1e-5):
         return (spin_free_energy(lam + h, p) - spin_free_energy(lam - h, p)) / (2 * h)
 
     def test_off_equilibrium_gradient_nonzero(self):
-        p = ThermoParams(q=2.0, beta=0.5, mu=1.0)
+        p = ThermoParams(q=2.0, beta=0.5)
         assert abs(self.central_difference(p, 0.99)) > 1e-3
 
-    def test_fd_and_analytic_gradient_agree(self):
-        p = ThermoParams(q=2.5, beta=0.4, mu=1.0)
-        for lam in (0.55, 0.7, 0.9):
-            assert self.central_difference(p, lam) == pytest.approx(
-                spin_free_energy_gradient(lam, p), rel=1e-6)
+    @staticmethod
+    def params_for(lam, q):
+        """ThermoParams whose spin equilibrium is lam: (lam/(1-lam))**(q-1) =
+        (1+x)/(1-x) gives x = (q-1) beta = tanh((q-1) L/2), L = ln(lam/(1-lam))."""
+        half_log = 0.5 * np.log(lam / (1.0 - lam))
+        beta = half_log if q == 1.0 else np.tanh((q - 1.0) * half_log) / (q - 1.0)
+        return ThermoParams(q=q, beta=beta)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
+    def test_gradient_matches_central_difference(self, q):
+        # dF/dlam = g_0 - g_1, which vanishes at the equilibrium; central
+        # differences of F on diagonal states find the same zero
+        for lam in (0.55, 0.75, 0.9):
+            p = self.params_for(lam, q)
+            res = q_equilibrium(-SIGMA_Z, p)
+            assert res.populations[0] == pytest.approx(lam, abs=1e-12)
+            analytic = res.gradient[0] - res.gradient[1]
+            assert self.central_difference(p, res.populations[0]) == pytest.approx(analytic, abs=1e-8)
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
     def test_closed_form_curvature_matches_central_difference(self, q):
-        p, h = ThermoParams(q=q, beta=0.5, mu=1.0), 1e-4
+        # d^2F/dlam^2 = H_00 + H_11
+        h = 1e-4
         for lam in (0.55, 0.75, 0.9):
+            p = self.params_for(lam, q)
+            res = q_equilibrium(-SIGMA_Z, p)
             fd = (spin_free_energy(lam + h, p) - 2 * spin_free_energy(lam, p)
                   + spin_free_energy(lam - h, p)) / h**2
-            assert stability_second_derivative(p, lam) == pytest.approx(fd, rel=1e-5)
+            assert np.sum(res.hessian) == pytest.approx(fd, rel=1e-5)
 
     def test_dynamic_stability_of_perturbed_equilibrium(self):
         # tilt the equilibrium by phi = 0.1 and confirm the orbit stays
         # within twice the initial trace distance
-        p = ThermoParams(q=2.0, beta=0.5, mu=1.0)
-        res = spin_equilibrium(p)
-        equilibrium = bloch_state(lam=res.lam, phi=0.0, psi=0.0)
-        perturbed = bloch_state(lam=res.lam, phi=0.1, psi=0.0)
+        p = ThermoParams(q=2.0, beta=0.5)
+        lam = q_equilibrium(-SIGMA_Z, p).populations[0]
+        equilibrium = bloch_state(lam=lam, phi=0.0, psi=0.0)
+        perturbed = bloch_state(lam=lam, phi=0.1, psi=0.0)
         d0 = trace_distance(perturbed, equilibrium)
         cfg = IntegratorConfig(dt=1e-3, t_final=20.0, record_every=100)
-        traj = evolve(perturbed, -p.mu * SIGMA_Z, PowerLaw(q=p.q), cfg)
+        traj = evolve(perturbed, -SIGMA_Z, PowerLaw(q=p.q), cfg)
         worst = max(trace_distance(s, equilibrium) for s in traj.states)
         assert worst <= 2.0 * d0
 
+
+class TestQEquilibrium:
+    """The q-equilibrium of a random 5x5 H at q = 2, beta = 0.8, inside the
+    domain since |E_i| <= 1 < 1/((q-1) beta)."""
+
+    @staticmethod
+    def random_case(rng):
+        h = random_hermitian(5, rng, spectral_norm=1.0)
+        p = ThermoParams(q=2.0, beta=0.8)
+        return h, np.linalg.eigh(h)[1], p, q_equilibrium(h, p)
+
+    @staticmethod
+    def f_at(pops, v, h, p):
+        """F at the state with populations pops in the eigenbasis v of H."""
+        return free_energy(validate_density((v * pops) @ v.conj().T), h, p)
+
+    def test_stationary_with_positive_hessian(self, rng):
+        h, v, p, res = self.random_case(rng)
+        assert np.ptp(res.gradient) <= 1e-12
+        assert np.all(res.hessian > 0)
+        assert np.sum(res.populations) == pytest.approx(1.0, abs=1e-15)
+        assert res.free_energy == pytest.approx(self.f_at(res.populations, v, h, p), abs=1e-12)
+
+    def test_minimum_against_perturbed_diagonal_states(self, rng):
+        # F(p + eps d) - F(p) is the second variation eps^2/2 sum H_ii d_i^2
+        # (the gradient term vanishes on the simplex), and positive
+        h, v, p, res = self.random_case(rng)
+        for _ in range(20):
+            d = rng.normal(size=5)
+            d -= d.mean()
+            for eps in (1e-2, 1e-3):
+                step = eps * d / np.max(np.abs(d)) * np.min(res.populations) / 2
+                rise = self.f_at(res.populations + step, v, h, p) - res.free_energy
+                assert rise > 0
+                assert rise == pytest.approx(0.5 * np.sum(res.hessian * step**2), rel=0.05)
+
+    def test_populations_commute_with_h(self, rng):
+        h, v, p, res = self.random_case(rng)
+        rho = (v * res.populations) @ v.conj().T
+        assert np.max(np.abs(rho @ h - h @ rho)) < 1e-14
+        # ascending energy, so descending populations at q = 2
+        assert np.all(np.diff(res.populations) < 0)
