@@ -112,13 +112,15 @@ def _number(value, path: str, minimum: float | None = None, strict: bool = False
     return number
 
 
-def _integer(value, path: str, minimum: int | None = None) -> int:
+def _integer(value, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"config key {path} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"config key {path} must be at least {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"config key {path} must be at most {maximum}, got {value!r}")
     return value
 
 
@@ -213,11 +215,12 @@ def parse_deformation(cfg: dict) -> DeformationFunction:
 
 def parse_integrator(cfg: dict) -> dynamics.IntegratorConfig:
     spec = _get(cfg, "integrator", "")
+    # t_final and record_every are checked here, so a rejection is about dt
     return _build(
-        "integrator", dynamics.IntegratorConfig,
+        "integrator.dt", dynamics.IntegratorConfig,
         dt=_number(_get(spec, "dt", "integrator."), "integrator.dt"),
-        t_final=_number(_get(spec, "t_final", "integrator."), "integrator.t_final"),
-        record_every=_integer(spec.get("record_every", 1), "integrator.record_every"),
+        t_final=_number(_get(spec, "t_final", "integrator."), "integrator.t_final", 0.0, strict=True),
+        record_every=_integer(spec.get("record_every", 1), "integrator.record_every", 1, sys.maxsize),
     )
 
 

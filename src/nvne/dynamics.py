@@ -16,8 +16,8 @@ kernel K is taken once per trajectory, and _advance steps in two branches:
   w_hat.sigma times a global phase, which cancels in every state and is
   dropped. So det V is invariant, and only V's first column is stepped;
 - d >= 3: numpy in the eigenframe of the state. The generator there is
-  A = (V^H H V) o K, and each exponential exp(-i A tau) is a scaled Taylor
-  polynomial (_expi), so no eigendecomposition runs while stepping.
+  A = (V^H H V) o K, and each exp(-i A tau) is a Taylor polynomial whose
+  degree follows ||A tau|| (_expm1): no eigendecomposition while stepping.
 
 The spectrum is invariant, so after the loop the recorded matrices and the
 whole invariant log are computed in batched numpy calls over blocks of the
@@ -29,6 +29,7 @@ integrator holds fixed. Composite runs record through the same pass.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from .deformation import DeformationFunction
 from .errors import DomainError, NumericalFailure
 from .hermitian import TOL_HERM, DensityMatrix, _zero_round_off, hermitian_part, require_hermitian
-from .structure import _eigenframe_generator, _kernel, hamiltonian_function
+from .structure import _kernel, hamiltonian_function
 
 # bytes of complex entries per block of the recording and invariant pass:
 # bounds the temporaries of the batched calls (1,024 states at d = 2, one
@@ -46,14 +47,16 @@ RECORD_BLOCK_BYTES = 65536
 # smallest |rho_ij| the precession phase fit accepts
 PHASE_FIT_FLOOR = 1e-6
 
-# exp(-i G tau) at d >= 3 (Higham, SIMAX 26 (2005); Al-Mohy & Higham,
-# SIMAX 31 (2009)): the Taylor terms of degree 9 on add at most
-# 2 ||X||^9/9! <= 2^-53 ||X|| for ||X|| <= TAYLOR_THETA (about 0.046),
-# since each is below a tenth of the one before
-TAYLOR_THETA = (math.factorial(9) * 2.0**-54) ** (1 / 8)
-# Paterson-Stockmeyer in X, X^2, X^3: p(X) = 1 + L0 + X^3 (L1 + X^3 L2),
-# row r of the matrix holding the coefficients of L_r
-TAYLOR_COEFFS = np.array([1.0 / math.factorial(k) for k in range(1, 9)] + [0.0]).reshape(3, 3)
+# exp(X) for X = -i G tau at d >= 3 (Higham, SIMAX 26 (2005); Al-Mohy &
+# Higham, SIMAX 31 (2009)): past degree m the Taylor terms add at most
+# 2 ||X||^(m+1)/(m+1)! <= 2^-53 ||X|| for ||X|| <= theta_m, since each is
+# below a tenth of the one before. Degree m -> (theta_m, coefficients) for
+# Paterson-Stockmeyer in X..X^n: p(X) - 1 = L0 + X^n (L1 + X^n (L2 ...)),
+# row r holding the coefficients of L_r; theta_m is 2.9e-4, 8.1e-3 and
+# 0.046, for 2, 3 and 4 matrix products
+TAYLOR = {m: ((math.factorial(m + 1) * 2.0**-54) ** (1 / m),
+              np.array([1.0 / math.factorial(j) for j in range(1, m + 1)] + [0.0] * (-m % n)).reshape(-1, n))
+          for m, n in ((4, 2), (6, 3), (8, 3))}
 # each squaring at most doubles the round-off of the exponential; past this
 # many squarings that bound, 2^s eps, exceeds TOL_HERM
 MAX_SQUARINGS = int(math.log2(TOL_HERM / np.finfo(float).eps))
@@ -79,6 +82,9 @@ class IntegratorConfig:
             raise DomainError(f"record_every must be an integer, got {self.record_every!r}")
         if self.record_every < 1:
             raise DomainError(f"record_every must be >= 1, got {self.record_every}")
+        if max(float(self.t_final) / float(self.dt), self.record_every) > sys.maxsize:
+            raise DomainError(f"dt={self.dt} makes {float(self.t_final) / float(self.dt):.3e} steps and "
+                              f"record_every={self.record_every}: each must fit an index")
 
     @property
     def n_steps(self) -> int:
@@ -124,59 +130,70 @@ def _advance(v, h, kernel, dt, n, every):
     # once per run: an overflowing generator raises instead of printing a warning
     with np.errstate(over="raise", invalid="raise"):
         try:
+            k_half, k_full = -0.5j * dt * kernel, -1j * dt * kernel
             for r, size in enumerate(sizes, 1):
                 for _ in range(size):
-                    v = _step_spectral(v, h, kernel, dt)
+                    v = _step_spectral(v, h, k_half, k_full)
                 vs[r] = v
         except FloatingPointError as exc:
             raise NumericalFailure(f"step failed, the generator overflowed: {exc}") from exc
     return vs
 
 
-def _step_spectral(v, h, kernel, dt):
-    """One midpoint step at d >= 3, taken in the eigenframe.
+def _step_spectral(v, h, k_half, k_full):
+    """One midpoint step at d >= 3, taken in the eigenframe, with the kernel
+    scaled to k_half = -i K dt/2 and k_full = -i K dt.
 
     With A(W) the eigenframe generator of unitary W, exp(-i G(W) tau) =
     W exp(-i A(W) tau) W^H. The half step is W = V E1 with
     E1 = exp(-i A(V) dt/2), and the full step exp(-i G(W) dt) V is
     W E2 E1^H with E2 = exp(-i A(W) dt): no product returns to the lab
-    frame and no eigendecomposition is taken.
+    frame and no eigendecomposition is taken. Each E = 1 + e is applied as
+    V E = V + V e.
     """
-    e1 = _expi(_eigenframe_generator(v, h, kernel), dt / 2)
-    w = v @ e1
-    e2 = _expi(_eigenframe_generator(w, h, kernel), dt)
-    return w @ e2 @ e1.conj().T
+    e1 = _expm1(v.conj().T.dot(h).dot(v), k_half)
+    w = v + v.dot(e1)
+    e2 = _expm1(w.conj().T.dot(h).dot(w), k_full)
+    u = w + w.dot(e2)
+    return u + u.dot(e1.conj().T)
 
 
-def _expi(a, tau):
-    """exp(-i a tau) for a square a and tau > 0: the degree-8 Taylor
-    polynomial of X = -i a tau 2^-s by Paterson-Stockmeyer, squared s times,
-    with s the least that brings ||X||_F below TAYLOR_THETA.
+def _expm1(b, k):
+    """exp(X) - 1 for the skew-Hermitian X = b o k, k a matrix or a scalar:
+    p(X) - 1 for the Taylor polynomial p of the least degree m in TAYLOR
+    with ||X||_F <= theta_m, by Paterson-Stockmeyer; past theta_8, that of
+    degree 8 at X 2^-s, squared s times, with s the least that brings
+    ||X 2^-s||_F below theta_8.
 
-    A non-finite ||a tau||_F, or one that needs more than MAX_SQUARINGS
+    A non-finite ||X||_F, or one that needs more than MAX_SQUARINGS
     squarings, raises NumericalFailure.
     """
-    dim = a.shape[0]
-    norm = math.sqrt(np.vdot(a, a).real) * tau
+    dim = b.shape[0]
+    powers = np.empty((3, dim, dim), dtype=complex)
+    x = np.multiply(b, k, out=powers[0])
+    norm = math.sqrt(np.vdot(x, x).real)
     if not math.isfinite(norm):
         raise NumericalFailure(f"generator norm ||G dt||_F = {norm} is not finite")
-    s = max(0, math.frexp(norm / TAYLOR_THETA)[1])
+    for theta, coeffs in TAYLOR.values():
+        if norm <= theta:
+            break
+    s = max(0, math.frexp(norm / theta)[1])
     if s > MAX_SQUARINGS:
         raise NumericalFailure(f"step too stiff: ||G dt||_F = {norm:.3e} needs {s} squarings "
                                f"of the exponential (at most {MAX_SQUARINGS}); reduce dt")
-    powers = np.empty((3, dim, dim), dtype=complex)
-    x, x2, x3 = powers
-    np.multiply(a, -1j * tau / 2**s, out=x)
-    np.matmul(x, x, out=x2)
-    np.matmul(x2, x, out=x3)
-    # the L_r of TAYLOR_COEFFS, from one real product on the real view
-    l0, l1, l2 = (TAYLOR_COEFFS @ powers.view(float).reshape(3, -1)).view(complex).reshape(3, dim, dim)
-    # e = p(X) - 1, squared as (1 + e)^2 - 1 so that the identity does not
-    # swamp the small entries of the early squares
-    e = l0 + x3 @ (l1 + x3 @ l2)
+    if s:
+        x *= 2.0**-s
+    n = coeffs.shape[1]
+    for j in range(1, n):
+        powers[j - 1].dot(x, out=powers[j])
+    # the L_r of coeffs, from one real product on the real view; e = p(X) - 1
+    # and its squares (1 + e)^2 - 1 keep the identity from swamping the
+    # small entries
+    *ls, e = (coeffs @ powers[:n].view(float).reshape(n, -1)).view(complex).reshape(-1, dim, dim)
+    for l in reversed(ls):
+        e = l + powers[n - 1].dot(e)
     for _ in range(s):
-        e = 2.0 * e + e @ e
-    e.reshape(-1)[:: dim + 1] += 1.0
+        e = 2.0 * e + e.dot(e)
     return e
 
 

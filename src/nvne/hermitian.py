@@ -4,7 +4,7 @@ Everything is dense complex numpy; matrix functions f(rho) go through the
 eigendecomposition (exact on the spectrum, no Taylor series), which also
 covers fractional powers x**q that have no expansion at 0. (The
 integrator's propagator exp(-i G dt) is a different matter: see
-dynamics._expi.)
+dynamics._expm1.)
 
 Conventions: hbar = k_B = 1; subsystem I is the slow (leftmost) Kronecker
 index.

@@ -72,17 +72,11 @@ def _kernel(eigenvalues: np.ndarray, f: DeformationFunction) -> np.ndarray:
     return f.divided_difference(eigenvalues[:, None], eigenvalues[None, :])
 
 
-def _eigenframe_generator(v: np.ndarray, h: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """A = (V^dagger H V) o K: H conjugated into the eigenbasis V and scaled
-    entrywise by the kernel K, the generator in the frame of V. Not
-    symmetrized."""
-    return (v.conj().T @ h @ v) * kernel
-
-
 def _divided_difference_transform(v: np.ndarray, h: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """G = V A V^dagger, the eigenframe generator A rotated back. Not
+    """G = V A V^dagger for A = (V^dagger H V) o K, the generator in the
+    frame of the eigenvectors V, with K the divided-difference kernel. Not
     symmetrized."""
-    return v @ _eigenframe_generator(v, h, kernel) @ v.conj().T
+    return v @ ((v.conj().T @ h @ v) * kernel) @ v.conj().T
 
 
 def generator(rho: DensityMatrix, h: np.ndarray, f: DeformationFunction) -> np.ndarray:

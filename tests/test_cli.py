@@ -142,6 +142,9 @@ MALFORMED_CASTS = [
     ("larmor", "measure.larmor_grid.lams", [0.5]),
     ("evolve", "measure.convergence.dt", 5.0),
     ("ensemble", "node_check.dt", -0.01),
+    # a step count and a record_every that do not fit an index
+    ("evolve", "integrator.dt", 1e-300),
+    ("evolve", "integrator.record_every", 10**30),
     ("evolve", "q", -1),
     ("evolve", "state.pure", [[0.0, 0.0], [0.0, 0.0]]),
     ("ensemble", "times", [-1.0]),

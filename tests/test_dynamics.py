@@ -8,11 +8,11 @@ from nvne.deformation import PowerLaw
 from nvne.dynamics import (
     MAX_SQUARINGS,
     RECORD_BLOCK_BYTES,
-    TAYLOR_THETA,
+    TAYLOR,
     IntegratorConfig,
     _advance,
     _blocks,
-    _expi,
+    _expm1,
     _record,
     _step_spectral,
     evolve,
@@ -34,10 +34,12 @@ from nvne.hermitian import (
 )
 from nvne.structure import (
     _divided_difference_transform,
-    _eigenframe_generator,
     generator,
     hamiltonian_function,
 )
+
+# theta_m of the Taylor exponential, by degree m
+THETA = {m: theta for m, (theta, _) in TAYLOR.items()}
 
 
 def eigh_propagator(v, h, kernel, tau):
@@ -57,6 +59,11 @@ def eigh_midpoint_step(v, h, kernel, dt):
     """The midpoint step with both exponentials from eigh of the lab-frame
     generator: the former d >= 3 step, the oracle for _step_spectral."""
     return eigh_propagator(eigh_propagator(v, h, kernel, dt / 2) @ v, h, kernel, dt) @ v
+
+
+def spectral_step(v, h, kernel, dt):
+    """_step_spectral with the kernel scaled once, as _advance scales it."""
+    return _step_spectral(v, h, -0.5j * dt * kernel, -1j * dt * kernel)
 
 
 def advance_with(step):
@@ -133,6 +140,12 @@ class TestIntegratorConfig:
     def test_rejects_non_integer_record_every(self, record_every):
         with pytest.raises(DomainError, match="record_every must be an integer"):
             IntegratorConfig(dt=1e-2, t_final=0.1, record_every=record_every)
+
+    @pytest.mark.parametrize("kwargs", [{"dt": 1e-300}, {"dt": np.float64(5e-324)}, {"record_every": 10**30}],
+                             ids=["dt", "dt-steps-overflow", "record_every"])
+    def test_rejects_counts_past_an_index(self, kwargs):
+        with pytest.raises(DomainError, match="fit an index"):
+            IntegratorConfig(**{"t_final": 10.0, **kwargs})
 
     def test_step_count(self):
         assert IntegratorConfig(dt=1e-3, t_final=10.0).n_steps == 10000
@@ -385,7 +398,7 @@ class TestRecordedStack:
 
 
 class TestSU2Kernel:
-    @pytest.mark.parametrize("numpy_step", [_step_spectral, eigh_midpoint_step],
+    @pytest.mark.parametrize("numpy_step", [spectral_step, eigh_midpoint_step],
                              ids=["midpoint", "eigh-midpoint"])
     @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.0])
@@ -456,15 +469,18 @@ class TestEigenframeStep:
         _, states, _ = per_state_evolve(rho, h, f, cfg, advance_with(eigh_midpoint_step))
         assert np.max(np.abs(traj.matrices - [s.matrix for s in states])) < 1e-12
 
-    def test_stiff_step_matches_eigh_midpoint_step(self):
-        # ||A(V) dt||_F = 3: the half step alone squares its exponential
-        # 6 times
+    @pytest.mark.parametrize("half_norm", [THETA[4] / 2, (THETA[4] + THETA[6]) / 2,
+                                           (THETA[6] + THETA[8]) / 2, 1.5],
+                             ids=["degree4", "degree6", "degree8", "degree8-s6"])
+    def test_stiff_step_matches_eigh_midpoint_step(self, half_norm):
+        # ||A(V) dt/2||_F = half_norm picks the degree of the half step's
+        # exponential; at 1.5 it squares that of degree 8 six times
         rho, h = seeded_problem(4, False, seed=0)
         f = PowerLaw(q=2.0)
-        w = rho.eigenvalues
-        a = _eigenframe_generator(rho.eigenvectors, h, f.divided_difference(w[:, None], w[None, :]))
-        dt = 3.0 / np.linalg.norm(a)
-        assert 1.5 / TAYLOR_THETA > 2**5
+        w, v = rho.eigenvalues, rho.eigenvectors
+        a = (v.conj().T @ h @ v) * f.divided_difference(w[:, None], w[None, :])
+        dt = 2.0 * half_norm / np.linalg.norm(a)
+        assert 2**5 < 1.5 / THETA[8] <= 2**6
         cfg = IntegratorConfig(dt=dt, t_final=100 * dt, record_every=10)
         traj = evolve(rho, h, f, cfg)
         _, states, _ = per_state_evolve(rho, h, f, cfg, advance_with(eigh_midpoint_step))
@@ -506,38 +522,59 @@ class TestEigenframeStep:
         assert calls["stepping"] == 0
 
 
-class TestExpi:
-    # ||a tau||_F at the middle of each scaling branch s = 0..10, then 50 (s = 11)
-    NORMS = [TAYLOR_THETA * 2.0 ** (s - 0.5) for s in range(11)] + [50.0]
+class TestExpm1:
+    # ||a tau||_F in the middle of the degree-4 and degree-6 ranges, at
+    # 0.99 and 1.01 of each theta_m, then in the middle of each scaling
+    # branch s = 0..10 of degree 8, then 50 (s = 11)
+    NORMS = {"m4": THETA[4] / 2, "m6": (THETA[4] + THETA[6]) / 2,
+             **{f"{c}theta{m}": c * THETA[m] for m in THETA for c in (0.99, 1.01)},
+             **{f"s{s}": THETA[8] * 2.0 ** (s - 0.5) for s in range(11)}, "s11": 50.0}
 
-    @pytest.mark.parametrize("norm", NORMS, ids=[f"s{s}" for s in range(12)])
+    @pytest.mark.parametrize("norm", NORMS.values(), ids=NORMS.keys())
     @pytest.mark.parametrize("dim", [3, 8, 64])
     def test_matches_spectral_exponential(self, dim, norm):
         tau = 0.5
         a = random_hermitian(dim, np.random.default_rng(dim))
         a *= norm / (tau * np.linalg.norm(a))
         w, u = np.linalg.eigh(a)
-        got = _expi(a, tau)
+        got = np.eye(dim) + _expm1(a, -1j * tau)
         assert np.max(np.abs(got - (u * np.exp(-1j * w * tau)) @ u.conj().T)) < 1e-13 * max(1.0, norm)
         assert np.max(np.abs(got.conj().T @ got - np.eye(dim))) < 1e-13
 
+    @pytest.mark.parametrize("m", list(THETA))
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_each_degree_meets_its_truncation_bound(self, dim, m):
+        # at 0.99 theta_m, e = p(X) - 1 is within a few eps ||X||_F of
+        # exp(X) - 1 from 30-digit mpmath, closer than the eigh oracle above
+        # resolves: degree m - 2 would miss by about ||X||^(m-1)/(m-1)!,
+        # 8.6e-14 below theta_8
+        mpmath = pytest.importorskip("mpmath")
+        a = random_hermitian(dim, np.random.default_rng(dim))
+        x = -1j * a * (0.99 * THETA[m] / np.linalg.norm(a))
+        with mpmath.workdps(30):
+            want = np.array((mpmath.expm(mpmath.matrix(x.tolist())) - mpmath.eye(dim)).tolist(), dtype=complex)
+        assert np.max(np.abs(_expm1(x, 1.0) - want)) < 4 * np.finfo(float).eps * np.linalg.norm(x)
+
     @pytest.mark.parametrize("dim", [3, 8])
     def test_zero_matrix_gives_identity(self, dim):
-        assert np.array_equal(_expi(np.zeros((dim, dim), dtype=complex), 0.7), np.eye(dim))
+        zero = np.zeros((dim, dim), dtype=complex)
+        assert np.array_equal(np.eye(dim) + _expm1(zero, -0.7j), np.eye(dim))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_norm_raises(self, bad):
         a = np.eye(3, dtype=complex)
         a[0, 0] = bad
-        with pytest.raises(NumericalFailure, match="not finite"):
-            _expi(a, 1e-3)
+        # inf * (-1e-3j) has a real part inf * 0, which warns outside the
+        # errstate of _advance; the norm check is what is tested here
+        with pytest.raises(NumericalFailure, match="not finite"), np.errstate(invalid="ignore"):
+            _expm1(a, -1e-3j)
 
     def test_too_many_squarings_raise(self):
         a = np.diag([1.0, -1.0, 0.0]).astype(complex)
-        tau = TAYLOR_THETA * 2.0**MAX_SQUARINGS / np.sqrt(2.0)
-        assert np.all(np.isfinite(_expi(a, 0.99 * tau)))
+        tau = THETA[8] * 2.0**MAX_SQUARINGS / np.sqrt(2.0)
+        assert np.all(np.isfinite(_expm1(a, -0.99j * tau)))
         with pytest.raises(NumericalFailure, match="reduce dt"):
-            _expi(a, 1.01 * tau)
+            _expm1(a, -1.01j * tau)
 
 
 class TestLinearLimit:
