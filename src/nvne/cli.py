@@ -213,6 +213,12 @@ def parse_deformation(cfg: dict) -> DeformationFunction:
     return _build("deformation.coeffs", CoefficientSeries, coeffs=tuple(coeffs))
 
 
+def _recorded(icfg: dynamics.IntegratorConfig, dim: int, path: str) -> dynamics.IntegratorConfig:
+    """icfg if its stacks recorded at dimension dim fit the budget, else a config error at path."""
+    _build(path, dynamics.record_count, icfg.n_steps, icfg.record_every, dim)
+    return icfg
+
+
 def parse_integrator(cfg: dict) -> dynamics.IntegratorConfig:
     spec = _get(cfg, "integrator", "")
     # t_final and record_every are checked here, so a rejection is about dt
@@ -284,7 +290,7 @@ def _parse_evolve(cfg: dict):
     h = parse_hamiltonian(h_spec, "system.hamiltonian", dim)
     f = parse_deformation(cfg)
     state = parse_state(_get(cfg, "state", ""), "state", dim)
-    icfg = parse_integrator(cfg)
+    icfg = _recorded(parse_integrator(cfg), dim, "integrator")
     # (mu, lam, phi, psi) of a spin-z field h = -mu sigma_z and a Bloch state,
     # whose Larmor rate the precession measures predict
     spin = None
@@ -439,13 +445,14 @@ def _parse_stability_reference(spec, path: str, dim, state, **_):
     return ["stability_factor"], run
 
 
-def _parse_convergence(spec, path: str, state, h, f, **_):
+def _parse_convergence(spec, path: str, dim, state, h, f, **_):
     """End-state errors at dt and dt/2 against a dt/reference_divisor run."""
     dt = _number(_get(spec, "dt", f"{path}."), f"{path}.dt")
     t_end = _number(_get(spec, "t_final", f"{path}."), f"{path}.t_final", 0.0, strict=True)
     divisor = _integer(spec.get("reference_divisor", 10), f"{path}.reference_divisor", 1)
     # t_final is checked positive, so a rejection is about the step size
-    runs = [_build(f"{path}.dt", dynamics.IntegratorConfig, dt=step, t_final=t_end, record_every=10**9)
+    runs = [_recorded(_build(f"{path}.dt", dynamics.IntegratorConfig, dt=step, t_final=t_end,
+                             record_every=10**9), dim, path)
             for step in (dt / divisor, dt, dt / 2)]
 
     def run(traj, headline, measured):
@@ -483,7 +490,7 @@ def _parse_composite(cfg: dict):
         q2=_number(_get(system, "q2", "system."), "system.q2"),
     )
     state = parse_state(_get(cfg, "state", ""), "state", d1 * d2)
-    icfg = parse_integrator(cfg)
+    icfg = _recorded(parse_integrator(cfg), d1 * d2, "integrator")
 
     def run():
         traj = composite_mod.evolve_composite(state, composite, icfg)
@@ -502,7 +509,8 @@ def _parse_equilibrium(cfg: dict):
     spec = _get(cfg, "thermo", "")
     q, beta = (_number(_get(spec, k, "thermo."), f"thermo.{k}") for k in ("q", "beta"))
     params = _build("thermo", thermo.ThermoParams, q=q, beta=beta)
-    h = -_number(_get(spec, "mu", "thermo."), "thermo.mu", 0.0, strict=True) * SIGMA_Z
+    mu = _number(_get(spec, "mu", "thermo."), "thermo.mu", 0.0, strict=True)
+    h = -mu * SIGMA_Z
     names = {"stationarity", "second_derivative_positive"}
     expected = gibbs = grid = None
     if "expected_lambda" in cfg:
@@ -519,10 +527,12 @@ def _parse_equilibrium(cfg: dict):
         g = _object(cfg["grid"], "grid")
         q_values = _numbers(_get(g, "q_values", "grid."), "grid.q_values")
         products = _numbers(_get(g, "domain_products", "grid."), "grid.domain_products")
-        if any(abs(qv - 1.0) < 1e-8 for qv in q_values) or any(not 0.0 < c < 1.0 for c in products):
+        if (any(abs(qv - 1.0) < thermo.Q_ONE_THRESHOLD for qv in q_values)
+                or any(not 0.0 < c < 1.0 for c in products)):
             raise ConfigError("config key grid: q_values must exclude 1 and "
                               "domain_products must lie in (0, 1)")
-        grid = [_build("grid.q_values", thermo.ThermoParams, q=qv, beta=c / abs(qv - 1.0))
+        # the domain product c = |q-1| beta mu of the spin: 1 + (q-1) beta E > 0 at E = -+mu
+        grid = [_build("grid.q_values", thermo.ThermoParams, q=qv, beta=c / (abs(qv - 1.0) * mu))
                 for qv in q_values for c in products]
         names.update({"grid_second_derivative_positive", "grid_stationarity"})
 
@@ -584,14 +594,19 @@ def _parse_ensemble(cfg: dict):
         t_end = _number(node_check.get("t_final", 20.0), "node_check.t_final", 0.0, strict=True)
         dt = _number(node_check.get("dt", 1e-3), "node_check.dt")
         # the spectrum-drift probe runs the full window; the closed-form
-        # cross-check uses a horizon where second-order phase error stays
-        # inside its tolerance (error grows like dt^2 * t)
+        # cross-check reads it at a horizon where second-order phase error
+        # stays inside its tolerance (error grows like dt^2 * t)
         t_cross = _number(node_check.get("crosscheck_t_final", min(2.0, t_end)),
                           "node_check.crosscheck_t_final", 0.0, strict=True)
-        # both horizons are checked positive, so a rejection is about dt
-        icfg, ccfg = (_build("node_check.dt", dynamics.IntegratorConfig,
-                             dt=dt, t_final=t, record_every=every)
-                      for t, every in ((t_end, 1000), (t_cross, 10**9)))
+        if t_cross > t_end:
+            raise ConfigError(f"config key node_check.crosscheck_t_final must be at most "
+                              f"node_check.t_final {t_end:g}, got {t_cross!r}")
+        # both horizons are checked positive, so a rejection is about dt; one
+        # run records every gcd(1000, n_cross) steps, so step n_cross is a record
+        n_cross = _build("node_check.dt", dynamics.IntegratorConfig, dt=dt, t_final=t_cross).n_steps
+        icfg = _recorded(_build("node_check.dt", dynamics.IntegratorConfig, dt=dt, t_final=t_end,
+                                record_every=math.gcd(1000, n_cross)), 2, "node_check")
+        cross_row = n_cross // icfg.record_every
         g = espec.grids()
         idx = np.linspace(0, g["lam"].size - 1, count).astype(int)
         nodes = [tuple(float(g[k].flat[i]) for k in ("lam", "phi", "psi")) for i in idx]
@@ -625,9 +640,8 @@ def _parse_ensemble(cfg: dict):
                 rho0 = bloch_state(lam=lam, phi=phi, psi=psi)
                 traj = dynamics.evolve(rho0, h, f, icfg)
                 drift = max(drift, dynamics.invariant_report(traj).eigenvalue_drift)
-                short = dynamics.evolve(rho0, h, f, ccfg)
-                closed = ensemble.evolve_node(espec, lam, phi, psi, short.times[-1])
-                cross = max(cross, float(np.max(np.abs(short.matrices[-1] - closed.matrix))))
+                closed = ensemble.evolve_node(espec, lam, phi, psi, traj.times[cross_row])
+                cross = max(cross, float(np.max(np.abs(traj.matrices[cross_row] - closed.matrix))))
             headline["node_check"] = {"eigenvalue_drift": drift, "closed_form_gap": cross}
             measured.update(node_eigenvalue_drift=drift, node_crosscheck=cross)
         return headline, measured, None, plot

@@ -28,6 +28,7 @@ integrator holds fixed. Composite runs record through the same pass.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -43,6 +44,10 @@ from .structure import _kernel, hamiltonian_function
 # bounds the temporaries of the batched calls (1,024 states at d = 2, one
 # state at d = 64)
 RECORD_BLOCK_BYTES = 65536
+
+# bytes that the recorded stacks of one run (eigenvectors and matrices,
+# 32 d^2 bytes a state) may take: 8.4 million states at d = 2, 8,192 at d = 64
+RECORD_BUDGET_BYTES = 2**30
 
 # smallest |rho_ij| the precession phase fit accepts
 PHASE_FIT_FLOOR = 1e-6
@@ -110,12 +115,23 @@ class Trajectory:
                      for m, v in zip(self.matrices, self.eigenvectors))
 
 
+def record_count(n: int, every: int, dim: int) -> int:
+    """1 + ceil(n/every), the states that an n-step run recording every
+    every steps holds (the start and the last included); DomainError if
+    their stacks at dimension dim would pass RECORD_BUDGET_BYTES."""
+    count = 1 + -(-n // every)
+    if 32 * dim * dim * count > RECORD_BUDGET_BYTES:
+        raise DomainError(f"{n} steps recorded every {every} give {count} states of dim {dim}, "
+                          f"past the {RECORD_BUDGET_BYTES >> 30} GiB budget of recorded stacks")
+    return count
+
+
 def _advance(v, h, kernel, dt, n, every):
     """The eigenvectors after every every-th of n steps from v, and after
     the last: the (T, d, d) stack of the record points, row 0 = v. The
     kernel is fixed: the eigenvalues are invariants of the flow."""
-    sizes = [every] * (n // every) + [n % every] * (n % every != 0)
-    vs = np.empty((1 + len(sizes),) + v.shape, dtype=complex)
+    vs = np.empty((record_count(n, every, v.shape[0]),) + v.shape, dtype=complex)
+    sizes = itertools.chain(itertools.repeat(every, n // every), [n % every] * (n % every != 0))
     vs[0] = v
     if v.shape == (2, 2):
         try:

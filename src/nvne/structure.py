@@ -43,22 +43,17 @@ def hamiltonian_function(rho, h: np.ndarray, f: DeformationFunction):
     the states V diag(w) V^dagger from one batched eigenbasis diagonal.
     """
     h = np.asarray(h, dtype=complex)
-    if isinstance(rho, tuple):
-        w, v = rho
-        return np.sum(f.f(w) * _eigenbasis_diagonal(v, h), axis=1)
-    if isinstance(rho, DensityMatrix):
-        w, v = rho.eigenvalues, rho.eigenvectors
-        tau = 1.0
-    else:
-        m = require_hermitian(_as_matrix(rho), what="state")
-        w, v = np.linalg.eigh(m)
-        tau = float(np.sum(w))
-        if tau < 1e-12:
-            raise DomainError(f"hamiltonian_function needs Tr > 0, got {tau:.3e}")
-        if np.min(w) < -1e-12 * max(tau, 1.0):
-            raise DomainError(f"state must be PSD, min eigenvalue {np.min(w):.3e}")
-        w = np.clip(w, 0.0, None) / tau
-    return float(tau * np.sum(f.f(w) * _eigenbasis_diagonal(v, h)))
+    if isinstance(rho, (tuple, DensityMatrix)):
+        w, v = rho if isinstance(rho, tuple) else (rho.eigenvalues, rho.eigenvectors)
+        energies = np.sum(f.f(w) * _eigenbasis_diagonal(v, h), axis=-1)
+        return energies if energies.ndim else float(energies)
+    w, v = np.linalg.eigh(require_hermitian(_as_matrix(rho), what="state"))
+    tau = float(np.sum(w))
+    if tau < 1e-12:
+        raise DomainError(f"hamiltonian_function needs Tr > 0, got {tau:.3e}")
+    if np.min(w) < -1e-12 * max(tau, 1.0):
+        raise DomainError(f"state must be PSD, min eigenvalue {np.min(w):.3e}")
+    return float(tau * np.sum(f.f(np.clip(w, 0.0, None) / tau) * _eigenbasis_diagonal(v, h)))
 
 
 def _eigenbasis_diagonal(v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -120,8 +115,8 @@ def q_average(rho: DensityMatrix, h: np.ndarray, q: float) -> float:
 class ObservableFunctional:
     """Real functional of the state with a Hermitian gradient.
 
-    gradient(rho) returns the matrix G with dA = Tr(X G) for Hermitian
-    perturbations X.
+    gradient(rho) returns, at a DensityMatrix rho, the matrix G with
+    dA = Tr(X G) for Hermitian perturbations X.
     """
 
     evaluator: Callable
@@ -161,71 +156,43 @@ def finite_difference_gradient(evaluator: Callable, m: np.ndarray) -> np.ndarray
     return hermitian_part(raw)
 
 
-def trace_polynomial_functional(coeffs, b: np.ndarray, name: str = "trace-poly") -> ObservableFunctional:
-    """A(rho) = Tr[(sum_k coeffs[k-1] rho^k) B] with its analytic gradient
-    sum_k c_k sum_{a+b=k-1} rho^a B rho^b."""
-    coeffs = tuple(float(c) for c in coeffs)
-    b = np.asarray(b, dtype=complex)
+def _trace_functional(terms, b, name: str) -> ObservableFunctional:
+    """A(rho) = sum_k c_k Tr[f_k(rho) B] over the pairs (c_k, f_k) of terms,
+    B the identity if b is None. The gradient at a DensityMatrix is the
+    divided-difference transform of B with the kernel sum_k c_k K_(f_k);
+    the value is sum_k c_k sum_i f_k(w_i) (V^dagger B V)_ii from eigh of the
+    Hermitian part of the argument, which to first order equals Tr[f(M) B]
+    for the non-Hermitian M of finite differences, polynomial f or not."""
+    b = None if b is None else np.asarray(b, dtype=complex)
 
     def evaluate(m: np.ndarray) -> float:
-        acc = np.zeros_like(b)
-        p = np.eye(m.shape[0], dtype=complex)
-        for c in coeffs:
-            p = p @ m
-            acc = acc + c * p
-        return float(np.trace(acc @ b).real)
+        w, v = np.linalg.eigh(hermitian_part(m))
+        diag = 1.0 if b is None else _eigenbasis_diagonal(v, b)
+        return float(np.sum(sum(c * f.f(w) for c, f in terms) * diag))
 
-    def grad(rho) -> np.ndarray:
-        m = _as_matrix(rho)
-        dim = m.shape[0]
-        powers = [np.eye(dim, dtype=complex)]
-        for _ in range(len(coeffs)):
-            powers.append(powers[-1] @ m)
-        out = np.zeros((dim, dim), dtype=complex)
-        for k, c in enumerate(coeffs, start=1):
-            if c == 0.0:
-                continue
-            out = out + c * sum(powers[a] @ b @ powers[k - 1 - a] for a in range(k))
-        return hermitian_part(out)
+    def grad(rho: DensityMatrix) -> np.ndarray:
+        kernel = sum(c * _kernel(rho.eigenvalues, f) for c, f in terms)
+        unit = np.eye(rho.dim, dtype=complex) if b is None else b
+        return hermitian_part(_divided_difference_transform(rho.eigenvectors, unit, kernel))
 
     return ObservableFunctional(evaluator=evaluate, gradient=grad, name=name)
 
 
+def trace_polynomial_functional(coeffs, b: np.ndarray, name: str = "trace-poly") -> ObservableFunctional:
+    """A(rho) = Tr[(sum_k coeffs[k-1] rho^k) B]."""
+    return _trace_functional([(float(c), PowerLaw(k)) for k, c in enumerate(coeffs, start=1)], b, name)
+
+
 def casimir_functional(n: int) -> ObservableFunctional:
-    """C_n = Tr rho^n with gradient n rho^(n-1), for an order n >= 1."""
+    """C_n = Tr rho^n, for an order n >= 1; its gradient is n rho^(n-1)."""
     if n < 1:
         raise DomainError(f"Casimir order must be a positive integer, got {n}")
-
-    def evaluate(m: np.ndarray) -> float:
-        return float(np.trace(np.linalg.matrix_power(m, n)).real)
-
-    def grad(rho) -> np.ndarray:
-        m = _as_matrix(rho)
-        return hermitian_part(n * np.linalg.matrix_power(m, n - 1))
-
-    return ObservableFunctional(evaluator=evaluate, gradient=grad, name=f"C{n}")
+    return _trace_functional([(1.0, PowerLaw(n))], None, f"C{n}")
 
 
 def q_average_functional(h: np.ndarray, q: float) -> ObservableFunctional:
-    """<H>_q = Tr rho^q H with the divided-difference gradient."""
-    h = np.asarray(h, dtype=complex)
-    f = PowerLaw(q=q)
-
-    def evaluate(m: np.ndarray) -> float:
-        if float(q) == int(q):
-            return float(np.trace(np.linalg.matrix_power(m, int(q)) @ h).real)
-        w, v = np.linalg.eigh(hermitian_part(m))
-        diag = _eigenbasis_diagonal(v, h)
-        return float(np.sum(f.f(np.clip(w, 0.0, None)) * diag))
-
-    def grad(rho) -> np.ndarray:
-        if isinstance(rho, DensityMatrix):
-            w, v = rho.eigenvalues, rho.eigenvectors
-        else:
-            w, v = np.linalg.eigh(require_hermitian(_as_matrix(rho)))
-        return hermitian_part(_divided_difference_transform(v, h, _kernel(w, f)))
-
-    return ObservableFunctional(evaluator=evaluate, gradient=grad, name=f"<H>_{q:g}")
+    """<H>_q = Tr rho^q H."""
+    return _trace_functional([(1.0, PowerLaw(q))], h, f"<H>_{q:g}")
 
 
 def poisson_bracket(a: ObservableFunctional, b: ObservableFunctional, rho) -> float:

@@ -76,8 +76,8 @@ def q_equilibrium(h: np.ndarray, p: ThermoParams) -> EquilibriumResult:
     /(q-1)) and d^2F/dp_i^2 = q p^(q-2) ((q-1) E + T) > 0, at q = 1 too.
     DomainError: some 1 + (q-1) beta E_i <= 0. NumericalFailure: a population
     or Hessian entry out of float range, or a spread of dF/dp_i over i (0 where
-    F is stationary on the simplex) above 1e-8 max(1, T), as its round-off
-    grows with T.
+    F is stationary on the simplex) above 1e-8 max(1, T, max_i |q p_i^(q-1) E_i|),
+    the scale of the terms whose cancellation leaves it.
     """
     energies = np.linalg.eigvalsh(require_hermitian(h, what="H"))
     q, t = p.q, p.temperature
@@ -95,8 +95,9 @@ def q_equilibrium(h: np.ndarray, p: ThermoParams) -> EquilibriumResult:
         raise NumericalFailure(f"q-equilibrium population {float(np.min(pops)):.3e} "
                                f"is out of floating-point range at beta = {p.beta:g}")
     q_log = log_p if near_one else np.expm1((q - 1.0) * log_p) / (q - 1.0)
-    grad = q * np.exp((q - 1.0) * log_p) * energies + t * (1.0 + q * q_log)
+    energy_terms = q * np.exp((q - 1.0) * log_p) * energies
+    grad = energy_terms + t * (1.0 + q * q_log)
     f = float(np.sum(pops**q * energies)) - t * entropy_from_eigenvalues(pops, q, float(np.sum(pops)))
-    if np.ptp(grad) > 1e-8 * max(1.0, t):
+    if np.ptp(grad) > 1e-8 * max(1.0, t, float(np.max(np.abs(energy_terms)))):
         raise NumericalFailure(f"q-equilibrium {pops!r} has gradient spread {np.ptp(grad):.3e}")
     return EquilibriumResult(pops, f, grad, hess)

@@ -145,6 +145,11 @@ MALFORMED_CASTS = [
     # a step count and a record_every that do not fit an index
     ("evolve", "integrator.dt", 1e-300),
     ("evolve", "integrator.record_every", 10**30),
+    # 10^10 recorded states, about 1.3 TB of stacks at d = 2, which check
+    # accepted and run died allocating
+    ("evolve", "integrator", {"dt": 1e-9, "t_final": 10.0}),
+    # a cross-check horizon past the node run it is read from
+    ("ensemble", "node_check.crosscheck_t_final", 30.0),
     ("evolve", "q", -1),
     ("evolve", "state.pure", [[0.0, 0.0], [0.0, 0.0]]),
     ("ensemble", "times", [-1.0]),
@@ -274,6 +279,19 @@ class TestExitCodes:
                "assertions": {"grid_stationarity": 1e-8, "grid_second_derivative_positive": 0.0}}
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mu", [0.5, 2.0, 4.0])
+    def test_grid_that_check_accepts_runs(self, tmp_path, capsys, mu):
+        # a domain product c = |q-1| beta mu in (0, 1) keeps every grid point
+        # inside the domain whatever thermo.mu is; a beta of c/|q-1| put the
+        # q = 0.5 points at 1 - 0.8 mu < 0 for mu = 2 and 4, and run exited 3
+        cfg = {"kind": "equilibrium", "thermo": {"q": 2.0, "beta": 0.2, "mu": mu},
+               "grid": {"q_values": [0.5, 3.0], "domain_products": [0.8, 0.99]},
+               "assertions": {"grid_stationarity": 1e-8, "grid_second_derivative_positive": 0.0}}
+        path = write_config(tmp_path, cfg)
+        assert main(["check", str(path)]) == 0
+        assert main(["run", str(path), "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_underflowing_population_exit_3(self, tmp_path):
         # exp(-2000) underflows: one error line, no numpy RuntimeWarning

@@ -8,6 +8,7 @@ from nvne.deformation import PowerLaw
 from nvne.dynamics import (
     MAX_SQUARINGS,
     RECORD_BLOCK_BYTES,
+    RECORD_BUDGET_BYTES,
     TAYLOR,
     IntegratorConfig,
     _advance,
@@ -19,6 +20,7 @@ from nvne.dynamics import (
     invariant_report,
     larmor_frequency,
     precession_frequency,
+    record_count,
 )
 from nvne.errors import DomainError, NumericalFailure
 from nvne.hermitian import (
@@ -149,6 +151,16 @@ class TestIntegratorConfig:
 
     def test_step_count(self):
         assert IntegratorConfig(dt=1e-3, t_final=10.0).n_steps == 10000
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_advance_refuses_stacks_past_the_budget(self, rng, dim):
+        # n steps recorded at each give n + 1 states, one more than the budget
+        # holds: refused before any step or allocation
+        n = RECORD_BUDGET_BYTES // (32 * dim * dim)
+        assert record_count(n - 1, 1, dim) == n
+        rho = random_density_matrix(dim, rng)
+        with pytest.raises(DomainError, match="past the 1 GiB budget"):
+            _advance(rho.eigenvectors, random_hermitian(dim, rng), np.ones((dim, dim)), 1e-3, n, 1)
 
 
 class TestStep:

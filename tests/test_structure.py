@@ -245,6 +245,20 @@ class TestGradients:
         fd = finite_difference_gradient(func.evaluator, rho.matrix)
         assert np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic)) < 1e-5
 
+    @pytest.mark.parametrize("functional", [
+        lambda h: q_average_functional(h, 0.7),
+        lambda h: q_average_functional(h, 2.5),
+        lambda h: casimir_functional(4),
+    ], ids=["q_average-0.7", "q_average-2.5", "casimir-4"])
+    def test_fd_matches_analytic_at_d5(self, rng, functional):
+        # non-integer q and B = identity take the same spectral value and
+        # divided-difference gradient as the trace polynomials
+        rho = random_density_matrix(5, rng)
+        func = functional(random_hermitian(5, rng))
+        analytic = func.gradient(rho)
+        fd = finite_difference_gradient(func.evaluator, rho.matrix)
+        assert np.max(np.abs(analytic - fd)) / np.max(np.abs(analytic)) < 1e-5
+
     def test_casimir_gradient(self, rng):
         rho = random_density_matrix(3, rng)
         func = casimir_functional(3)

@@ -154,6 +154,17 @@ class TestSpinEquilibrium:
         assert res.populations[0] == pytest.approx(0.999995, abs=1e-9)
         assert np.sum(res.hessian) == pytest.approx(4.0 / 0.99999, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.947])
+    def test_q_below_one_next_to_the_domain_edge(self, q):
+        # |q-1| beta mu = 1 - 1e-15: the energy term q p^(q-1) E of the
+        # excited population reaches about 1e15, so round-off alone spreads
+        # dF/dp_i by 0.025-0.45; the spread is bounded relative to that term
+        res = spin_equilibrium(q, (1.0 - 1e-15) / abs(q - 1.0))
+        scale = np.max(np.abs(q * res.populations ** (q - 1.0)))
+        assert np.ptp(res.gradient) <= 1e-14 * scale
+        assert res.populations[0] == pytest.approx(1.0, abs=1e-15)
+        assert np.all(res.hessian > 0)
+
     def test_out_of_domain(self):
         # at d = 2, 1 + (q-1) beta E_0 = 1 - |q-1| beta mu
         message = "1 + (q-1)*beta*E = {} <= 0; no q-equilibrium"
