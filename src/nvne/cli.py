@@ -35,6 +35,7 @@ from .deformation import CoefficientSeries, DeformationFunction, PowerLaw
 from .errors import ConfigError, DomainError, IoError, NvneError
 from .hermitian import (
     SIGMA_Z,
+    TOL_HERM,
     DensityMatrix,
     bloch_state,
     pure_state,
@@ -504,12 +505,20 @@ def _parse_composite(cfg: dict):
     return {"closure", "casimir_drift", "eigenvalue_drift", "energy_drift"}, run
 
 
+def _spin_point(path: str, q: float, beta: float, mu: float) -> thermo.ThermoParams:
+    """ThermoParams(q, beta) where H = -mu sigma_z has a q-equilibrium: |q-1| beta mu < 1."""
+    params = _build(path, thermo.ThermoParams, q=q, beta=beta)
+    if abs(q - 1.0) * beta * mu >= 1.0:
+        raise ConfigError(f"config key {path} is invalid: |q-1|*beta*mu = {abs(q - 1.0) * beta * mu:.6g} >= 1")
+    return params
+
+
 def _parse_equilibrium(cfg: dict):
     # the spin H = -mu sigma_z of each section, whose populations are (lam, 1 - lam)
     spec = _get(cfg, "thermo", "")
     q, beta = (_number(_get(spec, k, "thermo."), f"thermo.{k}") for k in ("q", "beta"))
-    params = _build("thermo", thermo.ThermoParams, q=q, beta=beta)
     mu = _number(_get(spec, "mu", "thermo."), "thermo.mu", 0.0, strict=True)
+    params = _spin_point("thermo", q, beta, mu)
     h = -mu * SIGMA_Z
     names = {"stationarity", "second_derivative_positive"}
     expected = gibbs = grid = None
@@ -519,9 +528,9 @@ def _parse_equilibrium(cfg: dict):
     if "gibbs_check" in cfg:
         g = cfg["gibbs_check"]
         beta = _number(_get(g, "beta", "gibbs_check."), "gibbs_check.beta")
-        h_gibbs = -_number(_get(g, "mu", "gibbs_check."), "gibbs_check.mu", 0.0, strict=True) * SIGMA_Z
-        gibbs = [_build("gibbs_check", thermo.ThermoParams, q=q_near, beta=beta)
-                 for q_near in (1.0, 1.0 + 1e-6, 1.0 - 1e-6)]
+        mu_gibbs = _number(_get(g, "mu", "gibbs_check."), "gibbs_check.mu", 0.0, strict=True)
+        h_gibbs = -mu_gibbs * SIGMA_Z
+        gibbs = [_spin_point("gibbs_check", q_near, beta, mu_gibbs) for q_near in (1.0, 1.0 + 1e-6, 1.0 - 1e-6)]
         names.add("gibbs_limit")
     if "grid" in cfg:
         g = _object(cfg["grid"], "grid")
@@ -532,7 +541,7 @@ def _parse_equilibrium(cfg: dict):
             raise ConfigError("config key grid: q_values must exclude 1 and "
                               "domain_products must lie in (0, 1)")
         # the domain product c = |q-1| beta mu of the spin: 1 + (q-1) beta E > 0 at E = -+mu
-        grid = [_build("grid.q_values", thermo.ThermoParams, q=qv, beta=c / (abs(qv - 1.0) * mu))
+        grid = [_spin_point("grid.q_values", qv, c / (abs(qv - 1.0) * mu), mu)
                 for qv in q_values for c in products]
         names.update({"grid_second_derivative_positive", "grid_stationarity"})
 
@@ -602,11 +611,11 @@ def _parse_ensemble(cfg: dict):
             raise ConfigError(f"config key node_check.crosscheck_t_final must be at most "
                               f"node_check.t_final {t_end:g}, got {t_cross!r}")
         # both horizons are checked positive, so a rejection is about dt; one
-        # run records every gcd(1000, n_cross) steps, so step n_cross is a record
+        # run records every 1000 steps and after step n_cross, row ceil(n_cross/1000)
         n_cross = _build("node_check.dt", dynamics.IntegratorConfig, dt=dt, t_final=t_cross).n_steps
         icfg = _recorded(_build("node_check.dt", dynamics.IntegratorConfig, dt=dt, t_final=t_end,
-                                record_every=math.gcd(1000, n_cross)), 2, "node_check")
-        cross_row = n_cross // icfg.record_every
+                                record_every=1000), 2, "node_check")
+        cross_row = -(-n_cross // 1000)
         g = espec.grids()
         idx = np.linspace(0, g["lam"].size - 1, count).astype(int)
         nodes = [tuple(float(g[k].flat[i]) for k in ("lam", "phi", "psi")) for i in idx]
@@ -629,7 +638,8 @@ def _parse_ensemble(cfg: dict):
                     for t in window_times]
             late = ensemble.offdiagonal_magnitude(ensemble.ensemble_average(espec, t_late))
             peak = float(np.max(offs))
-            ratio = late / peak if peak > 0 else np.inf
+            # a peak at round-off level is no signal whose decay could be measured
+            ratio = late / peak if peak > TOL_HERM else np.inf
             headline["decay"] = {"window_peak": peak, "late_value": late, "ratio": ratio}
             measured["decay_ratio"] = ratio
             plot = ([(float(t), off) for t, off in zip(window_times, offs)]
@@ -638,7 +648,7 @@ def _parse_ensemble(cfg: dict):
             drift = cross = 0.0
             for lam, phi, psi in nodes:
                 rho0 = bloch_state(lam=lam, phi=phi, psi=psi)
-                traj = dynamics.evolve(rho0, h, f, icfg)
+                traj = dynamics.evolve(rho0, h, f, icfg, also_at=n_cross)
                 drift = max(drift, dynamics.invariant_report(traj).eigenvalue_drift)
                 closed = ensemble.evolve_node(espec, lam, phi, psi, traj.times[cross_row])
                 cross = max(cross, float(np.max(np.abs(traj.matrices[cross_row] - closed.matrix))))

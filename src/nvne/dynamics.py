@@ -19,19 +19,22 @@ kernel K is taken once per trajectory, and _advance steps in two branches:
   A = (V^H H V) o K, and each exp(-i A tau) is a Taylor polynomial whose
   degree follows ||A tau|| (_expm1): no eigendecomposition while stepping.
 
-The spectrum is invariant, so after the loop the recorded matrices and the
-whole invariant log are computed in batched numpy calls over blocks of the
-stack (RECORD_BLOCK_BYTES of complex entries each); a Trajectory holds
-them as arrays. The logged eigenvalues come from one eigvalsh per block of
-the materialized matrices, an independent check of the spectrum the
-integrator holds fixed. Composite runs record through the same pass.
+The spectrum is invariant, so after the loop the recorded matrices are
+computed in batched numpy calls over blocks of the stack (RECORD_BLOCK_BYTES
+of complex entries each); a Trajectory holds them as arrays and builds its
+invariant log in the same blocks on first read, which runs that never read
+it skip. The logged eigenvalues come from one eigvalsh per block of the
+materialized matrices, an independent check of the spectrum the integrator
+holds fixed. Composite runs record through the same pass.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -100,19 +103,37 @@ class IntegratorConfig:
 class Trajectory:
     """A recorded run as read-only arrays: times (T,), the invariant spectrum
     eigenvalues (d,), the recorded eigenvectors and matrices (T, d, d), and
-    the invariant log (C1..C5, Hq, recomputed eigenvalues, hermiticity)."""
+    the invariant log (C1..C5, Hq, recomputed eigenvalues, hermiticity),
+    computed on first read from the energy map of a slice of the stack."""
 
     times: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     matrices: np.ndarray
-    invariant_log: dict
+    _energy: Callable = field(repr=False, compare=False)
 
     @property
     def states(self) -> tuple:
         """The recorded states, as DensityMatrix views into the stacks."""
         return tuple(DensityMatrix(matrix=m, eigenvalues=self.eigenvalues, eigenvectors=v)
                      for m, v in zip(self.matrices, self.eigenvectors))
+
+    @functools.cached_property
+    def invariant_log(self) -> dict:
+        count, dim = self.matrices.shape[:2]
+        log = {"eigenvalues": np.empty((count, dim))}
+        log.update((key, np.empty(count)) for key in ["Hq", "hermiticity"] + [f"C{n}" for n in range(1, 6)])
+        for b in _blocks(0, count, dim):
+            m = self.matrices[b]
+            # eigenvalues recomputed from the materialized matrices so the log
+            # reflects what a consumer of the states would see (ascending)
+            ev = np.linalg.eigvalsh(m)
+            log["eigenvalues"][b] = ev
+            for n in range(1, 6):
+                log[f"C{n}"][b] = np.sum(ev**n, axis=1)
+            log["Hq"][b] = self._energy(b)
+            log["hermiticity"][b] = np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
+        return log
 
 
 def record_count(n: int, every: int, dim: int) -> int:
@@ -126,12 +147,22 @@ def record_count(n: int, every: int, dim: int) -> int:
     return count
 
 
-def _advance(v, h, kernel, dt, n, every):
-    """The eigenvectors after every every-th of n steps from v, and after
-    the last: the (T, d, d) stack of the record points, row 0 = v. The
-    kernel is fixed: the eigenvalues are invariants of the flow."""
-    vs = np.empty((record_count(n, every, v.shape[0]),) + v.shape, dtype=complex)
-    sizes = itertools.chain(itertools.repeat(every, n // every), [n % every] * (n % every != 0))
+def _spans(lo: int, hi: int, every: int):
+    """The step counts between the record points after step lo up to hi: multiples of every, and hi."""
+    first = min(hi, (lo // every + 1) * every)
+    whole, rest = divmod(hi - first, every)
+    return itertools.chain([first - lo] * (first > lo), itertools.repeat(every, whole), [rest] * (rest != 0))
+
+
+def _advance(v, h, kernel, dt, n, every, also_at=0):
+    """The eigenvectors after every every-th of n steps from v, after step
+    also_at if 0 < also_at < n, and after the last: the (T, d, d) stack of
+    the record points, row 0 = v. The kernel is fixed: the eigenvalues are
+    invariants of the flow."""
+    cut = min(max(also_at, 0), n)
+    extra = 0 < cut < n and cut % every != 0
+    vs = np.empty((record_count(n, every, v.shape[0]) + extra,) + v.shape, dtype=complex)
+    sizes = itertools.chain(_spans(0, cut, every), _spans(cut, n, every))
     vs[0] = v
     if v.shape == (2, 2):
         try:
@@ -251,16 +282,16 @@ def _advance_su2(v, h, kernel, dt, sizes):
 
 
 def evolve(
-    rho0: DensityMatrix, h: np.ndarray, f: DeformationFunction, cfg: IntegratorConfig
+    rho0: DensityMatrix, h: np.ndarray, f: DeformationFunction, cfg: IntegratorConfig, *, also_at: int = 0
 ) -> Trajectory:
     """Integrate to t_final, recording every record_every steps (plus the
-    initial and final states)."""
+    initial and final states, and the state after step 0 < also_at < n)."""
     h = require_hermitian(h, what="hamiltonian")
     if h.shape[0] != rho0.dim:
         raise DomainError(f"hamiltonian dim {h.shape[0]} != state dim {rho0.dim}")
     kernel = _kernel(rho0.eigenvalues, f)
-    vs = _advance(rho0.eigenvectors, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every)
-    return _record(rho0, vs, cfg, lambda b: hamiltonian_function((rho0.eigenvalues, vs[b]), h, f))
+    vs = _advance(rho0.eigenvectors, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every, also_at)
+    return _record(rho0, vs, cfg, lambda b: hamiltonian_function((rho0.eigenvalues, vs[b]), h, f), also_at)
 
 
 def _blocks(start: int, stop: int, dim: int) -> list:
@@ -268,14 +299,15 @@ def _blocks(start: int, stop: int, dim: int) -> list:
     return [slice(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
 
 
-def _record(rho0: DensityMatrix, vs: np.ndarray, cfg: IntegratorConfig, energy) -> Trajectory:
+def _record(rho0: DensityMatrix, vs: np.ndarray, cfg: IntegratorConfig, energy, also_at: int = 0) -> Trajectory:
     """Trajectory of rho0 from vs, its eigenvectors at the record points of
-    cfg, with the matrices and invariant log taken in blocks of the stack;
-    energy maps a slice of the stack to the energies of its states."""
+    cfg and also_at (see _advance), with the matrices taken in blocks of the
+    stack; energy maps a slice of the stack to the energies of its states."""
     if not np.all(np.isfinite(vs)):
         raise NumericalFailure("the integrator produced non-finite eigenvectors")
     count, dim = vs.shape[:2]
-    times = np.minimum(np.arange(count) * cfg.record_every, cfg.n_steps) * cfg.dt
+    steps = np.minimum(np.arange(count) * cfg.record_every, cfg.n_steps)
+    times = (np.union1d(steps, [also_at]) if 0 < also_at < cfg.n_steps else steps) * cfg.dt
     # the step leaves the eigenvalues untouched, so every recorded state
     # shares the spectrum of rho0, with round-off zeros as in
     # density_from_spectrum
@@ -287,20 +319,7 @@ def _record(rho0: DensityMatrix, vs: np.ndarray, cfg: IntegratorConfig, energy) 
         matrices[b] = hermitian_part((vb * w) @ vb.conj().swapaxes(1, 2))
     for a in (times, vs, matrices, w):
         a.setflags(write=False)
-    log = {"eigenvalues": np.empty((count, dim))}
-    log.update((key, np.empty(count)) for key in ["Hq", "hermiticity"] + [f"C{n}" for n in range(1, 6)])
-    for b in _blocks(0, count, dim):
-        m = matrices[b]
-        # eigenvalues recomputed from the materialized matrices so the log
-        # reflects what a consumer of the states would see (ascending)
-        ev = np.linalg.eigvalsh(m)
-        log["eigenvalues"][b] = ev
-        for n in range(1, 6):
-            log[f"C{n}"][b] = np.sum(ev**n, axis=1)
-        log["Hq"][b] = energy(b)
-        log["hermiticity"][b] = np.max(np.abs(m - m.conj().swapaxes(1, 2)), axis=(1, 2))
-    return Trajectory(times=times, eigenvalues=w, eigenvectors=vs, matrices=matrices,
-                      invariant_log=log)
+    return Trajectory(times=times, eigenvalues=w, eigenvectors=vs, matrices=matrices, _energy=energy)
 
 
 @dataclass(frozen=True)

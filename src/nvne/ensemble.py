@@ -11,9 +11,12 @@ depends on lam only and cos(psi - omega t) = cos psi cos omega t +
 sin psi sin omega t, the phi and psi sums are taken once per spec: the
 per-lam moments A_c(lam) = sum w c sin(phi) cos(psi) and A_s(lam) (same
 with sin psi, c = lam - 1/2), the sigma_z coefficient and the total
-weight. EnsembleSpec.moments() memoises them on first use, after which
-an average costs O(n_lam). The integrated fallback steps every node with
-n = ceil(t/dt) steps of size t/n, so it ends at t exactly.
+weight. EnsembleSpec.moments() memoises them on first use, and the
+Larmor rates on the lam nodes are cached per (n_lam, f, mu), after which
+an average costs O(n_lam). Averages and node states are built from their
+Bloch vectors in closed form (hermitian._qubit_state), with no
+eigensolver. The integrated fallback steps every node with n = ceil(t/dt)
+steps of size t/n, so it ends at t exactly, and validates only the sum.
 
 Note on the shipped sin(psi/2) weight: the transverse components of its
 average vanish identically for every power-law deformation, because the
@@ -32,16 +35,7 @@ import numpy as np
 from .deformation import DeformationFunction
 from .dynamics import IntegratorConfig, evolve, larmor_frequency
 from .errors import DomainError
-from .hermitian import (
-    IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    DensityMatrix,
-    bloch_state,
-    require_hermitian,
-    validate_density,
-)
+from .hermitian import DensityMatrix, _qubit_state, bloch_state, require_hermitian, validate_density
 
 NORMALIZATION_TOL = 1e-8
 
@@ -73,6 +67,15 @@ def gauss_legendre(n: int, a: float, b: float):
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+@functools.lru_cache(maxsize=64)
+def _larmor_rates(n_lam: int, f: DeformationFunction, mu: float) -> np.ndarray:
+    """larmor_frequency on the n_lam Gauss-Legendre lam nodes of [0, 1],
+    cached per (n_lam, f, mu) like gauss_legendre, so read-only."""
+    omega = larmor_frequency(gauss_legendre(n_lam, 0.0, 1.0)[0], f, mu)
+    omega.flags.writeable = False
+    return omega
 
 
 @dataclass(frozen=True)
@@ -116,11 +119,10 @@ class EnsembleSpec:
         lam nodes, the sigma_z coefficient and the total weight."""
         g = self.grids()
         if "omega" not in g:
-            lam = g["lam"][:, 0, 0]
             wc = g["w"] * (g["lam"] - 0.5)
             w_sin = wc * np.sin(g["phi"])
             g.update(
-                omega=larmor_frequency(lam, self.f, self.mu),
+                omega=_larmor_rates(self.n_lam, self.f, self.mu),
                 a_c=np.sum(w_sin * np.cos(g["psi"]), axis=(1, 2)),
                 a_s=np.sum(w_sin * np.sin(g["psi"]), axis=(1, 2)),
                 coeff_z=float(np.sum(wc * np.cos(g["phi"]))),
@@ -152,13 +154,7 @@ def ensemble_average(spec: EnsembleSpec, t: float, cfg: IntegratorConfig | None 
         cos_wt, sin_wt = np.cos(m["omega"] * t), np.sin(m["omega"] * t)
         coeff_x = -float(np.sum(m["a_c"] * cos_wt + m["a_s"] * sin_wt))
         coeff_y = -float(np.sum(m["a_s"] * cos_wt - m["a_c"] * sin_wt))
-        avg = (
-            0.5 * m["total"] * IDENTITY_2
-            + coeff_x * SIGMA_X
-            + coeff_y * SIGMA_Y
-            + m["coeff_z"] * SIGMA_Z
-        )
-        return validate_density(avg)
+        return _qubit_state(coeff_x, coeff_y, m["coeff_z"], trace=m["total"])
     if cfg is None:
         raise DomainError("integrator config required when H is not -mu*sigma_z")
     return _ensemble_average_integrated(spec, t, cfg)
@@ -205,7 +201,7 @@ def transverse_coefficients(t: float, f: DeformationFunction, mu: float, n_lam: 
         raise DomainError(f"n_lam must be at least 16, got {n_lam}")
     lam, wl = gauss_legendre(n_lam, 0.0, 1.0)
     u = np.ones_like(lam) if lam_density is None else lam_density(lam)
-    omega = larmor_frequency(lam, f, mu)
+    omega = _larmor_rates(n_lam, f, mu)
     base = wl * u * (2.0 * lam - 1.0)
     cx = (np.pi / 24.0) * float(np.sum(base * np.cos(omega * t)))
     cy = -(np.pi / 24.0) * float(np.sum(base * np.sin(omega * t)))
@@ -216,7 +212,7 @@ def dephasing_analytic(t: float, f: DeformationFunction, mu: float, n_lam: int =
                        lam_density: Callable | None = None) -> DensityMatrix:
     """Averaged state from the reduced lam integral (Gauss-Legendre)."""
     cx, cy = transverse_coefficients(t, f, mu, n_lam, lam_density)
-    return validate_density(0.5 * IDENTITY_2 + cx * SIGMA_X + cy * SIGMA_Y)
+    return _qubit_state(cx, cy, 0.0)
 
 
 def offdiagonal_magnitude(state: DensityMatrix) -> float:

@@ -11,6 +11,7 @@ index.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,9 +135,9 @@ def validate_density(matrix: np.ndarray) -> DensityMatrix:
 def density_from_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> DensityMatrix:
     """Assemble a state from a known spectral decomposition (trusted path).
 
-    The per-state form of the batched recording in dynamics._record, kept
-    as its test oracle. Eigenvalues in [-TOL_HERM, TOL_HERM/10] become
-    exactly 0, as in validate_density.
+    The per-state form of the batched recording in dynamics._record (its
+    test oracle) and of _qubit_state. Eigenvalues in [-TOL_HERM, TOL_HERM/10]
+    become exactly 0, as in validate_density.
     """
     w = _zero_round_off(np.asarray(eigenvalues, dtype=float))
     v = np.ascontiguousarray(eigenvectors, dtype=complex)
@@ -188,6 +189,32 @@ def partial_trace(rho_ab, dims: tuple[int, int], keep: str) -> DensityMatrix:
     return validate_density(red)
 
 
+def _qubit_state(x: float, y: float, z: float, trace: float = 1.0) -> DensityMatrix:
+    """validate_density(trace/2 + x sx + y sy + z sz), with the same checks and repairs,
+    from the spectrum trace/2 -+ r, r = |(x, y, z)|, and eigenvectors in closed form."""
+    r = math.hypot(x, y, z)
+    if not (math.isfinite(r) and math.isfinite(trace)):
+        raise DomainError("state has NaN or infinite entries")
+    if abs(trace) < TOL_HERM:
+        raise DomainError(f"state trace {trace:.3e} too close to zero")
+    if 0.5 * trace - r < -TOL_HERM:
+        raise DomainError(f"state has eigenvalue {0.5 * trace - r:.3e} below -{TOL_HERM:.1e}")
+    w = _zero_round_off(np.array([0.5 * trace - r, 0.5 * trace + r]))
+    total = float(w[0] + w[1])
+    if total < TOL_HERM:
+        raise DomainError(f"state trace {total:.3e} after clipping too close to zero")
+    # (a, c): the eigenvector of +r, (1 + |z|/r, (x + iy)/r) over its norm, swapped
+    # and conjugated for z < 0: free of cancellation, and of underflow at small r.
+    # V is in SU(2), the identity at r = 0
+    a, c = 0.0, 1.0
+    if r:
+        u = 1.0 + abs(z) / r
+        s = math.sqrt(2.0 * u)
+        p, e = u / s, complex(x / r, y / r) / s
+        a, c = (p, e) if z >= 0.0 else (e.conjugate(), p)
+    return density_from_spectrum(w / total, np.array([[c.conjugate(), a], [-a.conjugate(), c]]))
+
+
 def bloch_state(*, lam, phi, psi) -> DensityMatrix:
     """State with eigenvalues {lam, 1-lam}, lam in [0, 1], polar angle phi
     and azimuth psi:
@@ -197,12 +224,11 @@ def bloch_state(*, lam, phi, psi) -> DensityMatrix:
     lam, phi, psi = float(lam), float(phi), float(psi)
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lam must lie in [0, 1], got {lam}")
+    if not (math.isfinite(phi) and math.isfinite(psi)):
+        raise DomainError(f"state has NaN or infinite entries: phi={phi}, psi={psi}")
     c = 0.5 * (2.0 * lam - 1.0)
-    direction = (
-        np.cos(phi) * SIGMA_Z
-        - np.sin(phi) * (np.cos(psi) * SIGMA_X + np.sin(psi) * SIGMA_Y)
-    )
-    return validate_density(0.5 * IDENTITY_2 + c * direction)
+    s = c * math.sin(phi)
+    return _qubit_state(-s * math.cos(psi), -s * math.sin(psi), c * math.cos(phi))
 
 
 def trace_norm(a: np.ndarray):

@@ -150,6 +150,10 @@ MALFORMED_CASTS = [
     ("evolve", "integrator", {"dt": 1e-9, "t_final": 10.0}),
     # a cross-check horizon past the node run it is read from
     ("ensemble", "node_check.crosscheck_t_final", 30.0),
+    # spins outside the q-equilibrium domain |q-1| beta mu < 1, which check
+    # accepted and run rejected (1 + (q-1) beta E = 0 at the first)
+    ("equilibrium", "thermo", {"q": 2.0, "beta": 0.5, "mu": 2.0}),
+    ("equilibrium", "gibbs_check", {"beta": 0.5, "mu": 3e6}),
     ("evolve", "q", -1),
     ("evolve", "state.pure", [[0.0, 0.0], [0.0, 0.0]]),
     ("ensemble", "times", [-1.0]),
@@ -261,14 +265,21 @@ class TestExitCodes:
         path = write_config(tmp_path, cfg)
         assert main(["run", str(path), "--quiet"]) == 1
 
-    def test_domain_error_exit_3(self, tmp_path):
+    def test_domain_error_exit_3(self, tmp_path, monkeypatch, capsys):
+        # the parse rejects |q-1| beta mu >= 1 as a config error; with that
+        # check gone, the point reaches q_equilibrium, whose domain error
+        # exits 3
         cfg = {
             "kind": "equilibrium",
             "thermo": {"q": 3.0, "beta": 0.9, "mu": 1.0},  # |q-1| beta mu > 1
             "assertions": {},
         }
         path = write_config(tmp_path, cfg)
+        assert main(["check", str(path)]) == 2
+        monkeypatch.setattr(nvne.cli, "_spin_point",
+                            lambda path, q, beta, mu: nvne.ThermoParams(q=q, beta=beta))
         assert main(["run", str(path)]) == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("domain error: 1 + (q-1)*beta*E")
 
     @pytest.mark.parametrize("product", [0.99, 0.999])
     def test_equilibrium_next_to_the_domain_edge(self, tmp_path, capsys, product):
@@ -374,12 +385,14 @@ class TestExitCodes:
         assert "Traceback" not in captured.err + captured.out
 
     def test_numerical_failure_in_parse_exit_3(self, tmp_path, monkeypatch, capsys):
-        # a failed eigensolver while the Bloch state is built is no bad key
+        # a failed eigensolver while a state matrix is validated is no bad key
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
 
+        cfg = {**tiny_evolve_config(), "state": {"matrix": [[[0.75, 0.0], [0.0, 0.0]],
+                                                            [[0.0, 0.0], [0.25, 0.0]]]}}
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        assert main(["check", str(write_config(tmp_path, tiny_evolve_config()))]) == 3
+        assert main(["check", str(write_config(tmp_path, cfg))]) == 3
         assert capsys.readouterr().err.splitlines() == [
             "error: eigensolver failed: eigenvalues did not converge"]
 
@@ -539,6 +552,36 @@ class TestOutputs:
         lines = (tmp_path / "out" / "plotdata.csv").read_text().splitlines()
         assert lines[0] == "t,offdiag_abs"
         assert len(lines) == 203  # 201 window samples + late point + header
+
+    @pytest.mark.parametrize("weight, ratio", [("sin-psi-half", np.inf), ("tilted-lambda", 0.054054)])
+    def test_decay_ratio_of_a_signal(self, weight, ratio):
+        # the literal weight's average has no transverse signal: its window
+        # peak is round-off (about 2e-17), whose ratio would be noise
+        cfg = presets.get("dephasing-demo-tilted")
+        cfg["ensemble"]["weight"] = weight
+        decay = run_scenario(cfg).headline["decay"]
+        assert decay["ratio"] == pytest.approx(ratio, rel=1e-5)
+        assert (decay["window_peak"] <= nvne.hermitian.TOL_HERM) == (weight == "sin-psi-half")
+
+    def test_node_check_records_every_1000_steps_and_the_crosscheck(self, monkeypatch):
+        # 337 steps, prime to 1000: the run records at steps 0, 337 and 1000,
+        # and its state at 337 is that of a 337-step run
+        cfg = {**presets.get("dephasing-demo-tilted"), "times": [1.0],
+               "node_check": {"count": 2, "t_final": 1.0, "dt": 1e-3, "crosscheck_t_final": 0.337}}
+        del cfg["decay"]
+        runs, evolve = [], nvne.dynamics.evolve
+
+        def recorded(*args, **kwargs):
+            runs.append((args, evolve(*args, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(nvne.dynamics, "evolve", recorded)
+        report = run_scenario(cfg)
+        assert report.passed and len(runs) == 2
+        for (rho0, h, f, _), traj in runs:
+            assert traj.times.tolist() == [0.0, 0.337, 1.0]
+            short = evolve(rho0, h, f, nvne.IntegratorConfig(dt=1e-3, t_final=0.337))
+            assert np.array_equal(traj.matrices[1], short.matrices[-1])
 
 
 class TestCompositeAndBracketKinds:

@@ -138,6 +138,8 @@ class TestEvolveComposite:
         rho = random_density_matrix(dims[0] * dims[1], rng)
         traj = evolve_composite(rho, sys_, IntegratorConfig(dt=1e-2, t_final=0.3,
                                                             record_every=record_every))
+        # built on first read, below
+        assert "invariant_log" not in vars(traj)
         oracle = {key: [] for key in traj.invariant_log}
         for s in traj.states:
             ev = np.sort(np.linalg.eigvalsh(s.matrix))

@@ -364,6 +364,37 @@ class TestRecordedStack:
             assert np.array_equal(got.eigenvalues, want.eigenvalues)
             assert np.array_equal(got.eigenvectors, want.eigenvectors)
 
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_log_is_built_on_first_read(self, dim):
+        # nothing of the log exists until it is read; then it is the eager
+        # per-state oracle's, and later reads return the same arrays
+        rho, h = seeded_problem(dim, False, seed=dim)
+        f = PowerLaw(q=1.5)
+        cfg = IntegratorConfig(dt=1e-2, t_final=0.5, record_every=3)
+        traj = evolve(rho, h, f, cfg)
+        assert "invariant_log" not in vars(traj)
+        log = traj.invariant_log
+        for key, value in per_state_evolve(rho, h, f, cfg)[2].items():
+            assert np.array_equal(log[key], value), key
+        assert traj.invariant_log is log
+
+    @pytest.mark.parametrize("n, every, also_at", [
+        (1000, 1000, 337), (25, 7, 10), (25, 7, 14), (25, 7, 24), (25, 7, 25), (25, 7, 0), (5, 7, 3),
+    ])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_also_at_adds_one_record(self, dim, n, every, also_at):
+        # the rows of a run recording every step at the multiples of every,
+        # at also_at when it lies strictly inside the run, and at the end
+        rho, h = seeded_problem(dim, False, seed=dim)
+        f = PowerLaw(q=1.5)
+        full = evolve(rho, h, f, IntegratorConfig(dt=1e-2, t_final=n * 1e-2))
+        traj = evolve(rho, h, f, IntegratorConfig(dt=1e-2, t_final=n * 1e-2, record_every=every),
+                      also_at=also_at)
+        rows = sorted({0, n, *range(every, n, every), *([also_at] if 0 < also_at < n else [])})
+        assert np.array_equal(traj.times, full.times[rows])
+        assert np.array_equal(traj.eigenvectors, full.eigenvectors[rows])
+        assert np.array_equal(traj.matrices, full.matrices[rows])
+
     def test_block_boundary_at_d16(self):
         # more recorded states than fit in one block
         per_block = RECORD_BLOCK_BYTES // (16 * 16 * 16)
@@ -500,7 +531,7 @@ class TestEigenframeStep:
 
     def test_steps_take_no_eigendecomposition(self, monkeypatch):
         # the eigensolvers count only while _advance runs, except eigvalsh,
-        # which the recording pass calls once per block
+        # which the invariant log calls once per block when it is first read
         calls = {"eigh": 0, "eigvalsh": 0, "stepping": 0}
         stepping = [False]
 
@@ -529,6 +560,8 @@ class TestEigenframeStep:
         monkeypatch.setattr(nvne.dynamics, "_advance", advance)
         monkeypatch.setattr(nvne.composite, "_advance", advance)
         traj = evolve(rho, h, PowerLaw(q=2.0), cfg)
+        assert calls == {"eigh": 0, "eigvalsh": 0, "stepping": 0}
+        traj.invariant_log
         assert calls == {"eigh": 0, "eigvalsh": len(_blocks(0, len(traj.times), 16)), "stepping": 0}
         evolve_composite(rho, system, cfg)
         assert calls["stepping"] == 0

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from nvne.deformation import PowerLaw
-from nvne.dynamics import IntegratorConfig, evolve, invariant_report
+from nvne.dynamics import IntegratorConfig, evolve, invariant_report, larmor_frequency
 from nvne.ensemble import (
     EnsembleSpec,
+    _larmor_rates,
     dephasing_analytic,
     ensemble_average,
     evolve_node,
@@ -61,6 +62,14 @@ class TestEnsembleSpec:
             x[0] = 0.0
         with pytest.raises(ValueError):
             w[0] = 0.0
+
+    def test_larmor_rates_are_cached_read_only(self):
+        f = PowerLaw(q=3.0)
+        omega = _larmor_rates(64, f, 1.0)
+        assert _larmor_rates(64, PowerLaw(q=3.0), 1.0) is omega
+        assert np.array_equal(omega, larmor_frequency(gauss_legendre(64, 0.0, 1.0)[0], f, 1.0))
+        with pytest.raises(ValueError):
+            omega[0] = 0.0
 
     def test_non_hermitian_field_rejected(self):
         # its h[0, 1] is 0 and its trace 0, the closed-form test's only checks
@@ -218,6 +227,25 @@ class TestIntegratorFallback:
         integrated = _ensemble_average_integrated(spec, t, cfg)
         assert np.max(np.abs(direct.matrix - integrated.matrix)) < 1e-5
 
+
+    def test_integrated_path_takes_one_eigendecomposition(self, monkeypatch):
+        # the 2x6x6 tilted grid of the benchmark's probe: the nodes are built
+        # in closed form and their runs never read an invariant log, so the
+        # only eigensolver call is the validation of the summed average
+        spec = EnsembleSpec(weight=tilted_weight, f=PowerLaw(q=3.0), h=-(0.8 * SIGMA_Z + 0.6 * SIGMA_X),
+                            n_lam=2, n_phi=6, n_psi=6)
+        calls = []
+
+        def counted(solver):
+            def call(*args, **kwargs):
+                calls.append(solver.__name__)
+                return solver(*args, **kwargs)
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+        ensemble_average(spec, 0.1, IntegratorConfig(dt=0.05, t_final=0.1))
+        assert len(calls) <= 1, calls
 
     def test_integrated_path_ends_at_requested_time(self):
         # dt does not divide t: the run takes ceil(t/dt) steps of size t/n

@@ -12,7 +12,9 @@ from nvne.hermitian import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    TOL_HERM,
     DensityMatrix,
+    _qubit_state,
     bloch_state,
     hermitian_part,
     matrix_function,
@@ -287,6 +289,75 @@ class TestBloch:
                                       np.cos(phi)])
         rebuilt = 0.5 * (IDENTITY_2 + n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
         assert np.allclose(rebuilt, rho.matrix, atol=1e-12)
+
+
+def bloch_vectors(count, rng):
+    """count seeded Bloch forms (x, y, z, trace) of states with eigenvalues
+    trace (lam, 1 - lam): lam anywhere in [0, 1], at the pure ends and at
+    1/2 (r = 0); phi anywhere and near 0 and pi (|x|, |y| << |z|, both
+    signs of z); a third of the traces from 0.5 to 2, the rest 1."""
+    lam = rng.uniform(0.0, 1.0, count)
+    lam[0::10], lam[1::10], lam[2::10] = 0.0, 1.0, 0.5
+    phi = rng.uniform(0.0, np.pi, count)
+    phi[3::10], phi[4::10] = rng.uniform(0.0, 1e-8, count // 10), np.pi - rng.uniform(0.0, 1e-8, count // 10)
+    psi = rng.uniform(0.0, 2.0 * np.pi, count)
+    trace = np.where(np.arange(count) % 3 == 0, rng.uniform(0.5, 2.0, count), 1.0)
+    c = trace * (lam - 0.5)
+    return zip(-c * np.sin(phi) * np.cos(psi), -c * np.sin(phi) * np.sin(psi), c * np.cos(phi), trace)
+
+
+def bloch_matrix(x, y, z, trace):
+    """trace/2 + x sx + y sy + z sz, entry by entry (no 0 * inf)."""
+    return np.array([[0.5 * trace + z, complex(x, -y)], [complex(x, y), 0.5 * trace - z]])
+
+
+class TestQubitState:
+    def test_matches_validate_density(self):
+        # the closed form is within 4.4e-16 of the exact matrix over 20,000
+        # seeded states, the eigh route of validate_density within 1.2e-15:
+        # so the two agree within the sum of their own bounds
+        for x, y, z, trace in bloch_vectors(2000, np.random.default_rng(2022)):
+            got = _qubit_state(x, y, z, trace)
+            want = validate_density(bloch_matrix(x, y, z, trace))
+            v = got.eigenvectors
+            assert np.max(np.abs(got.matrix - bloch_matrix(x, y, z, trace) / trace)) < 1e-15
+            assert np.max(np.abs(got.matrix - want.matrix)) < 2e-15
+            assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-15
+            assert np.max(np.abs(v.conj().T @ v - IDENTITY_2)) < 1e-15
+            assert np.max(np.abs((v * got.eigenvalues) @ v.conj().T - got.matrix)) < 1e-15
+            for a in (got.matrix, got.eigenvalues, got.eigenvectors):
+                assert not a.flags.writeable
+
+    def test_round_off_eigenvalue_is_zero(self):
+        # the lower eigenvalue -5e-13 lies inside the repair window
+        state = _qubit_state(0.0, 0.0, 0.5 + 5e-13)
+        assert state.eigenvalues.tolist() == [0.0, 1.0]
+        assert np.array_equal(state.matrix, np.diag([1.0, 0.0]).astype(complex))
+
+    @pytest.mark.parametrize("r", [1e-17, 1e-160, 1e-300])
+    def test_small_bloch_vector_keeps_v_unitary(self, r):
+        # 2 r (r + |z|) underflows below r = 1e-154; the eigenvectors do not
+        for x, y, z in [(r, 0.0, 0.0), (0.6 * r, 0.24 * r, -0.76 * r), (0.0, 0.0, -r)]:
+            v = _qubit_state(x, y, z).eigenvectors
+            assert np.max(np.abs(v.conj().T @ v - IDENTITY_2)) < 1e-15
+
+    @pytest.mark.parametrize("xyzt", [
+        (np.nan, 0.0, 0.0, 1.0), (0.0, np.inf, 0.0, 1.0), (0.0, 0.0, -np.inf, 1.0),
+        (0.0, 0.0, 0.0, np.nan), (0.0, 0.0, 0.0, np.inf),
+        (0.0, 0.0, 0.5 + 2 * TOL_HERM, 1.0),  # eigenvalue -2e-12
+        (0.3, 0.0, 0.0, 0.1 * TOL_HERM),  # trace too close to zero
+    ], ids=["x-nan", "y-inf", "z-minus-inf", "trace-nan", "trace-inf", "negative", "trace-zero"])
+    def test_rejects_what_validate_density_rejects(self, xyzt):
+        x, y, z, trace = xyzt
+        with pytest.raises(DomainError):
+            _qubit_state(x, y, z, trace)
+        with pytest.raises(DomainError):
+            validate_density(bloch_matrix(x, y, z, trace))
+
+    @pytest.mark.parametrize("angles", [(np.inf, 0.3), (0.3, -np.inf), (np.nan, 0.3), (0.3, np.nan)])
+    def test_bloch_state_rejects_non_finite_angles(self, angles):
+        with pytest.raises(DomainError, match="NaN or infinite"):
+            bloch_state(lam=0.75, phi=angles[0], psi=angles[1])
 
 
 class TestHermitianPart:
