@@ -3,13 +3,15 @@
 Scenario kinds (`KINDS`): evolve, composite, equilibrium, ensemble,
 bracket-check; evolve's measures are `MEASURES`. Configs are single JSON
 files; complex matrix entries are [re, im] pairs. Each kind and measure
-parses every key it uses into domain objects and returns the names it
-measures with a run function that uses only those objects. A bad value,
-a key the kind's parse does not read (a misspelt or unknown key, an
-unknown measure) or an assertion on nothing measured is a config error
-naming the key (counts such as nodes and quadrature sizes must be at
-least 1); `nvne check` runs that same parse, so it exits as `nvne run`
-would on a config error, and `run` reports one before integrating.
+parses every key it uses into domain objects, whose own checks are the
+validity rules, and returns the names it measures with a run function
+that uses only those objects (equilibrium finds its q-equilibria in the
+parse). A bad value, a key the kind's parse does not read (a misspelt or
+unknown key, an unknown measure) or an assertion on nothing measured is
+a config error naming the key (counts such as nodes and quadrature sizes
+must be at least 1, and sizes must fit the record budget); `nvne check`
+runs that same parse, so it exits as `nvne run` would on a config error,
+and `run` reports one before integrating.
 Outputs, written only under `--out`: trajectory CSV (matrix elements
 column-major, then C1..C5 and the energy), a summary JSON with the full
 report, and a plot-data CSV.
@@ -161,25 +163,25 @@ def _bloch(spec, path: str) -> tuple:
 
 
 def parse_hamiltonian(spec, path: str, dim: int) -> np.ndarray:
-    if "preset" in _object(spec, path):
+    form = next((key for key in ("preset", "matrix", "random") if key in _object(spec, path)), None)
+    if form == "preset":
         if spec["preset"] != "spin-z":
             raise ConfigError(f"config key {path}.preset: unknown preset {spec['preset']!r}")
-        mu = _number(_get(spec, "mu", f"{path}."), f"{path}.mu")
-        return -mu * SIGMA_Z
-    if "matrix" in spec:
+        m = -_number(_get(spec, "mu", f"{path}."), f"{path}.mu") * SIGMA_Z
+    elif form == "matrix":
         m = _build(f"{path}.matrix", require_hermitian,
                    _complex_array(spec["matrix"], f"{path}.matrix"), what=f"{path}.matrix")
-        if m.shape[0] != dim:
-            raise ConfigError(f"config key {path}.matrix has dim {m.shape[0]}, expected {dim}")
-        return m
-    if "random" in spec:
+    elif form == "random":
         sub = spec["random"]
         seed = _integer(_get(sub, "seed", f"{path}.random."), f"{path}.random.seed", 0)
         norm = sub.get("spectral_norm")
-        if norm is not None:
-            norm = _number(norm, f"{path}.random.spectral_norm", 0.0, strict=True)
-        return random_hermitian(dim, np.random.default_rng(seed), spectral_norm=norm)
-    raise ConfigError(f"config key {path} needs one of: preset, matrix, random")
+        norm = None if norm is None else _number(norm, f"{path}.random.spectral_norm")
+        m = _build(f"{path}.random.spectral_norm", random_hermitian, dim, np.random.default_rng(seed), norm)
+    else:
+        raise ConfigError(f"config key {path} needs one of: preset, matrix, random")
+    if m.shape[0] != dim:
+        raise ConfigError(f"config key {path}.{form} has dim {m.shape[0]}, expected {dim}")
+    return m
 
 
 def parse_state(spec, path: str, dim: int) -> DensityMatrix:
@@ -287,11 +289,12 @@ COMPARATORS = {"convergence_ratio_min": ">=", "second_derivative_positive": ">",
 def _parse_evolve(cfg: dict):
     system = _get(cfg, "system", "")
     dim = _integer(_get(system, "dim", "system."), "system.dim", 1)
+    # the record budget first, so that no dim-sized matrix is built past it
+    icfg = _recorded(parse_integrator(cfg), dim, "integrator")
     h_spec = _get(system, "hamiltonian", "system.")
     h = parse_hamiltonian(h_spec, "system.hamiltonian", dim)
     f = parse_deformation(cfg)
     state = parse_state(_get(cfg, "state", ""), "state", dim)
-    icfg = _recorded(parse_integrator(cfg), dim, "integrator")
     # (mu, lam, phi, psi) of a spin-z field h = -mu sigma_z and a Bloch state,
     # whose Larmor rate the precession measures predict
     spin = None
@@ -483,6 +486,7 @@ def _parse_composite(cfg: dict):
     if (not isinstance(dims, list)) or len(dims) != 2:
         raise ConfigError("config key system.dims must be [dim_I, dim_II]")
     d1, d2 = (_integer(x, "system.dims", 1) for x in dims)
+    icfg = _recorded(parse_integrator(cfg), d1 * d2, "integrator")
     composite = _build(
         "system", composite_mod.CompositeSystem, dim_1=d1, dim_2=d2,
         h1=parse_hamiltonian(_get(system, "h1", "system."), "system.h1", d1),
@@ -491,7 +495,6 @@ def _parse_composite(cfg: dict):
         q2=_number(_get(system, "q2", "system."), "system.q2"),
     )
     state = parse_state(_get(cfg, "state", ""), "state", d1 * d2)
-    icfg = _recorded(parse_integrator(cfg), d1 * d2, "integrator")
 
     def run():
         traj = composite_mod.evolve_composite(state, composite, icfg)
@@ -505,70 +508,48 @@ def _parse_composite(cfg: dict):
     return {"closure", "casimir_drift", "eigenvalue_drift", "energy_drift"}, run
 
 
-def _spin_point(path: str, q: float, beta: float, mu: float) -> thermo.ThermoParams:
-    """ThermoParams(q, beta) where H = -mu sigma_z has a q-equilibrium: |q-1| beta mu < 1."""
-    params = _build(path, thermo.ThermoParams, q=q, beta=beta)
-    if abs(q - 1.0) * beta * mu >= 1.0:
-        raise ConfigError(f"config key {path} is invalid: |q-1|*beta*mu = {abs(q - 1.0) * beta * mu:.6g} >= 1")
-    return params
+def _equilibrium(path: str, mu: float, q: float, beta: float) -> thermo.EquilibriumResult:
+    """The q-equilibrium of the spin H = -mu sigma_z, populations (lam, 1 - lam), at (q, beta);
+    a point outside its domain is a config error at path."""
+    return _build(path, lambda: thermo.q_equilibrium(-mu * SIGMA_Z, thermo.ThermoParams(q=q, beta=beta)))
 
 
 def _parse_equilibrium(cfg: dict):
-    # the spin H = -mu sigma_z of each section, whose populations are (lam, 1 - lam)
+    # every q-equilibrium is found here, so check reports what run would
     spec = _get(cfg, "thermo", "")
     q, beta = (_number(_get(spec, k, "thermo."), f"thermo.{k}") for k in ("q", "beta"))
     mu = _number(_get(spec, "mu", "thermo."), "thermo.mu", 0.0, strict=True)
-    params = _spin_point("thermo", q, beta, mu)
-    h = -mu * SIGMA_Z
-    names = {"stationarity", "second_derivative_positive"}
-    expected = gibbs = grid = None
+    result = _equilibrium("thermo", mu, q, beta)
+    # along lam, dF/dlam = g_0 - g_1 and d^2F/dlam^2 = H_00 + H_11
+    curvature = float(np.sum(result.hessian))
+    headline = {"lambda_eq": float(result.populations[0]), "free_energy": result.free_energy,
+                "second_derivative": curvature}
+    measured = {"stationarity": float(np.ptp(result.gradient)),
+                "second_derivative_positive": curvature}
     if "expected_lambda" in cfg:
-        expected = _number(cfg["expected_lambda"], "expected_lambda")
-        names.add("lambda_error")
+        measured["lambda_error"] = abs(headline["lambda_eq"] - _number(cfg["expected_lambda"], "expected_lambda"))
     if "gibbs_check" in cfg:
         g = cfg["gibbs_check"]
         beta = _number(_get(g, "beta", "gibbs_check."), "gibbs_check.beta")
         mu_gibbs = _number(_get(g, "mu", "gibbs_check."), "gibbs_check.mu", 0.0, strict=True)
-        h_gibbs = -mu_gibbs * SIGMA_Z
-        gibbs = [_spin_point("gibbs_check", q_near, beta, mu_gibbs) for q_near in (1.0, 1.0 + 1e-6, 1.0 - 1e-6)]
-        names.add("gibbs_limit")
+        # q = 1 last, so that a field past its neighbours' domain is named where q = 1 underflows
+        *near, target = (_equilibrium("gibbs_check", mu_gibbs, q_near, beta).populations[0]
+                         for q_near in (1.0 + 1e-6, 1.0 - 1e-6, 1.0))
+        headline["gibbs_limit_gap"] = measured["gibbs_limit"] = float(max(abs(lam - target) for lam in near))
     if "grid" in cfg:
         g = _object(cfg["grid"], "grid")
         q_values = _numbers(_get(g, "q_values", "grid."), "grid.q_values")
         products = _numbers(_get(g, "domain_products", "grid."), "grid.domain_products")
-        if (any(abs(qv - 1.0) < thermo.Q_ONE_THRESHOLD for qv in q_values)
-                or any(not 0.0 < c < 1.0 for c in products)):
-            raise ConfigError("config key grid: q_values must exclude 1 and "
-                              "domain_products must lie in (0, 1)")
-        # the domain product c = |q-1| beta mu of the spin: 1 + (q-1) beta E > 0 at E = -+mu
-        grid = [_spin_point("grid.q_values", qv, c / (abs(qv - 1.0) * mu), mu)
-                for qv in q_values for c in products]
-        names.update({"grid_second_derivative_positive", "grid_stationarity"})
-
-    def run():
-        result = thermo.q_equilibrium(h, params)
-        # along lam, dF/dlam = g_0 - g_1 and d^2F/dlam^2 = H_00 + H_11
-        curvature = float(np.sum(result.hessian))
-        headline = {"lambda_eq": float(result.populations[0]), "free_energy": result.free_energy,
-                    "second_derivative": curvature}
-        measured = {"stationarity": float(np.ptp(result.gradient)),
-                    "second_derivative_positive": curvature}
-        if expected is not None:
-            measured["lambda_error"] = abs(headline["lambda_eq"] - expected)
-        if gibbs is not None:
-            target, *near = (thermo.q_equilibrium(h_gibbs, pg).populations[0] for pg in gibbs)
-            worst = float(max(abs(lam - target) for lam in near))
-            headline["gibbs_limit_gap"] = worst
-            measured["gibbs_limit"] = worst
-        if grid is not None:
-            results = [thermo.q_equilibrium(h, pg) for pg in grid]
-            min_curv = min(float(np.sum(res.hessian)) for res in results)
-            max_stat = max(float(np.ptp(res.gradient)) for res in results)
-            headline["grid"] = {"points": len(grid), "min_second_derivative": min_curv,
-                                "max_stationarity": max_stat}
-            measured.update(grid_second_derivative_positive=min_curv, grid_stationarity=max_stat)
-        return headline, measured, None, None
-    return names, run
+        if any(abs(qv - 1.0) < thermo.Q_ONE_THRESHOLD for qv in q_values):
+            raise ConfigError("config key grid.q_values must exclude 1")
+        # c = |q-1| beta mu, the spin's domain product: 1 + (q-1) beta E > 0 at E = -+mu for c < 1
+        results = [_equilibrium("grid", mu, qv, c / (abs(qv - 1.0) * mu)) for qv in q_values for c in products]
+        min_curv = min(float(np.sum(res.hessian)) for res in results)
+        max_stat = max(float(np.ptp(res.gradient)) for res in results)
+        headline["grid"] = {"points": len(results), "min_second_derivative": min_curv,
+                            "max_stationarity": max_stat}
+        measured.update(grid_second_derivative_positive=min_curv, grid_stationarity=max_stat)
+    return set(measured), lambda: (headline, measured, None, None)
 
 
 def _parse_ensemble(cfg: dict):
@@ -580,12 +561,12 @@ def _parse_ensemble(cfg: dict):
     system = _get(cfg, "system", "")
     h = parse_hamiltonian(_get(system, "hamiltonian", "system."), "system.hamiltonian", 2)
     f = parse_deformation(cfg)
-    sizes = {n: _integer(spec.get(n, 32), f"ensemble.{n}", 1) for n in ("n_lam", "n_phi", "n_psi")}
+    # an n-point rule builds an n x n matrix, within the record budget up to n = 11585
+    sizes = {n: _integer(spec.get(n, 32), f"ensemble.{n}", 1, math.isqrt(dynamics.RECORD_BUDGET_BYTES // 8))
+             for n in ("n_lam", "n_phi", "n_psi")}
     espec = _build("ensemble", ensemble.EnsembleSpec,
                    weight=ensemble.WEIGHTS[weight_name], f=f, h=h, **sizes)
-    if not espec.uses_closed_form():
-        raise ConfigError("config key system.hamiltonian must be a field -mu*sigma_z")
-    mu = espec.mu
+    mu = _build("system.hamiltonian", lambda: espec.mu)
     times = _numbers(cfg.get("times", [0.0, 1.0, 5.0, 20.0]), "times", 0.0)
     lam_density = None if weight_name == "sin-psi-half" else (lambda lam: 2.0 * lam)
     names = {"analytic_match"}
@@ -599,7 +580,7 @@ def _parse_ensemble(cfg: dict):
 
     node_check = _object(cfg.get("node_check", {}), "node_check")
     if node_check:
-        count = _integer(node_check.get("count", 4), "node_check.count", 1)
+        count = _integer(node_check.get("count", 4), "node_check.count", 1, math.prod(sizes.values()))
         t_end = _number(node_check.get("t_final", 20.0), "node_check.t_final", 0.0, strict=True)
         dt = _number(node_check.get("dt", 1e-3), "node_check.dt")
         # the spectrum-drift probe runs the full window; the closed-form

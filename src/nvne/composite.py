@@ -18,7 +18,7 @@ subsystem equations to round-off.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,22 +37,16 @@ class CompositeSystem:
     h2: np.ndarray
     q1: float
     q2: float
+    f1: PowerLaw = field(init=False, repr=False)
+    f2: PowerLaw = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.q1 <= 0 or self.q2 <= 0:
-            raise DomainError(f"subsystem exponents must be positive, got {self.q1}, {self.q2}")
+        object.__setattr__(self, "f1", PowerLaw(q=self.q1))
+        object.__setattr__(self, "f2", PowerLaw(q=self.q2))
         object.__setattr__(self, "h1", require_hermitian(self.h1, what="H_I"))
         object.__setattr__(self, "h2", require_hermitian(self.h2, what="H_II"))
         if self.h1.shape != (self.dim_1, self.dim_1) or self.h2.shape != (self.dim_2, self.dim_2):
             raise DomainError("subsystem Hamiltonian shapes do not match dims")
-
-    @property
-    def f1(self) -> PowerLaw:
-        return PowerLaw(q=self.q1)
-
-    @property
-    def f2(self) -> PowerLaw:
-        return PowerLaw(q=self.q2)
 
 
 def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorConfig) -> Trajectory:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .deformation import DeformationFunction
 from .errors import DomainError, NumericalFailure
-from .hermitian import TOL_HERM, DensityMatrix, _zero_round_off, hermitian_part, require_hermitian
+from .hermitian import TOL_HERM, DensityMatrix, hermitian_part, require_hermitian
 from .structure import _kernel, hamiltonian_function
 
 # bytes of complex entries per block of the recording and invariant pass:
@@ -309,9 +309,8 @@ def _record(rho0: DensityMatrix, vs: np.ndarray, cfg: IntegratorConfig, energy, 
     steps = np.minimum(np.arange(count) * cfg.record_every, cfg.n_steps)
     times = (np.union1d(steps, [also_at]) if 0 < also_at < cfg.n_steps else steps) * cfg.dt
     # the step leaves the eigenvalues untouched, so every recorded state
-    # shares the spectrum of rho0, with round-off zeros as in
-    # density_from_spectrum
-    w = _zero_round_off(rho0.eigenvalues)
+    # shares the spectrum of rho0, whose round-off zeros its constructor set
+    w = rho0.eigenvalues
     matrices = np.empty_like(vs)
     matrices[0] = rho0.matrix
     for b in _blocks(1, count, dim):

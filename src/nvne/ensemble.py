@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .deformation import DeformationFunction
-from .dynamics import IntegratorConfig, evolve, larmor_frequency
+from .dynamics import RECORD_BUDGET_BYTES, IntegratorConfig, evolve, larmor_frequency
 from .errors import DomainError
 from .hermitian import DensityMatrix, _qubit_state, bloch_state, require_hermitian, validate_density
 
@@ -95,6 +95,10 @@ class EnsembleSpec:
         if h.shape != (2, 2):
             raise DomainError("ensemble spins are 2x2; H must be 2x2")
         object.__setattr__(self, "h", h)
+        # grids() keeps four float arrays over the product grid
+        if 32 * self.n_lam * self.n_phi * self.n_psi > RECORD_BUDGET_BYTES:
+            raise DomainError(f"{self.n_lam * self.n_phi * self.n_psi} quadrature nodes are past the "
+                              f"{RECORD_BUDGET_BYTES >> 30} GiB budget of the grids")
         norm = self.normalization()
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise DomainError(

@@ -4,7 +4,8 @@ Everything is dense complex numpy; matrix functions f(rho) go through the
 eigendecomposition (exact on the spectrum, no Taylor series), which also
 covers fractional powers x**q that have no expansion at 0. (The
 integrator's propagator exp(-i G dt) is a different matter: see
-dynamics._expm1.)
+dynamics._expm1.) Every validated state, from eigh or in closed form,
+passes the one checked tail, _checked_state.
 
 Conventions: hbar = k_B = 1; subsystem I is the slow (leftmost) Kronecker
 index.
@@ -110,20 +111,24 @@ def validate_density(matrix: np.ndarray) -> DensityMatrix:
     TOL_HERM, an eigenvalue below -TOL_HERM, |Tr| < TOL_HERM, NaN or
     infinite entries. A failed eigensolver raises NumericalFailure.
     """
-    m = require_hermitian(matrix, what="state")
-    trace = float(np.trace(m).real)
-    if abs(trace) < TOL_HERM:
-        raise DomainError(f"state trace {trace:.3e} too close to zero")
     try:
-        w, v = np.linalg.eigh(m)
+        w, v = np.linalg.eigh(require_hermitian(matrix, what="state"))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    if np.any(w < -TOL_HERM):
-        raise DomainError(
-            f"state has eigenvalue {float(np.min(w)):.3e} below -{TOL_HERM:.1e}"
-        )
+    return _checked_state(w, v)
+
+
+def _checked_state(w: np.ndarray, v: np.ndarray) -> DensityMatrix:
+    """V diag(w) V^dagger for the ascending spectrum w (a new float array) and
+    eigenvectors V of a finite Hermitian matrix, with the checks and repairs
+    of validate_density: round-off eigenvalues are zeroed once, then w sums to 1."""
+    trace = w.sum()
+    if abs(trace) < TOL_HERM:
+        raise DomainError(f"state trace {trace:.3e} too close to zero")
+    if w[0] < -TOL_HERM:
+        raise DomainError(f"state has eigenvalue {w[0]:.3e} below -{TOL_HERM:.1e}")
     w = _zero_round_off(w)
-    total = float(np.sum(w))
+    total = w.sum()
     if total < TOL_HERM:
         raise DomainError(f"state trace {total:.3e} after clipping too close to zero")
     w /= total
@@ -136,8 +141,8 @@ def density_from_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> 
     """Assemble a state from a known spectral decomposition (trusted path).
 
     The per-state form of the batched recording in dynamics._record (its
-    test oracle) and of _qubit_state. Eigenvalues in [-TOL_HERM, TOL_HERM/10]
-    become exactly 0, as in validate_density.
+    test oracle). Eigenvalues in [-TOL_HERM, TOL_HERM/10] become exactly 0,
+    as in validate_density.
     """
     w = _zero_round_off(np.asarray(eigenvalues, dtype=float))
     v = np.ascontiguousarray(eigenvectors, dtype=complex)
@@ -195,14 +200,6 @@ def _qubit_state(x: float, y: float, z: float, trace: float = 1.0) -> DensityMat
     r = math.hypot(x, y, z)
     if not (math.isfinite(r) and math.isfinite(trace)):
         raise DomainError("state has NaN or infinite entries")
-    if abs(trace) < TOL_HERM:
-        raise DomainError(f"state trace {trace:.3e} too close to zero")
-    if 0.5 * trace - r < -TOL_HERM:
-        raise DomainError(f"state has eigenvalue {0.5 * trace - r:.3e} below -{TOL_HERM:.1e}")
-    w = _zero_round_off(np.array([0.5 * trace - r, 0.5 * trace + r]))
-    total = float(w[0] + w[1])
-    if total < TOL_HERM:
-        raise DomainError(f"state trace {total:.3e} after clipping too close to zero")
     # (a, c): the eigenvector of +r, (1 + |z|/r, (x + iy)/r) over its norm, swapped
     # and conjugated for z < 0: free of cancellation, and of underflow at small r.
     # V is in SU(2), the identity at r = 0
@@ -212,7 +209,8 @@ def _qubit_state(x: float, y: float, z: float, trace: float = 1.0) -> DensityMat
         s = math.sqrt(2.0 * u)
         p, e = u / s, complex(x / r, y / r) / s
         a, c = (p, e) if z >= 0.0 else (e.conjugate(), p)
-    return density_from_spectrum(w / total, np.array([[c.conjugate(), a], [-a.conjugate(), c]]))
+    return _checked_state(np.array([0.5 * trace - r, 0.5 * trace + r]),
+                          np.array([[c.conjugate(), a], [-a.conjugate(), c]], dtype=complex))
 
 
 def bloch_state(*, lam, phi, psi) -> DensityMatrix:

@@ -121,7 +121,6 @@ class ObservableFunctional:
 
     evaluator: Callable
     gradient: Callable
-    name: str = "functional"
 
     def __call__(self, rho) -> float:
         return float(self.evaluator(_as_matrix(rho)))
@@ -156,7 +155,7 @@ def finite_difference_gradient(evaluator: Callable, m: np.ndarray) -> np.ndarray
     return hermitian_part(raw)
 
 
-def _trace_functional(terms, b, name: str) -> ObservableFunctional:
+def _trace_functional(terms, b) -> ObservableFunctional:
     """A(rho) = sum_k c_k Tr[f_k(rho) B] over the pairs (c_k, f_k) of terms,
     B the identity if b is None. The gradient at a DensityMatrix is the
     divided-difference transform of B with the kernel sum_k c_k K_(f_k);
@@ -175,24 +174,24 @@ def _trace_functional(terms, b, name: str) -> ObservableFunctional:
         unit = np.eye(rho.dim, dtype=complex) if b is None else b
         return hermitian_part(_divided_difference_transform(rho.eigenvectors, unit, kernel))
 
-    return ObservableFunctional(evaluator=evaluate, gradient=grad, name=name)
+    return ObservableFunctional(evaluator=evaluate, gradient=grad)
 
 
-def trace_polynomial_functional(coeffs, b: np.ndarray, name: str = "trace-poly") -> ObservableFunctional:
+def trace_polynomial_functional(coeffs, b: np.ndarray) -> ObservableFunctional:
     """A(rho) = Tr[(sum_k coeffs[k-1] rho^k) B]."""
-    return _trace_functional([(float(c), PowerLaw(k)) for k, c in enumerate(coeffs, start=1)], b, name)
+    return _trace_functional([(float(c), PowerLaw(k)) for k, c in enumerate(coeffs, start=1)], b)
 
 
 def casimir_functional(n: int) -> ObservableFunctional:
     """C_n = Tr rho^n, for an order n >= 1; its gradient is n rho^(n-1)."""
     if n < 1:
         raise DomainError(f"Casimir order must be a positive integer, got {n}")
-    return _trace_functional([(1.0, PowerLaw(n))], None, f"C{n}")
+    return _trace_functional([(1.0, PowerLaw(n))], None)
 
 
 def q_average_functional(h: np.ndarray, q: float) -> ObservableFunctional:
     """<H>_q = Tr rho^q H."""
-    return _trace_functional([(1.0, PowerLaw(q))], h, f"<H>_{q:g}")
+    return _trace_functional([(1.0, PowerLaw(q))], h)
 
 
 def poisson_bracket(a: ObservableFunctional, b: ObservableFunctional, rho) -> float:

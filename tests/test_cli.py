@@ -165,6 +165,12 @@ MALFORMED_CASTS = [
     ("ensemble", "ensemble.n_lam", 0),
     ("ensemble", "ensemble.n_phi", 0),
     ("ensemble", "ensemble.n_psi", 0),
+    # a rule whose n x n companion matrix is past the record budget, which
+    # check ended in a traceback building
+    ("ensemble", "ensemble.n_lam", 10**7),
+    # more nodes to check than the grid has, whose index array check ended
+    # in a traceback allocating
+    ("ensemble", "node_check.count", 10**15),
     # empty lists of points, which made their assertions pass on nothing
     ("larmor", "measure.larmor_grid.lams", []),
     ("larmor", "measure.larmor_grid.q_values", []),
@@ -266,20 +272,15 @@ class TestExitCodes:
         assert main(["run", str(path), "--quiet"]) == 1
 
     def test_domain_error_exit_3(self, tmp_path, monkeypatch, capsys):
-        # the parse rejects |q-1| beta mu >= 1 as a config error; with that
-        # check gone, the point reaches q_equilibrium, whose domain error
-        # exits 3
-        cfg = {
-            "kind": "equilibrium",
-            "thermo": {"q": 3.0, "beta": 0.9, "mu": 1.0},  # |q-1| beta mu > 1
-            "assertions": {},
-        }
-        path = write_config(tmp_path, cfg)
-        assert main(["check", str(path)]) == 2
-        monkeypatch.setattr(nvne.cli, "_spin_point",
-                            lambda path, q, beta, mu: nvne.ThermoParams(q=q, beta=beta))
+        # a domain error raised during a run, past every check of the parse
+        def fail(*args, **kwargs):
+            raise nvne.DomainError("no such state")
+
+        path = write_config(tmp_path, tiny_evolve_config())
+        assert main(["check", str(path)]) == 0
+        monkeypatch.setattr(nvne.dynamics, "evolve", fail)
         assert main(["run", str(path)]) == 3
-        assert capsys.readouterr().err.splitlines()[-1].startswith("domain error: 1 + (q-1)*beta*E")
+        assert capsys.readouterr().err.splitlines() == ["domain error: no such state"]
 
     @pytest.mark.parametrize("product", [0.99, 0.999])
     def test_equilibrium_next_to_the_domain_edge(self, tmp_path, capsys, product):
@@ -307,10 +308,13 @@ class TestExitCodes:
     def test_underflowing_population_exit_3(self, tmp_path):
         # exp(-2000) underflows: one error line, no numpy RuntimeWarning
         cfg = {"kind": "equilibrium", "thermo": {"q": 1, "beta": 1000, "mu": 1}}
-        proc = run_in_subprocess(write_config(tmp_path, cfg))
+        path = write_config(tmp_path, cfg)
+        proc = run_in_subprocess(path)
         assert proc.returncode == 3, proc.stderr
         assert [line for line in proc.stderr.splitlines() if line] == [
             "error: q-equilibrium population 0.000e+00 is out of floating-point range at beta = 1000"]
+        # check finds the equilibrium as run does
+        assert main(["check", str(path)]) == 3
 
     @pytest.mark.parametrize("section, key, value", [
         ("integrator", "dt", float("nan")),
@@ -330,6 +334,31 @@ class TestExitCodes:
                              ids=[f"{kind}:{key}={value}" for kind, key, value in MALFORMED_CASTS])
     def test_malformed_cast_exit_2_names_key(self, tmp_path, capsys, kind, key, value):
         assert_run_and_check_exit_2(tmp_path, capsys, with_leaf(CAST_BASES[kind], key, value), key)
+
+    @pytest.mark.parametrize("base, key, value, named", [
+        # spin-z is 2x2 whatever system.dim says: check accepted it and run exited 3
+        ("larmor", "system.dim", 4, "system.hamiltonian.preset"),
+        # sizes past the record budget at any step count, whose Hamiltonian or
+        # state check ended in a traceback building
+        ("evolve", "system.dim", 10**7, "integrator"),
+        ("composite", "system.dims", [10**6, 10**6], "integrator"),
+    ], ids=["spin-z-dim-4", "dim-1e7", "dims-1e6"])
+    def test_size_error_exit_2_names_key(self, tmp_path, capsys, base, key, value, named):
+        assert_run_and_check_exit_2(tmp_path, capsys, with_leaf(CAST_BASES[base], key, value), named)
+
+    def test_quadrature_grid_past_budget_exit_2(self, tmp_path, monkeypatch, capsys):
+        # 10^9 nodes; each rule is within the budget, the product grid is not
+        def fail(*args):
+            raise AssertionError("a quadrature rule was built")
+
+        monkeypatch.setattr(nvne.ensemble, "gauss_legendre", fail)
+        sizes = {"n_lam": 1000, "n_phi": 1000, "n_psi": 1000}
+        path = write_config(tmp_path, with_leaf(CAST_BASES["ensemble"], "ensemble",
+                                                {"weight": "tilted-lambda", **sizes}))
+        for command in ("check", "run"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err.startswith(
+                "config error: config key ensemble is invalid: 1000000000 quadrature nodes ")
 
     def test_cast_bases_validate(self, tmp_path):
         # so that each cast above is the only error in its config
@@ -471,6 +500,16 @@ class TestFuzzedConfigs:
         assert (check == 2) == (run == 2), (check, run, cfg)
         if value is INSERT:
             assert check == 2, cfg
+
+
+class TestDeclaredNames:
+    @pytest.mark.parametrize("cfg", [presets.get(name) for name in presets.names()] + list(CAST_BASES.values()),
+                             ids=list(presets.names()) + [f"cast-{kind}" for kind in CAST_BASES])
+    def test_declared_names_are_measured(self, cfg):
+        # an assertion on a declared name that the run leaves unmeasured
+        # would end in a KeyError
+        names, run = nvne.cli.KINDS[cfg["kind"]](cfg)
+        assert set(names) == set(run()[1])
 
 
 class TestOutputs:

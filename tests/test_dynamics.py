@@ -428,6 +428,18 @@ class TestRecordedStack:
             assert not s.eigenvectors.flags.writeable
         assert np.array_equal(traj.matrices[:, 0, 1], [s.matrix[0, 1] for s in traj.states])
 
+    def test_records_the_spectrum_of_the_start(self):
+        # 7.5e-14 is an eigenvalue of the validated start (zeroed before, not
+        # after, the spectrum is renormalized); zeroed again on recording, it
+        # read as an eigenvalue drift of 7.5e-14 and a recorded trace of 1 - 7.5e-14
+        c, s = np.cos(0.3), np.sin(0.3)
+        u = np.array([[c, -s], [s, c]])
+        rho = validate_density(u @ np.diag([2.0 - 1.5e-13, 1.5e-13]) @ u.T)
+        assert 0.0 < rho.eigenvalues[0] < 1e-13
+        traj = evolve(rho, -SIGMA_Z, PowerLaw(q=0.5), IntegratorConfig(dt=1e-2, t_final=0.05))
+        assert np.array_equal(traj.eigenvalues, rho.eigenvalues)
+        assert invariant_report(traj).eigenvalue_drift < 1e-15
+
     @pytest.mark.parametrize("pure", [False, True], ids=["mixed", "pure"])
     def test_stack_energy_equals_per_state_floats(self, rng, pure):
         h = random_hermitian(4, rng)

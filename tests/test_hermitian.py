@@ -334,6 +334,17 @@ class TestQubitState:
         assert state.eigenvalues.tolist() == [0.0, 1.0]
         assert np.array_equal(state.matrix, np.diag([1.0, 0.0]).astype(complex))
 
+    def test_round_off_is_zeroed_once(self):
+        # the lower eigenvalue 1.5e-13 lies above the repair window and, over
+        # the trace 2, 7.5e-14 inside it: zeroed after renormalizing, it left
+        # a spectrum that summed to 1 - 7.5e-14
+        x, y, z, trace = 0.0, 0.0, 1.0 - 1.5e-13, 2.0
+        got = _qubit_state(x, y, z, trace)
+        want = validate_density(bloch_matrix(x, y, z, trace))
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert got.eigenvalues[0] > 0.0 and np.sum(got.eigenvalues) == 1.0
+
     @pytest.mark.parametrize("r", [1e-17, 1e-160, 1e-300])
     def test_small_bloch_vector_keeps_v_unitary(self, r):
         # 2 r (r + |z|) underflows below r = 1e-154; the eigenvectors do not

@@ -301,7 +301,7 @@ class TestPoissonBracket:
             return float(np.trace(m @ m @ b).real)
 
         fd_func = ObservableFunctional(
-            evaluator=evaluate, name="fd-only",
+            evaluator=evaluate,
             gradient=lambda state: finite_difference_gradient(evaluate, state.matrix))
         for n in (1, 2, 3):
             assert abs(poisson_bracket(casimir_functional(n), fd_func, rho)) < 1e-6
@@ -332,9 +332,9 @@ class TestPoissonBracket:
 
     def test_leibniz_rule(self, rng):
         rho = random_density_matrix(3, rng)
-        a = trace_polynomial_functional([1.0], random_hermitian(3, rng), name="A")
-        b = trace_polynomial_functional([0.0, 1.0], random_hermitian(3, rng), name="B")
-        c = trace_polynomial_functional([0.5, 0.5], random_hermitian(3, rng), name="C")
+        a = trace_polynomial_functional([1.0], random_hermitian(3, rng))
+        b = trace_polynomial_functional([0.0, 1.0], random_hermitian(3, rng))
+        c = trace_polynomial_functional([0.5, 0.5], random_hermitian(3, rng))
 
         def product_functional(f1, f2):
             def ev(m):
@@ -343,7 +343,7 @@ class TestPoissonBracket:
             def grad(state):
                 return f1(state) * f2.gradient(state) + f2(state) * f1.gradient(state)
 
-            return ObservableFunctional(evaluator=ev, gradient=grad, name="AB")
+            return ObservableFunctional(evaluator=ev, gradient=grad)
 
         ab = product_functional(a, b)
         lhs = poisson_bracket(ab, c, rho)
