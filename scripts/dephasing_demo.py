@@ -19,11 +19,10 @@ import numpy as np
 from nvne.deformation import PowerLaw
 from nvne.ensemble import (
     EnsembleSpec,
-    offdiagonal_magnitude,
+    dephasing_analytic,
     ensemble_average,
     sin_psi_half_weight,
     tilted_weight,
-    transverse_coefficients,
 )
 from nvne.hermitian import SIGMA_Z
 
@@ -45,11 +44,10 @@ def main() -> None:
     times = np.linspace(0.0, args.t_max, args.samples)
     rows = []
     for t in times:
-        off_sym = offdiagonal_magnitude(ensemble_average(spec_sym, float(t)))
-        off_tilted = offdiagonal_magnitude(ensemble_average(spec_tilted, float(t)))
-        cx, cy = transverse_coefficients(float(t), f, args.mu, n_lam=512,
-                                         lam_density=lambda lam: 2 * lam)
-        rows.append((t, off_sym, off_tilted, abs(cx + 1j * cy)))
+        off_sym = abs(ensemble_average(spec_sym, float(t)).matrix[0, 1])
+        off_tilted = abs(ensemble_average(spec_tilted, float(t)).matrix[0, 1])
+        analytic = dephasing_analytic(float(t), f, args.mu, n_lam=512, lam_density=lambda lam: 2 * lam)
+        rows.append((t, off_sym, off_tilted, abs(analytic.matrix[0, 1])))
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

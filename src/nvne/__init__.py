@@ -33,15 +33,12 @@ from .ensemble import (
     ensemble_average,
     evolve_node,
     gauss_legendre,
-    offdiagonal_magnitude,
     sin_psi_half_weight,
     tilted_weight,
 )
 from .errors import ConfigError, DomainError, IoError, NumericalFailure, NvneError
 from .hermitian import (
-    IDENTITY_2,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
     bloch_state,
@@ -62,7 +59,6 @@ from .structure import (
     generator,
     hamiltonian_function,
     poisson_bracket,
-    q_average,
     q_average_functional,
     trace_polynomial_functional,
 )

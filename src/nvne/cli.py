@@ -610,14 +610,13 @@ def _parse_ensemble(cfg: dict):
             analytic = ensemble.dephasing_analytic(t, f, mu, n_lam=max(64, espec.n_lam),
                                                    lam_density=lam_density)
             match_gap = max(match_gap, float(np.max(np.abs(avg.matrix - analytic.matrix))))
-            series.append((t, ensemble.offdiagonal_magnitude(avg), avg.purity()))
+            series.append((t, abs(avg.matrix[0, 1]), avg.purity()))
         headline = {"analytic_match_gap": match_gap}
         measured = {"analytic_match": match_gap}
         plot = (series, ["t", "offdiag_abs", "purity"])
         if window_times is not None:
-            offs = [ensemble.offdiagonal_magnitude(ensemble.ensemble_average(espec, float(t)))
-                    for t in window_times]
-            late = ensemble.offdiagonal_magnitude(ensemble.ensemble_average(espec, t_late))
+            offs = [abs(ensemble.ensemble_average(espec, float(t)).matrix[0, 1]) for t in window_times]
+            late = abs(ensemble.ensemble_average(espec, t_late).matrix[0, 1])
             peak = float(np.max(offs))
             # a peak at round-off level is no signal whose decay could be measured
             ratio = late / peak if peak > TOL_HERM else np.inf

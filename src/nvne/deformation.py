@@ -1,7 +1,7 @@
 """Deformation functions f for the nonlinear evolution i*drho/dt = [H, f(rho)].
 
 Any f with f(0) = 0 and f(1) = 1 leaves pure states on linear trajectories.
-Two families are provided: the power law f(x) = x**q (q > 0) and finite
+Two families are provided: the power law f(x) = x**q (0 < q < inf) and finite
 coefficient series f(x) = sum_k c_k x**k.
 """
 from __future__ import annotations
@@ -47,13 +47,13 @@ class DeformationFunction:
 
 @dataclass(frozen=True)
 class PowerLaw(DeformationFunction):
-    """f(x) = x**q with q > 0, so that f(0) = 0 and f(1) = 1."""
+    """f(x) = x**q with finite q > 0, so that f(0) = 0 and f(1) = 1."""
 
     q: float
 
     def __post_init__(self):
-        if not self.q > 0:
-            raise DomainError(f"power-law exponent must be positive, got q={self.q}")
+        if not 0 < self.q < np.inf:
+            raise DomainError(f"power-law exponent must be positive and finite, got q={self.q}")
 
     def _domain(self, x):
         """x itself for integer q; for non-integer q, x >= 0 up to a

@@ -17,6 +17,8 @@ an average costs O(n_lam). Averages and node states are built from their
 Bloch vectors in closed form (hermitian._qubit_state), with no
 eigensolver. The integrated fallback steps every node with n = ceil(t/dt)
 steps of size t/n, so it ends at t exactly, and validates only the sum.
+dephasing_analytic builds the same average from the reduced lam integral;
+the dephasing signal |rho_01| is read off either state's matrix.
 
 Note on the shipped sin(psi/2) weight: the transverse components of its
 average vanish identically for every power-law deformation, because the
@@ -99,7 +101,7 @@ class EnsembleSpec:
         if 32 * self.n_lam * self.n_phi * self.n_psi > RECORD_BUDGET_BYTES:
             raise DomainError(f"{self.n_lam * self.n_phi * self.n_psi} quadrature nodes are past the "
                               f"{RECORD_BUDGET_BYTES >> 30} GiB budget of the grids")
-        norm = self.normalization()
+        norm = float(np.sum(self.grids()["w"]))
         if abs(norm - 1.0) > NORMALIZATION_TOL:
             raise DomainError(
                 f"weight quadrature normalizes to {norm!r}, expected 1 "
@@ -133,9 +135,6 @@ class EnsembleSpec:
                 total=float(np.sum(g["w"])),
             )
         return g
-
-    def normalization(self) -> float:
-        return float(np.sum(self.grids()["w"]))
 
     @property
     def mu(self) -> float:
@@ -189,10 +188,10 @@ def evolve_node(spec: EnsembleSpec, lam: float, phi: float, psi: float, t: float
     return bloch_state(lam=lam, phi=phi, psi=psi - omega * t)
 
 
-def transverse_coefficients(t: float, f: DeformationFunction, mu: float, n_lam: int,
-                            lam_density: Callable | None = None) -> tuple[float, float]:
-    """(sigma_x, sigma_y) coefficients of the averaged state from the
-    reduced lam integral:
+def dephasing_analytic(t: float, f: DeformationFunction, mu: float, n_lam: int = 64,
+                       lam_density: Callable | None = None) -> DensityMatrix:
+    """Averaged state 1/2 + cx sigma_x + cy sigma_y from the reduced lam
+    integral (Gauss-Legendre):
 
         cx = (pi/24) int u(lam) (2 lam - 1) cos(omega(lam) t) dlam
         cy = -(pi/24) int u(lam) (2 lam - 1) sin(omega(lam) t) dlam
@@ -209,15 +208,4 @@ def transverse_coefficients(t: float, f: DeformationFunction, mu: float, n_lam: 
     base = wl * u * (2.0 * lam - 1.0)
     cx = (np.pi / 24.0) * float(np.sum(base * np.cos(omega * t)))
     cy = -(np.pi / 24.0) * float(np.sum(base * np.sin(omega * t)))
-    return cx, cy
-
-
-def dephasing_analytic(t: float, f: DeformationFunction, mu: float, n_lam: int = 64,
-                       lam_density: Callable | None = None) -> DensityMatrix:
-    """Averaged state from the reduced lam integral (Gauss-Legendre)."""
-    cx, cy = transverse_coefficients(t, f, mu, n_lam, lam_density)
     return _qubit_state(cx, cy, 0.0)
-
-
-def offdiagonal_magnitude(state: DensityMatrix) -> float:
-    return float(abs(state.matrix[0, 1]))

@@ -22,9 +22,7 @@ from .errors import DomainError, NumericalFailure
 TOL_HERM = 1e-12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -152,12 +150,19 @@ def density_from_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> 
 
 
 def pure_state(vector: np.ndarray) -> DensityMatrix:
-    """|psi><psi| for a nonzero vector psi (normalized internally)."""
-    psi = np.asarray(vector, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(psi)
-    if norm < 1e-15:
+    """|psi><psi| for a vector psi with a nonzero entry (normalized internally).
+
+    psi is first scaled by the power of two that puts its largest real or
+    imaginary part in [1/2, 1): exact, so the norm neither under- nor
+    overflows at any scale, and a vector whose norm did not is normalized to
+    the same bits.
+    """
+    parts = np.ascontiguousarray(vector, dtype=complex).reshape(-1).view(float)
+    peak = np.max(np.abs(parts), initial=0.0)
+    if peak == 0.0:
         raise DomainError("cannot build a pure state from the zero vector")
-    psi = psi / norm
+    psi = np.ldexp(parts, -np.frexp(peak)[1]).view(complex)
+    psi = psi / np.linalg.norm(psi)
     return validate_density(np.outer(psi, psi.conj()))
 
 

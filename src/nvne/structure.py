@@ -1,9 +1,10 @@
 """Hamiltonian structure of the nonlinear von Neumann equation.
 
-The scalar energy <H>_f = Tr{(Tr rho) f(rho/Tr rho) H} is 1-homogeneous in
-rho. Its variation yields the state-dependent effective Hamiltonian whose
-commutator with rho reproduces [H, f(rho)]; Tr(rho^n) are Casimirs of the
-underlying Lie-Poisson bracket, realized here in closed matrix form
+The energy <H>_f = Tr{f(rho) H} of a state (U_q = Tr(rho^q H) for the power
+law) extends 1-homogeneously to Tr{(Tr rho) f(rho/Tr rho) H}. Its variation
+yields the state-dependent effective Hamiltonian whose commutator with rho
+reproduces [H, f(rho)]; Tr(rho^n) are Casimirs of the underlying
+Lie-Poisson bracket, realized here in closed matrix form
 
     {A, B}(rho) = -i Tr(rho [grad A, grad B])
 
@@ -18,42 +19,22 @@ import numpy as np
 
 from .deformation import DeformationFunction, PowerLaw
 from .errors import DomainError, NumericalFailure
-from .hermitian import (
-    DensityMatrix,
-    hermitian_part,
-    hermiticity_defect,
-    require_hermitian,
-)
+from .hermitian import DensityMatrix, hermitian_part, hermiticity_defect
 
 FD_STEP = 1e-6
 # eigenvalues at or below this are the kernel of rho in effective_hamiltonian
 KERNEL_TOL = 1e-10
 
 
-def _as_matrix(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
 def hamiltonian_function(rho, h: np.ndarray, f: DeformationFunction):
-    """Energy (Tr rho) * Tr[f(rho / Tr rho) H].
-
-    Accepts a DensityMatrix or any Hermitian PSD matrix with positive
-    trace; 1-homogeneous under rho -> c*rho. A pair (w, V) of a spectrum
-    and a (T, d, d) eigenvector stack gives the array of the energies of
-    the states V diag(w) V^dagger from one batched eigenbasis diagonal.
+    """Energy Tr[f(rho) H] of a DensityMatrix rho (Tr(rho^q H) = U_q for a
+    PowerLaw). A pair (w, V) of a spectrum and a (T, d, d) eigenvector stack
+    gives the array of the energies of the states V diag(w) V^dagger from one
+    batched eigenbasis diagonal.
     """
-    h = np.asarray(h, dtype=complex)
-    if isinstance(rho, (tuple, DensityMatrix)):
-        w, v = rho if isinstance(rho, tuple) else (rho.eigenvalues, rho.eigenvectors)
-        energies = np.sum(f.f(w) * _eigenbasis_diagonal(v, h), axis=-1)
-        return energies if energies.ndim else float(energies)
-    w, v = np.linalg.eigh(require_hermitian(_as_matrix(rho), what="state"))
-    tau = float(np.sum(w))
-    if tau < 1e-12:
-        raise DomainError(f"hamiltonian_function needs Tr > 0, got {tau:.3e}")
-    if np.min(w) < -1e-12 * max(tau, 1.0):
-        raise DomainError(f"state must be PSD, min eigenvalue {np.min(w):.3e}")
-    return float(tau * np.sum(f.f(np.clip(w, 0.0, None) / tau) * _eigenbasis_diagonal(v, h)))
+    w, v = rho if isinstance(rho, tuple) else (rho.eigenvalues, rho.eigenvectors)
+    energies = np.sum(f.f(w) * _eigenbasis_diagonal(v, np.asarray(h, dtype=complex)), axis=-1)
+    return energies if energies.ndim else float(energies)
 
 
 def _eigenbasis_diagonal(v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -106,11 +87,6 @@ def effective_hamiltonian(rho: DensityMatrix, h: np.ndarray, f: DeformationFunct
     return hermitian_part(g + scalar * np.eye(rho.dim))
 
 
-def q_average(rho: DensityMatrix, h: np.ndarray, q: float) -> float:
-    """Tr(rho^q H), the internal energy of the power-law theory."""
-    return hamiltonian_function(rho, h, PowerLaw(q=q))
-
-
 @dataclass(frozen=True)
 class ObservableFunctional:
     """Real functional of the state with a Hermitian gradient.
@@ -122,8 +98,8 @@ class ObservableFunctional:
     evaluator: Callable
     gradient: Callable
 
-    def __call__(self, rho) -> float:
-        return float(self.evaluator(_as_matrix(rho)))
+    def __call__(self, rho: DensityMatrix) -> float:
+        return float(self.evaluator(rho.matrix))
 
 
 def finite_difference_gradient(evaluator: Callable, m: np.ndarray) -> np.ndarray:
@@ -194,13 +170,12 @@ def q_average_functional(h: np.ndarray, q: float) -> ObservableFunctional:
     return _trace_functional([(1.0, PowerLaw(q))], h)
 
 
-def poisson_bracket(a: ObservableFunctional, b: ObservableFunctional, rho) -> float:
+def poisson_bracket(a: ObservableFunctional, b: ObservableFunctional, rho: DensityMatrix) -> float:
     """{A, B}(rho) = -i Tr(rho [grad A, grad B]); antisymmetric by
     construction and insensitive to adding multiples of the identity to
     either gradient."""
-    m = _as_matrix(rho)
     ga = a.gradient(rho)
     gb = b.gradient(rho)
     comm = ga @ gb - gb @ ga
-    value = -1j * np.trace(m @ comm)
+    value = -1j * np.trace(rho.matrix @ comm)
     return float(value.real)

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .deformation import PowerLaw
 from .errors import DomainError, NumericalFailure
 from .hermitian import DensityMatrix, require_hermitian
-from .structure import q_average
+from .structure import hamiltonian_function
 
 Q_ONE_THRESHOLD = 1e-8
 
@@ -25,9 +26,8 @@ class ThermoParams:
     beta: float
 
     def __post_init__(self):
-        if self.q <= 0:
-            raise DomainError(f"q must be positive, got {self.q}")
-        if self.beta <= 0:
+        PowerLaw(self.q)  # the exponent rule, NaN included, lives in PowerLaw
+        if not self.beta > 0:
             raise DomainError(f"beta must be positive, got {self.beta}")
 
     @property
@@ -37,12 +37,10 @@ class ThermoParams:
 
 def entropy_from_eigenvalues(eigenvalues: np.ndarray, q: float, trace: float = 1.0) -> float:
     w = np.asarray(eigenvalues, dtype=float)
-    if q <= 0:
-        raise DomainError(f"q must be positive, got {q}")
     if abs(q - 1.0) < Q_ONE_THRESHOLD:
         pos = w[w > 0]
         return float(-np.sum(pos * np.log(pos)))
-    return float((trace - np.sum(np.clip(w, 0.0, None) ** q)) / (q - 1.0))
+    return float((trace - np.sum(PowerLaw(q).f(w))) / (q - 1.0))
 
 
 def tsallis_entropy(rho: DensityMatrix, q: float) -> float:
@@ -52,8 +50,8 @@ def tsallis_entropy(rho: DensityMatrix, q: float) -> float:
 
 
 def free_energy(rho: DensityMatrix, h: np.ndarray, p: ThermoParams) -> float:
-    """F = U_q - T S_q, with U_q = q_average(rho, h, q) = Tr(rho^q H)."""
-    return q_average(rho, h, p.q) - p.temperature * tsallis_entropy(rho, p.q)
+    """F = U_q - T S_q, with U_q = Tr(rho^q H)."""
+    return hamiltonian_function(rho, h, PowerLaw(p.q)) - p.temperature * tsallis_entropy(rho, p.q)
 
 
 @dataclass(frozen=True)

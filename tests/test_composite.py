@@ -9,6 +9,7 @@ from nvne.composite import (
     evolve_composite,
     reduction_consistency,
 )
+from nvne.deformation import PowerLaw
 from nvne.dynamics import IntegratorConfig
 from nvne.errors import DomainError
 from nvne.hermitian import (
@@ -22,7 +23,7 @@ from nvne.hermitian import (
     trace_distance,
     validate_density,
 )
-from nvne.structure import _divided_difference_transform, _kernel
+from nvne.structure import _divided_difference_transform, _kernel, hamiltonian_function
 
 
 def spin_system(q1=1.5, q2=2.5, mu1=1.0, mu2=0.7):
@@ -241,9 +242,8 @@ class TestReductionConsistency:
     def test_composite_energy_matches_subsystem_averages(self, rng):
         rho = random_density_matrix(4, rng)
         sys_ = spin_system()
-        from nvne.structure import q_average
 
         e = composite_energy(rho, sys_)
-        e1 = q_average(partial_trace(rho, (2, 2), "I"), sys_.h1, sys_.q1)
-        e2 = q_average(partial_trace(rho, (2, 2), "II"), sys_.h2, sys_.q2)
+        e1 = hamiltonian_function(partial_trace(rho, (2, 2), "I"), sys_.h1, PowerLaw(sys_.q1))
+        e2 = hamiltonian_function(partial_trace(rho, (2, 2), "II"), sys_.h2, PowerLaw(sys_.q2))
         assert e == pytest.approx(e1 + e2, abs=1e-12)

@@ -19,6 +19,10 @@ class TestPowerLaw:
             PowerLaw(q=0.0)
         with pytest.raises(DomainError):
             PowerLaw(q=-2.0)
+        # non-finite exponents: f and the divided differences take int(q)
+        for q in (np.inf, np.nan):
+            with pytest.raises(DomainError):
+                PowerLaw(q=q)
 
     def test_negative_argument_noninteger_q(self):
         with pytest.raises(DomainError):

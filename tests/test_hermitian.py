@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from nvne.deformation import PowerLaw
 from nvne.errors import DomainError, NumericalFailure
 from nvne.hermitian import (
-    IDENTITY_2,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     TOL_HERM,
     DensityMatrix,
@@ -31,6 +29,9 @@ from nvne.hermitian import (
 from nvne.structure import casimir_functional
 
 from conftest import make_states
+
+IDENTITY_2 = np.eye(2, dtype=complex)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 
 
 def brute_force_partial_trace(m, dims, keep):
@@ -309,6 +310,24 @@ def bloch_vectors(count, rng):
 def bloch_matrix(x, y, z, trace):
     """trace/2 + x sx + y sy + z sz, entry by entry (no 0 * inf)."""
     return np.array([[0.5 * trace + z, complex(x, -y)], [complex(x, y), 0.5 * trace - z]])
+
+
+class TestPureState:
+    @pytest.mark.parametrize("vector, unit", [
+        ([1e-300, 0.0], [1.0, 0.0]),
+        ([1e-200, 1e-200], [1.0, 1.0]),
+        ([1e300, 1e300], [1.0, 1.0]),
+        ([1.5e308 + 1.5e308j, 0.0], [1.0 + 1.0j, 0.0]),
+    ], ids=["1e-300", "1e-200", "1e300", "modulus-past-float-max"])
+    def test_scale_free(self, vector, unit):
+        # from near the smallest float to past the largest, scale does not change the state
+        assert np.array_equal(pure_state(vector).matrix, pure_state(unit).matrix)
+
+    def test_unit_scale_vector_normalized_as_by_its_norm(self, rng):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        unit = psi / np.linalg.norm(psi)
+        assert np.array_equal(pure_state(psi).matrix,
+                              validate_density(np.outer(unit, unit.conj())).matrix)
 
 
 class TestQubitState:

@@ -27,16 +27,16 @@ def used_names() -> set:
     files += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
     trees = [ast.parse(path.read_text()) for path in files]
     # a class field that shares its name with an export (the field
-    # EquilibriumResult.free_energy, the function free_energy) is no caller,
-    # neither where it is declared nor where it is read
-    fields = {node.target for tree in trees for cls in ast.walk(tree)
-              if isinstance(cls, ast.ClassDef)
-              for node in cls.body if isinstance(node, ast.AnnAssign)}
-    members = {field.id for field in fields}
+    # EquilibriumResult.free_energy, the function free_energy) is no caller
+    # where it is read
+    members = {node.target.id for tree in trees for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.AnnAssign)}
     names = set()
     for tree in trees:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and node not in fields:
+            # only reads: a name's own assignment (a module constant) is no caller
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and node.attr not in members:
                 names.add(node.attr)
@@ -50,3 +50,24 @@ def test_every_export_has_a_caller():
 
 def test_oracles_are_exported():
     assert ORACLES <= exported_names()
+
+
+def test_no_unused_imports():
+    """Every name a package module imports is read in that module, so that a
+    deletion leaves no import behind."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.name}: {bound}")
+    assert not unused, f"imported but never read: {unused}"

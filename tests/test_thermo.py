@@ -15,7 +15,7 @@ from nvne.hermitian import (
     trace_distance,
     validate_density,
 )
-from nvne.structure import q_average
+from nvne.structure import hamiltonian_function
 from nvne.thermo import ThermoParams, free_energy, q_equilibrium, tsallis_entropy
 
 from conftest import make_states
@@ -59,6 +59,10 @@ class TestEntropy:
         with pytest.raises(DomainError):
             tsallis_entropy(random_density_matrix(2, rng), 0.0)
 
+    def test_rejects_nan_q(self, rng):
+        with pytest.raises(DomainError):
+            tsallis_entropy(random_density_matrix(2, rng), np.nan)
+
 
 class TestEnergies:
     def test_bloch_closed_form(self):
@@ -66,16 +70,22 @@ class TestEnergies:
         mu, lam, phi, q = 1.0, 0.75, 0.6, 2.0
         rho = bloch_state(lam=lam, phi=phi, psi=0.3)
         expected = -mu * np.cos(phi) * (lam**q - (1 - lam) ** q)
-        assert q_average(rho, -mu * SIGMA_Z, q) == pytest.approx(expected, abs=1e-12)
+        assert hamiltonian_function(rho, -mu * SIGMA_Z, PowerLaw(q)) == pytest.approx(expected, abs=1e-12)
 
     def test_aligned_oracle(self):
         rho = bloch_state(lam=0.75, phi=0.0, psi=0.0)
-        assert q_average(rho, -SIGMA_Z, 2.0) == pytest.approx(-0.5)
+        assert hamiltonian_function(rho, -SIGMA_Z, PowerLaw(2.0)) == pytest.approx(-0.5)
 
     def test_balanced_state_zero(self):
         rho = bloch_state(lam=0.5, phi=0.9, psi=0.1)
         for q in (0.5, 2.0, 3.0):
-            assert q_average(rho, -SIGMA_Z, q) == pytest.approx(0.0, abs=1e-12)
+            assert hamiltonian_function(rho, -SIGMA_Z, PowerLaw(q)) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("q, beta", [(np.nan, 1.0), (2.0, np.nan)], ids=["q-nan", "beta-nan"])
+def test_thermo_params_reject_nan(q, beta):
+    with pytest.raises(DomainError):
+        ThermoParams(q=q, beta=beta)
 
 
 def spin_free_energy(lam, p, mu=1.0):
@@ -110,7 +120,7 @@ class TestFreeEnergy:
             h = random_hermitian(rho.dim, rng)
             lhs = free_energy(rho, h, p)
             c1, cq = np.sum(rho.eigenvalues), np.sum(rho.eigenvalues**p.q)
-            rhs = q_average(rho, h, p.q) - p.temperature * (c1 - cq) / (p.q - 1.0)
+            rhs = hamiltonian_function(rho, h, PowerLaw(p.q)) - p.temperature * (c1 - cq) / (p.q - 1.0)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_equilibrium_free_energy_consistent_with_matrix_form(self):
