@@ -597,9 +597,9 @@ def _parse_ensemble(cfg: dict):
         icfg = _recorded(_build("node_check.dt", dynamics.IntegratorConfig, dt=dt, t_final=t_end,
                                 record_every=1000), 2, "node_check")
         cross_row = -(-n_cross // 1000)
-        g = espec.grids()
-        idx = np.linspace(0, g["lam"].size - 1, count).astype(int)
-        nodes = [tuple(float(g[k].flat[i]) for k in ("lam", "phi", "psi")) for i in idx]
+        shape = tuple(sizes.values())
+        idx = np.unravel_index(np.linspace(0, math.prod(shape) - 1, count).astype(int), shape)
+        nodes = [tuple(float(x[i]) for (x, _), i in zip(espec.rules(), ijk)) for ijk in zip(*idx)]
         names.update({"node_eigenvalue_drift", "node_crosscheck"})
 
     def run():

@@ -11,14 +11,17 @@ depends on lam only and cos(psi - omega t) = cos psi cos omega t +
 sin psi sin omega t, the phi and psi sums are taken once per spec: the
 per-lam moments A_c(lam) = sum w c sin(phi) cos(psi) and A_s(lam) (same
 with sin psi, c = lam - 1/2), the sigma_z coefficient and the total
-weight. EnsembleSpec.moments() memoises them on first use, and the
-Larmor rates on the lam nodes are cached per (n_lam, f, mu), after which
-an average costs O(n_lam). Averages and node states are built from their
-Bloch vectors in closed form (hermitian._qubit_state), with no
-eigensolver. The integrated fallback steps every node with n = ceil(t/dt)
-steps of size t/n, so it ends at t exactly, and validates only the sum.
-dephasing_analytic builds the same average from the reduced lam integral;
-the dephasing signal |rho_01| is read off either state's matrix.
+weight. EnsembleSpec computes them at construction, one lam node at a
+time on an n_phi x n_psi slice, in the pass that checks the
+normalization, so no array over the product grid is built; grids()
+serves the integrated path only. The Larmor rates on the lam nodes are
+cached per (n_lam, f, mu), after which an average costs O(n_lam).
+Averages and node states are built from their Bloch vectors in closed
+form (hermitian._qubit_state), with no eigensolver. The integrated
+fallback steps every node with n = ceil(t/dt) steps of size t/n, so it
+ends at t exactly, and validates only the sum. dephasing_analytic
+builds the same average from the reduced lam integral; the dephasing
+signal |rho_01| is read off either state's matrix.
 
 Note on the shipped sin(psi/2) weight: the transverse components of its
 average vanish identically for every power-law deformation, because the
@@ -90,51 +93,62 @@ class EnsembleSpec:
     n_lam: int = 32
     n_phi: int = 32
     n_psi: int = 32
-    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = require_hermitian(self.h, what="ensemble H")
         if h.shape != (2, 2):
             raise DomainError("ensemble spins are 2x2; H must be 2x2")
         object.__setattr__(self, "h", h)
-        # grids() keeps four float arrays over the product grid
+        # the integrated path's grids() keeps four float arrays over the
+        # product grid; the budget holds for every spec, so either path runs
         if 32 * self.n_lam * self.n_phi * self.n_psi > RECORD_BUDGET_BYTES:
             raise DomainError(f"{self.n_lam * self.n_phi * self.n_psi} quadrature nodes are past the "
                               f"{RECORD_BUDGET_BYTES >> 30} GiB budget of the grids")
-        norm = float(np.sum(self.grids()["w"]))
-        if abs(norm - 1.0) > NORMALIZATION_TOL:
+        # one pass, one n_phi x n_psi slice per lam node, weights as in grids();
+        # rows: the weight against 1, sin(phi) cos(psi), sin(phi) sin(psi), cos(phi)
+        (lam, wl), (phi, wp), (psi, ws) = self.rules()
+        big_p, big_s = np.meshgrid(phi, psi, indexing="ij")
+        sin_p = np.sin(big_p)
+        by_phi = np.stack([np.ones_like(phi), np.sin(phi), np.sin(phi), np.cos(phi)])
+        by_psi = np.stack([np.ones_like(psi), np.cos(psi), np.sin(psi), np.ones_like(psi)])
+        sums = np.empty((4, self.n_lam))
+        for i, lam_i in enumerate(lam):
+            w = self.weight(np.full_like(big_p, lam_i), big_p, big_s) * sin_p * wl[i] * wp[:, None] * ws
+            sums[:, i] = np.sum((by_phi @ w) * by_psi, axis=1)
+        sums[1:] *= lam - 0.5
+        norm = float(np.sum(sums[0]))
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL:
             raise DomainError(
                 f"weight quadrature normalizes to {norm!r}, expected 1 "
                 f"within {NORMALIZATION_TOL:.0e}"
             )
+        self._memo.update(total=norm, a_c=sums[1], a_s=sums[2], coeff_z=float(np.sum(sums[3])))
+
+    def rules(self):
+        """The 1-D Gauss-Legendre (nodes, weights) of lam on [0, 1], phi on
+        [0, pi] and psi on [0, 2 pi]."""
+        return (gauss_legendre(self.n_lam, 0.0, 1.0), gauss_legendre(self.n_phi, 0.0, np.pi),
+                gauss_legendre(self.n_psi, 0.0, 2.0 * np.pi))
 
     def grids(self):
-        if not self._grids:
-            lam, wl = gauss_legendre(self.n_lam, 0.0, 1.0)
-            phi, wp = gauss_legendre(self.n_phi, 0.0, np.pi)
-            psi, ws = gauss_legendre(self.n_psi, 0.0, 2.0 * np.pi)
+        """Nodes and weights over the whole product grid, built on first call
+        and kept; only the integrated path needs them."""
+        if "w" not in self._memo:
+            (lam, wl), (phi, wp), (psi, ws) = self.rules()
             big_l, big_p, big_s = np.meshgrid(lam, phi, psi, indexing="ij")
             wl3, wp3, ws3 = np.meshgrid(wl, wp, ws, indexing="ij")
             weights = self.weight(big_l, big_p, big_s) * np.sin(big_p) * wl3 * wp3 * ws3
-            self._grids.update(lam=big_l, phi=big_p, psi=big_s, w=weights)
-        return self._grids
+            self._memo.update(lam=big_l, phi=big_p, psi=big_s, w=weights)
+        return self._memo
 
     def moments(self):
-        """Time-independent parts of the closed-form average, memoised in
-        the grids() dict on first use: omega and the moments A_c, A_s on the
-        lam nodes, the sigma_z coefficient and the total weight."""
-        g = self.grids()
-        if "omega" not in g:
-            wc = g["w"] * (g["lam"] - 0.5)
-            w_sin = wc * np.sin(g["phi"])
-            g.update(
-                omega=_larmor_rates(self.n_lam, self.f, self.mu),
-                a_c=np.sum(w_sin * np.cos(g["psi"]), axis=(1, 2)),
-                a_s=np.sum(w_sin * np.sin(g["psi"]), axis=(1, 2)),
-                coeff_z=float(np.sum(wc * np.cos(g["phi"]))),
-                total=float(np.sum(g["w"])),
-            )
-        return g
+        """Time-independent parts of the closed-form average: A_c, A_s, the
+        sigma_z coefficient and the total weight, from construction, and
+        omega on the lam nodes, added on first call."""
+        if "omega" not in self._memo:
+            self._memo["omega"] = _larmor_rates(self.n_lam, self.f, self.mu)
+        return self._memo
 
     @property
     def mu(self) -> float:

@@ -360,6 +360,42 @@ class TestExitCodes:
             assert capsys.readouterr().err.startswith(
                 "config error: config key ensemble is invalid: 1000000000 quadrature nodes ")
 
+    @pytest.mark.parametrize("sizes, count", [((16, 16, 16), 3), ((4, 6, 10), 5), ((1, 1, 1), 1)])
+    def test_node_check_never_builds_the_product_grid(self, tmp_path, monkeypatch, sizes, count):
+        # a flat weight normalized on this grid, so that 1 x 1 x 1 constructs too
+        (_, wl), (phi, wp), (_, ws) = (nvne.ensemble.gauss_legendre(n, 0.0, b)
+                                       for n, b in zip(sizes, (1.0, np.pi, 2.0 * np.pi)))
+        scale = 1.0 / (np.sum(wl) * np.sum(np.sin(phi) * wp) * np.sum(ws))
+
+        def flat(lam, phi, psi):
+            return np.full(np.shape(lam), scale)
+
+        monkeypatch.setitem(nvne.ensemble.WEIGHTS, "tilted-lambda", flat)
+        shape = dict(zip(("n_lam", "n_phi", "n_psi"), sizes))
+        # the node choice read off the product grid, as the node check once did
+        g = nvne.ensemble.EnsembleSpec(weight=flat, f=nvne.PowerLaw(q=3.0), h=-nvne.SIGMA_Z, **shape).grids()
+        idx = np.linspace(0, g["lam"].size - 1, count).astype(int)
+        expected = [tuple(float(g[k].flat[i]) for k in ("lam", "phi", "psi")) for i in idx]
+
+        def fail(self):
+            raise AssertionError("the product grid was built")
+
+        chosen = []
+        evolve_node = nvne.ensemble.evolve_node
+
+        def record(spec, lam, phi, psi, t):
+            chosen.append((lam, phi, psi))
+            return evolve_node(spec, lam, phi, psi, t)
+
+        monkeypatch.setattr(nvne.ensemble.EnsembleSpec, "grids", fail)
+        monkeypatch.setattr(nvne.ensemble, "evolve_node", record)
+        cfg = with_leaf(CAST_BASES["ensemble"], "ensemble", {"weight": "tilted-lambda", **shape})
+        cfg["node_check"] = {"count": count, "t_final": 0.5, "dt": 1e-2}
+        path = write_config(tmp_path, cfg)
+        assert main(["check", str(path)]) == 0
+        assert main(["run", str(path), "--quiet"]) == 0
+        assert chosen == expected
+
     def test_cast_bases_validate(self, tmp_path):
         # so that each cast above is the only error in its config
         for kind, cfg in CAST_BASES.items():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,22 @@ class TestEnsembleSpec:
     def test_unnormalized_weight_rejected(self):
         with pytest.raises(DomainError):
             make_spec(weight=lambda lam, phi, psi: 0.3 * sin_psi_half_weight(lam, phi, psi))
+
+    def test_nan_weight_rejected(self):
+        # NaN is not greater than any tolerance, so the check must not ask that
+        with pytest.raises(DomainError, match="normalizes to nan"):
+            make_spec(weight=lambda lam, phi, psi: np.full(np.shape(lam), np.nan))
+
+    def test_closed_form_never_allocates_the_product_grid(self):
+        # one 128^3 float array alone is 16 MiB
+        tracemalloc.start()
+        try:
+            spec = make_spec(weight=tilted_weight, n=128)
+            ensemble_average(spec, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_gauss_legendre_exactness(self):
         # degree-5 polynomial integrated exactly by 3 nodes
@@ -155,6 +172,19 @@ class TestClosedFormMoments:
         for t in (0.0, 0.7, 40.0):
             avg = ensemble_average(spec, t)
             assert np.max(np.abs(avg.matrix - direct_node_sum(spec, t))) < 1e-14
+
+    @pytest.mark.parametrize("n_lam, n_phi, n_psi", [(12, 20, 28), (33, 7, 16)])
+    @pytest.mark.parametrize("weight", [sin_psi_half_weight, tilted_weight])
+    def test_non_cubic_grid_matches_direct_node_sum(self, weight, n_lam, n_phi, n_psi):
+        # unequal axes, so that a slice taken along the wrong axis shows
+        spec = EnsembleSpec(weight=weight, f=PowerLaw(q=3.0), h=-SIGMA_Z,
+                            n_lam=n_lam, n_phi=n_phi, n_psi=n_psi)
+        total = np.sum(spec.grids()["w"])
+        assert abs(spec.moments()["total"] - total) < 1e-15
+        for t in (0.0, 0.7, 40.0):
+            # at 7 phi nodes the weights sum to 1 - 9e-13; the average has unit trace
+            avg = ensemble_average(spec, t)
+            assert np.max(np.abs(avg.matrix - direct_node_sum(spec, t) / total)) < 1e-14
 
     def test_memo_is_per_spec(self):
         spec = make_spec(weight=tilted_weight, q=3.0)
