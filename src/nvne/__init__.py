@@ -54,7 +54,6 @@ from .hermitian import (
 from .structure import (
     ObservableFunctional,
     casimir_functional,
-    effective_hamiltonian,
     finite_difference_gradient,
     generator,
     hamiltonian_function,

@@ -276,7 +276,7 @@ class RunReport:
 
 # an assertion holds when the measured value is <= its threshold, except for
 COMPARATORS = {"convergence_ratio_min": ">=", "second_derivative_positive": ">",
-               "grid_second_derivative_positive": ">"}
+               "grid_second_derivative_positive": ">", "hamilton_ratio": ">="}
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +639,8 @@ def _parse_ensemble(cfg: dict):
 
 
 def _parse_bracket_check(cfg: dict):
-    """Bracket identities at 5 random 3x3 states (seed 7), each with 4 random
-    trace polynomials, the Casimirs C_1..C_4 and the q-averages for q = 1..3."""
+    """Bracket identities at 5 random 3x3 states (seed 7), each with 4 random trace
+    polynomials, the Casimirs C_1..C_4 and the q-averages for q = 1..3, and _hamilton_gaps."""
 
     def run():
         rng = np.random.default_rng(7)
@@ -664,15 +664,35 @@ def _parse_bracket_check(cfg: dict):
             ab = structure.poisson_bracket(a, b, rho)
             ba = structure.poisson_bracket(b, a, rho)
             worst_antisym = max(worst_antisym, abs(ab + ba))
+        gap, gap_half = _hamilton_gaps()
+        hamilton = {"hamilton_gap": gap, "hamilton_ratio": gap / gap_half}
         headline = {"bracket": {
             "max_casimir_bracket": worst_casimir,
             "max_average_bracket": worst_avg,
-            "max_antisymmetry_defect": worst_antisym,
+            "max_antisymmetry_defect": worst_antisym, **hamilton,
         }}
         measured = {"casimir_bracket": worst_casimir, "average_bracket": worst_avg,
-                    "antisymmetry": worst_antisym}
+                    "antisymmetry": worst_antisym, **hamilton}
         return headline, measured, None, None
-    return {"casimir_bracket", "average_bracket", "antisymmetry"}, run
+    return {"casimir_bracket", "average_bracket", "antisymmetry", "hamilton_gap", "hamilton_ratio"}, run
+
+
+def _hamilton_gaps():
+    """Worst gaps of dA/dt = {A, U_q} at t = tau = 2e-3 and tau/2 for A = Tr(rho X), at
+    d = 2, 3, 4 and q = 0.5, 1.5, 2, 3 (random rho, X and H of unit norm, seed 8):
+    {A, U_q} from finite differences of U_q's eigh value, dA/dt from evolve as
+    (A(rho_H(t)) - A(rho_-H(t)))/2t, 20 steps each way. Second order in t."""
+    rng, worst, tau = np.random.default_rng(8), [0.0, 0.0], 2e-3
+    for dim, q in ((dim, q) for dim in (2, 3, 4) for q in (0.5, 1.5, 2.0, 3.0)):
+        rho, h, x = random_density_matrix(dim, rng), random_hermitian(dim, rng, 1.0), random_hermitian(dim, rng, 1.0)
+        a, u_q = structure.trace_polynomial_functional([1.0], x), structure.q_average_functional(h, q).evaluator
+        energy = structure.ObservableFunctional(u_q, lambda r: structure.finite_difference_gradient(u_q, r.matrix))
+        rate = structure.poisson_bracket(a, energy, rho)
+        for k, t in enumerate((tau, tau / 2)):
+            icfg = dynamics.IntegratorConfig(dt=t / 20, t_final=t, record_every=20)
+            plus, minus = (a.evaluator(dynamics.evolve(rho, s * h, PowerLaw(q), icfg).matrices[-1]) for s in (1, -1))
+            worst[k] = max(worst[k], abs(rate - (plus - minus) / (2 * t)))
+    return worst
 
 
 KINDS = {

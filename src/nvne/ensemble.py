@@ -43,6 +43,8 @@ from .errors import DomainError
 from .hermitian import DensityMatrix, _qubit_state, bloch_state, require_hermitian, validate_density
 
 NORMALIZATION_TOL = 1e-8
+# peak bytes per node of grids() with a shipped weight: it keeps 32, temporaries add 16
+GRID_NODE_BYTES = 48
 
 
 def sin_psi_half_weight(lam, phi, psi):
@@ -100,9 +102,9 @@ class EnsembleSpec:
         if h.shape != (2, 2):
             raise DomainError("ensemble spins are 2x2; H must be 2x2")
         object.__setattr__(self, "h", h)
-        # the integrated path's grids() keeps four float arrays over the
-        # product grid; the budget holds for every spec, so either path runs
-        if 32 * self.n_lam * self.n_phi * self.n_psi > RECORD_BUDGET_BYTES:
+        # the integrated path's grids() peaks at GRID_NODE_BYTES per node; the
+        # budget holds for every spec, so either path runs
+        if GRID_NODE_BYTES * self.n_lam * self.n_phi * self.n_psi > RECORD_BUDGET_BYTES:
             raise DomainError(f"{self.n_lam * self.n_phi * self.n_psi} quadrature nodes are past the "
                               f"{RECORD_BUDGET_BYTES >> 30} GiB budget of the grids")
         # one pass, one n_phi x n_psi slice per lam node, weights as in grids();
@@ -137,8 +139,7 @@ class EnsembleSpec:
         if "w" not in self._memo:
             (lam, wl), (phi, wp), (psi, ws) = self.rules()
             big_l, big_p, big_s = np.meshgrid(lam, phi, psi, indexing="ij")
-            wl3, wp3, ws3 = np.meshgrid(wl, wp, ws, indexing="ij")
-            weights = self.weight(big_l, big_p, big_s) * np.sin(big_p) * wl3 * wp3 * ws3
+            weights = self.weight(big_l, big_p, big_s) * np.sin(big_p) * wl[:, None, None] * wp[:, None] * ws
             self._memo.update(lam=big_l, phi=big_p, psi=big_s, w=weights)
         return self._memo
 

@@ -113,7 +113,8 @@ PRESETS: dict[str, dict] = {
     "criterion8-bracket-algebra": {
         "kind": "bracket-check",
         "label": "criterion8-bracket-algebra",
-        "assertions": {"casimir_bracket": 1e-6, "average_bracket": 1e-6, "antisymmetry": 1e-8},
+        "assertions": {"casimir_bracket": 1e-6, "average_bracket": 1e-6, "antisymmetry": 1e-8,
+                       "hamilton_gap": 1e-5, "hamilton_ratio": 3.2},
     },
     "criterion9-convergence": {
         "kind": "evolve",

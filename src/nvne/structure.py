@@ -1,14 +1,13 @@
 """Hamiltonian structure of the nonlinear von Neumann equation.
 
 The energy <H>_f = Tr{f(rho) H} of a state (U_q = Tr(rho^q H) for the power
-law) extends 1-homogeneously to Tr{(Tr rho) f(rho/Tr rho) H}. Its variation
-yields the state-dependent effective Hamiltonian whose commutator with rho
-reproduces [H, f(rho)]; Tr(rho^n) are Casimirs of the underlying
-Lie-Poisson bracket, realized here in closed matrix form
+law) is the Hamiltonian of i drho/dt = [H, f(rho)] under the Lie-Poisson
+bracket, realized here in closed matrix form
 
     {A, B}(rho) = -i Tr(rho [grad A, grad B])
 
-instead of through explicit gl(n) structure constants.
+instead of through explicit gl(n) structure constants: the dynamics
+generator is the gradient of U_f, and Tr(rho^n) are Casimirs.
 """
 from __future__ import annotations
 
@@ -22,8 +21,6 @@ from .errors import DomainError, NumericalFailure
 from .hermitian import DensityMatrix, hermitian_part, hermiticity_defect
 
 FD_STEP = 1e-6
-# eigenvalues at or below this are the kernel of rho in effective_hamiltonian
-KERNEL_TOL = 1e-10
 
 
 def hamiltonian_function(rho, h: np.ndarray, f: DeformationFunction):
@@ -56,7 +53,8 @@ def _divided_difference_transform(v: np.ndarray, h: np.ndarray, kernel: np.ndarr
 
 
 def generator(rho: DensityMatrix, h: np.ndarray, f: DeformationFunction) -> np.ndarray:
-    """Hermitian G with [G, rho] = [H, f(rho)].
+    """Hermitian G with [G, rho] = [H, f(rho)]: the gradient of the energy
+    U_f = Tr[f(rho) H] at rho (see _trace_functional).
 
     Built in the rho eigenbasis from divided differences of f; degenerate
     pairs take f' at the common eigenvalue, or 0 where f' diverges. The
@@ -64,27 +62,7 @@ def generator(rho: DensityMatrix, h: np.ndarray, f: DeformationFunction) -> np.n
     zero eigenvalues are exact because the state constructors set
     round-off eigenvalues to 0.
     """
-    kernel = _kernel(rho.eigenvalues, f)
-    return hermitian_part(_divided_difference_transform(rho.eigenvectors, h, kernel))
-
-
-def effective_hamiltonian(rho: DensityMatrix, h: np.ndarray, f: DeformationFunction) -> np.ndarray:
-    """Variational derivative of the 1-homogeneous energy at a normalized state.
-
-    Equals the divided-difference transform of H plus the scalar terms
-    (Tr[f(rho) H] - Tr[rho f'(rho) H]) * identity, so that
-    Tr[rho Heff(rho)] reproduces the energy exactly.
-    """
-    w = rho.eigenvalues
-    if isinstance(f, PowerLaw) and f.q < 1.0 and np.any(w <= KERNEL_TOL):
-        raise DomainError(
-            f"f'(0) diverges for q={f.q} < 1; effective Hamiltonian undefined "
-            "on the kernel of rho"
-        )
-    g = _divided_difference_transform(rho.eigenvectors, h, _kernel(w, f))
-    ht_diag = _eigenbasis_diagonal(rho.eigenvectors, h)
-    scalar = float(np.sum(f.f(w) * ht_diag) - np.sum(w * f.fprime(w) * ht_diag))
-    return hermitian_part(g + scalar * np.eye(rho.dim))
+    return _trace_functional([(1.0, f)], h).gradient(rho)
 
 
 @dataclass(frozen=True)

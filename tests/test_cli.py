@@ -682,6 +682,23 @@ class TestCompositeAndBracketKinds:
         report = run_scenario(presets.get("criterion8-bracket-algebra"))
         assert report.passed
 
+    @pytest.mark.parametrize("wrong_kernel", [
+        lambda w, f: nvne.structure._kernel(w, f) + 0.3,
+        lambda w, f: np.ones((w.size, w.size)),
+        lambda w, f: nvne.structure._kernel(w, nvne.PowerLaw(f.q + 0.01)),
+    ], ids=["plus-0.3", "all-ones", "q-plus-0.01"])
+    def test_bracket_scenario_sees_a_wrong_integrator_kernel(self, monkeypatch, wrong_kernel):
+        # Hamilton's equation ties U_q to evolve; the three older values hold
+        # for any symmetric kernel, so they cannot see the integrator's
+        cfg = presets.get("criterion8-bracket-algebra")
+        clean = run_scenario(cfg).headline["bracket"]
+        monkeypatch.setattr(nvne.dynamics, "_kernel", wrong_kernel)
+        report = run_scenario(cfg)
+        failed = {a.name for a in report.assertions if not a.passed}
+        assert failed == {"hamilton_gap", "hamilton_ratio"}
+        older = ("max_casimir_bracket", "max_average_bracket", "max_antisymmetry_defect")
+        assert [report.headline["bracket"][k] for k in older] == [clean[k] for k in older]
+
 
 class TestPresets:
     def test_all_presets_validate(self, tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from nvne.deformation import PowerLaw
 from nvne.dynamics import IntegratorConfig, evolve, invariant_report, larmor_frequency
 from nvne.ensemble import (
+    GRID_NODE_BYTES,
     EnsembleSpec,
     _larmor_rates,
     dephasing_analytic,
@@ -73,6 +74,28 @@ class TestEnsembleSpec:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("weight", [tilted_weight, sin_psi_half_weight])
+    def test_grids_peak_within_the_budget_per_node(self, weight):
+        # the grid budget counts GRID_NODE_BYTES per node, plus 4 KiB here for
+        # the Python objects of the call, which do not grow with the grid
+        # (about 2 KiB measured); the field is tilted, as where the integrated
+        # path builds the grids, and the sizes differ so that no axis is mixed up
+        n_lam, n_phi, n_psi = 40, 36, 44
+        spec = EnsembleSpec(weight=weight, f=PowerLaw(q=3.0), h=-SIGMA_X,
+                            n_lam=n_lam, n_phi=n_phi, n_psi=n_psi)
+        tracemalloc.start()
+        try:
+            spec.grids()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= GRID_NODE_BYTES * n_lam * n_phi * n_psi + 4096
+
+    def test_budget_counts_the_grids_peak(self):
+        # 282^3 nodes keep 0.67 GiB of grids but peak past 1 GiB while built
+        with pytest.raises(DomainError, match="budget of the grids"):
+            make_spec(n=282)
 
     def test_gauss_legendre_exactness(self):
         # degree-5 polynomial integrated exactly by 3 nodes

@@ -14,7 +14,6 @@ from nvne.hermitian import (
 )
 from nvne.structure import (
     casimir_functional,
-    effective_hamiltonian,
     finite_difference_gradient,
     generator,
     hamiltonian_function,
@@ -52,71 +51,51 @@ class TestHamiltonianFunction:
             assert hamiltonian_function(rho, -SIGMA_Z, PowerLaw(q=q)) == pytest.approx(0.0, abs=1e-14)
 
 
-class TestEffectiveHamiltonian:
+class TestGenerator:
     def test_q1_returns_field(self, rng):
         rho = random_density_matrix(3, rng)
         h = random_hermitian(3, rng)
-        heff = effective_hamiltonian(rho, h, PowerLaw(q=1.0))
-        # for f = id the scalar terms cancel exactly
-        assert np.allclose(heff, h, atol=1e-12)
+        # for f = id the kernel is all ones
+        assert np.allclose(generator(rho, h, PowerLaw(q=1.0)), h, atol=1e-12)
 
     def test_spin_sigma_z_coefficient(self):
         # diag(lam, 1-lam), H = -mu sigma_z: the sigma_z coefficient of the
-        # variational derivative is -mu*q*(lam^(q-1) + (1-lam)^(q-1))/2.
-        # (The q=2 case collapses to -mu sigma_z with no identity part.)
+        # generator is -mu*q*(lam^(q-1) + (1-lam)^(q-1))/2
         mu, lam = 1.0, 0.75
         rho = validate_density(np.diag([lam, 1 - lam]).astype(complex))
         for q in (1.5, 2.0, 3.0):
-            heff = effective_hamiltonian(rho, -mu * SIGMA_Z, PowerLaw(q=q))
-            gamma = 0.5 * (heff[1, 1] - heff[0, 0]).real
+            g = generator(rho, -mu * SIGMA_Z, PowerLaw(q=q))
+            gamma = 0.5 * (g[1, 1] - g[0, 0]).real
             expected = mu * q * (lam ** (q - 1) + (1 - lam) ** (q - 1)) / 2
             assert gamma == pytest.approx(expected, abs=1e-12)
-            offdiag = heff - np.diag(np.diag(heff))
+            offdiag = g - np.diag(np.diag(g))
             assert np.linalg.norm(offdiag) < 1e-14
 
-    def test_q2_spin_case_is_field_itself(self):
+    def test_q2_spin_case_is_field_up_to_identity(self):
+        # the identity part, -1/2 here, commutes with every state
         rho = validate_density(np.diag([0.75, 0.25]).astype(complex))
-        heff = effective_hamiltonian(rho, -SIGMA_Z, PowerLaw(q=2.0))
-        assert np.allclose(heff, -SIGMA_Z, atol=1e-13)
+        g = generator(rho, -SIGMA_Z, PowerLaw(q=2.0))
+        assert np.allclose(g, -SIGMA_Z - 0.5 * np.eye(2), atol=1e-13)
 
-    def test_energy_identity(self, rng):
-        # 108 random (rho, H, q) triples
-        for q in (1.0, 1.5, 2.0, 3.0):
-            f = PowerLaw(q=q)
-            for rho in make_states(rng, dims=(2, 3, 4), per_dim=9):
-                h = random_hermitian(rho.dim, rng)
-                heff = effective_hamiltonian(rho, h, f)
-                lhs = float(np.real(np.trace(rho.matrix @ heff)))
-                rhs = hamiltonian_function(rho, h, f)
-                assert lhs == pytest.approx(rhs, abs=1e-10)
+    def test_commutator_matches_field_commutator(self, rng):
+        from nvne.hermitian import matrix_function
 
-    def test_zero_eigenvalue_small_q_rejected(self):
-        rho = validate_density(np.diag([1.0, 0.0]).astype(complex))
-        with pytest.raises(DomainError):
-            effective_hamiltonian(rho, SIGMA_Z, PowerLaw(q=0.5))
-
-    def test_commutator_matches_generator(self, rng):
         f = PowerLaw(q=2.5)
         for rho in make_states(rng, dims=(3,), per_dim=3):
             h = random_hermitian(3, rng)
-            heff = effective_hamiltonian(rho, h, f)
-            g = generator(rho, h, f)
-            lhs = comm(heff, rho.matrix)
-            rhs = comm(g, rho.matrix)
+            lhs = comm(generator(rho, h, f), rho.matrix)
+            rhs = comm(h, matrix_function(rho, f))
             assert np.linalg.norm(lhs - rhs) < 1e-12
 
-    def test_differs_from_generator_by_commuting_part(self, rng):
-        f = PowerLaw(q=2.0)
-        for rho in make_states(rng, dims=(3,), per_dim=3):
-            h = random_hermitian(3, rng)
-            diff = effective_hamiltonian(rho, h, f) - generator(rho, h, f)
-            v = rho.eigenvectors
-            in_basis = v.conj().T @ diff @ v
-            offdiag = in_basis - np.diag(np.diag(in_basis))
-            assert np.linalg.norm(offdiag) < 1e-10
+    @pytest.mark.parametrize("q", [0.5, 1.5, 2.0, 3.0])
+    def test_equals_q_average_gradient(self, rng, q):
+        # one route from U_q to the flow: the generator is the gradient of U_q
+        for dim in range(2, 7):
+            rho = random_density_matrix(dim, rng)
+            h = random_hermitian(dim, rng)
+            g = generator(rho, h, PowerLaw(q=q))
+            assert np.array_equal(g, q_average_functional(h, q).gradient(rho))
 
-
-class TestGenerator:
     def test_commutator_identity_random(self, rng):
         from nvne.hermitian import matrix_function
 
