@@ -187,7 +187,8 @@ def parse_hamiltonian(spec, path: str, dim: int) -> np.ndarray:
 def parse_state(spec, path: str, dim: int) -> DensityMatrix:
     if "bloch" in _object(spec, path):
         lam, phi, psi = _bloch(spec["bloch"], f"{path}.bloch")
-        state = _build(f"{path}.bloch", bloch_state, lam=lam, phi=phi, psi=psi)
+        # phi and psi are finite numbers here, so a rejection is about lam
+        state = _build(f"{path}.bloch.lam", bloch_state, lam=lam, phi=phi, psi=psi)
     elif "matrix" in spec:
         state = _build(f"{path}.matrix", validate_density,
                        _complex_array(spec["matrix"], f"{path}.matrix"))
@@ -442,7 +443,7 @@ def _parse_stability_reference(spec, path: str, dim, state, **_):
         raise ConfigError(f"config key {path} equals the initial state")
 
     def run(traj, headline, measured):
-        worst = max(trace_distance(m, ref) for m in traj.matrices)
+        worst = float(np.max(trace_distance(traj.matrices, ref)))
         headline["stability"] = {"initial_distance": d0, "max_distance": worst,
                                  "factor": worst / d0}
         measured["stability_factor"] = worst / d0
@@ -491,8 +492,8 @@ def _parse_composite(cfg: dict):
         "system", composite_mod.CompositeSystem, dim_1=d1, dim_2=d2,
         h1=parse_hamiltonian(_get(system, "h1", "system."), "system.h1", d1),
         h2=parse_hamiltonian(_get(system, "h2", "system."), "system.h2", d2),
-        q1=_number(_get(system, "q1", "system."), "system.q1"),
-        q2=_number(_get(system, "q2", "system."), "system.q2"),
+        q1=_power_law(_get(system, "q1", "system."), "system.q1").q,
+        q2=_power_law(_get(system, "q2", "system."), "system.q2").q,
     )
     state = parse_state(_get(cfg, "state", ""), "state", d1 * d2)
 
@@ -508,18 +509,20 @@ def _parse_composite(cfg: dict):
     return {"closure", "casimir_drift", "eigenvalue_drift", "energy_drift"}, run
 
 
-def _equilibrium(path: str, mu: float, q: float, beta: float) -> thermo.EquilibriumResult:
-    """The q-equilibrium of the spin H = -mu sigma_z, populations (lam, 1 - lam), at (q, beta);
-    a point outside its domain is a config error at path."""
-    return _build(path, lambda: thermo.q_equilibrium(-mu * SIGMA_Z, thermo.ThermoParams(q=q, beta=beta)))
+def _equilibrium(path: str, mu: float, q: float, beta: float, beta_path: str) -> thermo.EquilibriumResult:
+    """The q-equilibrium of H = -mu sigma_z, populations (lam, 1 - lam), at (q, beta), q checked by
+    its parse; a beta ThermoParams rejects is a config error at beta_path, a point past the domain at path."""
+    params = _build(beta_path, thermo.ThermoParams, q=q, beta=beta)
+    return _build(path, thermo.q_equilibrium, -mu * SIGMA_Z, params)
 
 
 def _parse_equilibrium(cfg: dict):
     # every q-equilibrium is found here, so check reports what run would
     spec = _get(cfg, "thermo", "")
-    q, beta = (_number(_get(spec, k, "thermo."), f"thermo.{k}") for k in ("q", "beta"))
+    q = _power_law(_get(spec, "q", "thermo."), "thermo.q").q
+    beta = _number(_get(spec, "beta", "thermo."), "thermo.beta")
     mu = _number(_get(spec, "mu", "thermo."), "thermo.mu", 0.0, strict=True)
-    result = _equilibrium("thermo", mu, q, beta)
+    result = _equilibrium("thermo", mu, q, beta, "thermo.beta")
     # along lam, dF/dlam = g_0 - g_1 and d^2F/dlam^2 = H_00 + H_11
     curvature = float(np.sum(result.hessian))
     headline = {"lambda_eq": float(result.populations[0]), "free_energy": result.free_energy,
@@ -533,17 +536,19 @@ def _parse_equilibrium(cfg: dict):
         beta = _number(_get(g, "beta", "gibbs_check."), "gibbs_check.beta")
         mu_gibbs = _number(_get(g, "mu", "gibbs_check."), "gibbs_check.mu", 0.0, strict=True)
         # q = 1 last, so that a field past its neighbours' domain is named where q = 1 underflows
-        *near, target = (_equilibrium("gibbs_check", mu_gibbs, q_near, beta).populations[0]
+        *near, target = (_equilibrium("gibbs_check", mu_gibbs, q_near, beta, "gibbs_check.beta").populations[0]
                          for q_near in (1.0 + 1e-6, 1.0 - 1e-6, 1.0))
         headline["gibbs_limit_gap"] = measured["gibbs_limit"] = float(max(abs(lam - target) for lam in near))
     if "grid" in cfg:
         g = _object(cfg["grid"], "grid")
-        q_values = _numbers(_get(g, "q_values", "grid."), "grid.q_values")
+        q_values = [_power_law(qv, "grid.q_values").q
+                    for qv in _numbers(_get(g, "q_values", "grid."), "grid.q_values")]
         products = _numbers(_get(g, "domain_products", "grid."), "grid.domain_products")
         if any(abs(qv - 1.0) < thermo.Q_ONE_THRESHOLD for qv in q_values):
             raise ConfigError("config key grid.q_values must exclude 1")
         # c = |q-1| beta mu, the spin's domain product: 1 + (q-1) beta E > 0 at E = -+mu for c < 1
-        results = [_equilibrium("grid", mu, qv, c / (abs(qv - 1.0) * mu)) for qv in q_values for c in products]
+        results = [_equilibrium("grid", mu, qv, c / (abs(qv - 1.0) * mu), "grid.domain_products")
+                   for qv in q_values for c in products]
         min_curv = min(float(np.sum(res.hessian)) for res in results)
         max_stat = max(float(np.ptp(res.gradient)) for res in results)
         headline["grid"] = {"points": len(results), "min_second_derivative": min_curv,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deformation import PowerLaw
-from .dynamics import IntegratorConfig, Trajectory, _advance, _record, evolve
+from .dynamics import IntegratorConfig, Trajectory, _advance, _record, evolve, record_count
 from .errors import DomainError
 from .hermitian import DensityMatrix, partial_trace, require_hermitian, trace_norm
 from .structure import _kernel, hamiltonian_function
@@ -55,6 +55,8 @@ def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorC
     d = sys.dim_1 * sys.dim_2
     if rho0.dim != d:
         raise DomainError(f"joint state dim {rho0.dim} != {sys.dim_1}*{sys.dim_2}")
+    # _advance checks the stacks of each reduction; the joint ones are larger
+    record_count(cfg.n_steps, cfg.record_every, d)
     dims = (sys.dim_1, sys.dim_2)
     runs = []
     for keep, h, f in (("I", sys.h1, sys.f1), ("II", sys.h2, sys.f2)):

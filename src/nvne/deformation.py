@@ -16,12 +16,10 @@ _ENDPOINT_TOL = 1e-12
 
 
 class DeformationFunction:
-    """Common interface: f(x), f'(x) and the divided difference of f."""
+    """Common interface: f(x) and the divided difference of f, which is
+    f'(x) at a == b == x."""
 
     def f(self, x):
-        raise NotImplementedError
-
-    def fprime(self, x):
         raise NotImplementedError
 
     def divided_difference(self, a, b):
@@ -87,11 +85,6 @@ class PowerLaw(DeformationFunction):
             limit = self.q * scale  # f'(a) where a == b
         return np.where(a == b, np.where(np.isfinite(limit), limit, 0.0), out)
 
-    def fprime(self, x):
-        # for q < 1 the derivative diverges at 0 (inf, no warning)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.q * np.clip(np.asarray(x, dtype=float), 0.0, None) ** (self.q - 1.0)
-
 
 @dataclass(frozen=True)
 class CoefficientSeries(DeformationFunction):
@@ -115,10 +108,6 @@ class CoefficientSeries(DeformationFunction):
     def f(self, x):
         x = np.asarray(x, dtype=float)
         return sum(c * x**k for k, c in enumerate(self.coeffs, start=1))
-
-    def fprime(self, x):
-        x = np.asarray(x, dtype=float)
-        return sum(k * c * x ** (k - 1) for k, c in enumerate(self.coeffs, start=1))
 
     def _divided_difference(self, a, b):
         # sum_k c_k (a^k - b^k)/(a - b) = sum_k c_k s_k with s_1 = 1 and

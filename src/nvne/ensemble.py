@@ -11,11 +11,12 @@ depends on lam only and cos(psi - omega t) = cos psi cos omega t +
 sin psi sin omega t, the phi and psi sums are taken once per spec: the
 per-lam moments A_c(lam) = sum w c sin(phi) cos(psi) and A_s(lam) (same
 with sin psi, c = lam - 1/2), the sigma_z coefficient and the total
-weight. EnsembleSpec computes them at construction, one lam node at a
-time on an n_phi x n_psi slice, in the pass that checks the
-normalization, so no array over the product grid is built; grids()
-serves the integrated path only. The Larmor rates on the lam nodes are
-cached per (n_lam, f, mu), after which an average costs O(n_lam).
+weight. The product rule is walked one lam node at a time, on an
+n_phi x n_psi slice (EnsembleSpec._slices), and by nothing else:
+construction sums the moments from the slices in the pass that checks
+the normalization, and the integrated path evolves their nodes, so no
+array over the product grid is built. The Larmor rates on the lam nodes
+are cached per (n_lam, f, mu), after which an average costs O(n_lam).
 Averages and node states are built from their Bloch vectors in closed
 form (hermitian._qubit_state), with no eigensolver. The integrated
 fallback steps every node with n = ceil(t/dt) steps of size t/n, so it
@@ -43,8 +44,10 @@ from .errors import DomainError
 from .hermitian import DensityMatrix, _qubit_state, bloch_state, require_hermitian, validate_density
 
 NORMALIZATION_TOL = 1e-8
-# peak bytes per node of grids() with a shipped weight: it keeps 32, temporaries add 16
-GRID_NODE_BYTES = 48
+# most quadrature nodes of a spec (22,369,621), set by the 48-byte peak per node of
+# the product grid the integrated path once built; it caps the nodes that
+# construction walks and that each integrated average evolves
+MAX_NODES = RECORD_BUDGET_BYTES // 48
 
 
 def sin_psi_half_weight(lam, phi, psi):
@@ -95,37 +98,33 @@ class EnsembleSpec:
     n_lam: int = 32
     n_phi: int = 32
     n_psi: int = 32
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # from construction: total weight, sigma_z coefficient, A_c, A_s, omega (None unless H = -mu sigma_z)
+    moments: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = require_hermitian(self.h, what="ensemble H")
         if h.shape != (2, 2):
             raise DomainError("ensemble spins are 2x2; H must be 2x2")
         object.__setattr__(self, "h", h)
-        # the integrated path's grids() peaks at GRID_NODE_BYTES per node; the
-        # budget holds for every spec, so either path runs
-        if GRID_NODE_BYTES * self.n_lam * self.n_phi * self.n_psi > RECORD_BUDGET_BYTES:
+        for name in ("n_lam", "n_phi", "n_psi"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise DomainError(f"{name} must be an integer at least 1, got {n!r}")
+        if self.n_lam * self.n_phi * self.n_psi > MAX_NODES:
             raise DomainError(f"{self.n_lam * self.n_phi * self.n_psi} quadrature nodes are past the "
                               f"{RECORD_BUDGET_BYTES >> 30} GiB budget of the grids")
-        # one pass, one n_phi x n_psi slice per lam node, weights as in grids();
         # rows: the weight against 1, sin(phi) cos(psi), sin(phi) sin(psi), cos(phi)
-        (lam, wl), (phi, wp), (psi, ws) = self.rules()
-        big_p, big_s = np.meshgrid(phi, psi, indexing="ij")
-        sin_p = np.sin(big_p)
+        (lam, _), (phi, _), (psi, _) = self.rules()
         by_phi = np.stack([np.ones_like(phi), np.sin(phi), np.sin(phi), np.cos(phi)])
         by_psi = np.stack([np.ones_like(psi), np.cos(psi), np.sin(psi), np.ones_like(psi)])
-        sums = np.empty((4, self.n_lam))
-        for i, lam_i in enumerate(lam):
-            w = self.weight(np.full_like(big_p, lam_i), big_p, big_s) * sin_p * wl[i] * wp[:, None] * ws
-            sums[:, i] = np.sum((by_phi @ w) * by_psi, axis=1)
+        sums = np.stack([np.sum((by_phi @ w) * by_psi, axis=1) for _, _, _, w in self._slices()], axis=1)
         sums[1:] *= lam - 0.5
         norm = float(np.sum(sums[0]))
         if not abs(norm - 1.0) <= NORMALIZATION_TOL:
-            raise DomainError(
-                f"weight quadrature normalizes to {norm!r}, expected 1 "
-                f"within {NORMALIZATION_TOL:.0e}"
-            )
-        self._memo.update(total=norm, a_c=sums[1], a_s=sums[2], coeff_z=float(np.sum(sums[3])))
+            raise DomainError(f"weight quadrature normalizes to {norm!r}, expected 1 "
+                              f"within {NORMALIZATION_TOL:.0e}")
+        omega = _larmor_rates(self.n_lam, self.f, self.mu) if self.uses_closed_form() else None
+        object.__setattr__(self, "moments", (norm, float(np.sum(sums[3])), sums[1], sums[2], omega))
 
     def rules(self):
         """The 1-D Gauss-Legendre (nodes, weights) of lam on [0, 1], phi on
@@ -133,23 +132,16 @@ class EnsembleSpec:
         return (gauss_legendre(self.n_lam, 0.0, 1.0), gauss_legendre(self.n_phi, 0.0, np.pi),
                 gauss_legendre(self.n_psi, 0.0, 2.0 * np.pi))
 
-    def grids(self):
-        """Nodes and weights over the whole product grid, built on first call
-        and kept; only the integrated path needs them."""
-        if "w" not in self._memo:
-            (lam, wl), (phi, wp), (psi, ws) = self.rules()
-            big_l, big_p, big_s = np.meshgrid(lam, phi, psi, indexing="ij")
-            weights = self.weight(big_l, big_p, big_s) * np.sin(big_p) * wl[:, None, None] * wp[:, None] * ws
-            self._memo.update(lam=big_l, phi=big_p, psi=big_s, w=weights)
-        return self._memo
-
-    def moments(self):
-        """Time-independent parts of the closed-form average: A_c, A_s, the
-        sigma_z coefficient and the total weight, from construction, and
-        omega on the lam nodes, added on first call."""
-        if "omega" not in self._memo:
-            self._memo["omega"] = _larmor_rates(self.n_lam, self.f, self.mu)
-        return self._memo
+    def _slices(self):
+        """The product rule one lam node at a time, in lam order: lam, the
+        n_phi x n_psi grids of phi and psi, and their node weights
+        w(lam, phi, psi) sin(phi) w_lam w_phi w_psi."""
+        (lam, wl), (phi, wp), (psi, ws) = self.rules()
+        big_p, big_s = np.meshgrid(phi, psi, indexing="ij")
+        sin_p = np.sin(big_p)
+        for lam_i, wl_i in zip(lam, wl):
+            w = self.weight(np.full_like(big_p, lam_i), big_p, big_s) * sin_p * wl_i * wp[:, None] * ws
+            yield lam_i, big_p, big_s, w
 
     @property
     def mu(self) -> float:
@@ -167,33 +159,29 @@ def ensemble_average(spec: EnsembleSpec, t: float, cfg: IntegratorConfig | None 
     """Quadrature-weighted average of the node states at time t."""
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"time must be finite and nonnegative, got {t}")
-    if spec.uses_closed_form():
-        m = spec.moments()
-        cos_wt, sin_wt = np.cos(m["omega"] * t), np.sin(m["omega"] * t)
-        coeff_x = -float(np.sum(m["a_c"] * cos_wt + m["a_s"] * sin_wt))
-        coeff_y = -float(np.sum(m["a_s"] * cos_wt - m["a_c"] * sin_wt))
-        return _qubit_state(coeff_x, coeff_y, m["coeff_z"], trace=m["total"])
+    total, coeff_z, a_c, a_s, omega = spec.moments
+    if omega is not None:
+        cos_wt, sin_wt = np.cos(omega * t), np.sin(omega * t)
+        coeff_x = -float(np.sum(a_c * cos_wt + a_s * sin_wt))
+        coeff_y = -float(np.sum(a_s * cos_wt - a_c * sin_wt))
+        return _qubit_state(coeff_x, coeff_y, coeff_z, trace=total)
     if cfg is None:
         raise DomainError("integrator config required when H is not -mu*sigma_z")
     return _ensemble_average_integrated(spec, t, cfg)
 
 
 def _ensemble_average_integrated(spec: EnsembleSpec, t: float, cfg: IntegratorConfig) -> DensityMatrix:
-    g = spec.grids()
-    lam = g["lam"].ravel()
-    phi = g["phi"].ravel()
-    psi = g["psi"].ravel()
-    w = g["w"].ravel()
     run_cfg = None
     if t > 0:
         # n whole steps of size t/n, so the run ends at t, not at ceil(t/dt)*dt
         n = max(1, int(np.ceil(t / cfg.dt - 1e-12)))
         run_cfg = IntegratorConfig(dt=t / n, t_final=t, record_every=10**9)
     acc = np.zeros((2, 2), dtype=complex)
-    for k in range(lam.size):
-        state = bloch_state(lam=lam[k], phi=phi[k], psi=psi[k])
-        acc += w[k] * (state.matrix if run_cfg is None
-                       else evolve(state, spec.h, spec.f, run_cfg).matrices[-1])
+    for lam, big_p, big_s, w in spec._slices():
+        for phi, psi, w_k in zip(big_p.flat, big_s.flat, w.flat):
+            state = bloch_state(lam=lam, phi=phi, psi=psi)
+            acc += w_k * (state.matrix if run_cfg is None
+                          else evolve(state, spec.h, spec.f, run_cfg).matrices[-1])
     return validate_density(acc)
 
 

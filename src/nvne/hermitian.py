@@ -241,7 +241,8 @@ def trace_norm(a: np.ndarray):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float:
+def trace_distance(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> float | np.ndarray:
+    """Half the trace norm of a - b: a float, or an array over a stack in a or b."""
     ma = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a)
     mb = b.matrix if isinstance(b, DensityMatrix) else np.asarray(b)
     return 0.5 * trace_norm(ma - mb)

@@ -35,18 +35,18 @@ class ThermoParams:
         return 1.0 / self.beta
 
 
-def entropy_from_eigenvalues(eigenvalues: np.ndarray, q: float, trace: float = 1.0) -> float:
+def entropy_from_eigenvalues(eigenvalues: np.ndarray, q: float) -> float:
     w = np.asarray(eigenvalues, dtype=float)
     if abs(q - 1.0) < Q_ONE_THRESHOLD:
         pos = w[w > 0]
         return float(-np.sum(pos * np.log(pos)))
-    return float((trace - np.sum(PowerLaw(q).f(w))) / (q - 1.0))
+    return float((np.sum(w) - np.sum(PowerLaw(q).f(w))) / (q - 1.0))
 
 
 def tsallis_entropy(rho: DensityMatrix, q: float) -> float:
     """S_q = (Tr rho - Tr rho^q)/(q - 1); the q -> 1 branch returns the
     von Neumann entropy -sum(lam ln lam) with 0 ln 0 = 0."""
-    return entropy_from_eigenvalues(rho.eigenvalues, q, trace=float(np.sum(rho.eigenvalues)))
+    return entropy_from_eigenvalues(rho.eigenvalues, q)
 
 
 def free_energy(rho: DensityMatrix, h: np.ndarray, p: ThermoParams) -> float:
@@ -95,7 +95,7 @@ def q_equilibrium(h: np.ndarray, p: ThermoParams) -> EquilibriumResult:
     q_log = log_p if near_one else np.expm1((q - 1.0) * log_p) / (q - 1.0)
     energy_terms = q * np.exp((q - 1.0) * log_p) * energies
     grad = energy_terms + t * (1.0 + q * q_log)
-    f = float(np.sum(pops**q * energies)) - t * entropy_from_eigenvalues(pops, q, float(np.sum(pops)))
+    f = float(np.sum(pops**q * energies)) - t * entropy_from_eigenvalues(pops, q)
     if np.ptp(grad) > 1e-8 * max(1.0, t, float(np.max(np.abs(energy_terms)))):
         raise NumericalFailure(f"q-equilibrium {pops!r} has gradient spread {np.ptp(grad):.3e}")
     return EquilibriumResult(pops, f, grad, hess)

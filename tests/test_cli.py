@@ -82,7 +82,8 @@ CAST_BASES = {
     },
     "larmor": {**tiny_evolve_config(),
                "measure": {"precession": {"element": [0, 1]},
-                           "larmor_grid": {"lams": [0.75], "q_values": [2.0]}}},
+                           "larmor_grid": {"lams": [0.75], "q_values": [2.0]},
+                           "stability_reference": {"bloch": {"lam": 0.75, "phi": 1.0, "psi": 0.0}}}},
     "composite": {
         "kind": "composite",
         "system": {"dims": [2, 2], "h1": {"preset": "spin-z", "mu": 1.0},
@@ -178,6 +179,24 @@ MALFORMED_CASTS = [
     ("equilibrium", "grid.q_values", []),
     ("equilibrium", "grid.domain_products", []),
     ("evolve", "measure.compare_linear.q_values", []),
+    # single-key rules of a domain object, named at the key rather than at
+    # the object that holds it
+    ("composite", "system.q1", -1),
+    ("composite", "system.q1", 0),
+    ("composite", "system.q2", -1),
+    ("composite", "system.q2", 0),
+    ("equilibrium", "thermo.q", -1),
+    ("equilibrium", "thermo.q", 0),
+    ("equilibrium", "thermo.beta", -1),
+    ("equilibrium", "thermo.beta", 0),
+    ("equilibrium", "gibbs_check.beta", -1),
+    ("equilibrium", "gibbs_check.beta", 0),
+    ("equilibrium", "grid.q_values", [-1]),
+    ("equilibrium", "grid.q_values", [0]),
+    ("equilibrium", "grid.domain_products", [-1]),
+    ("equilibrium", "grid.domain_products", [0]),
+    ("larmor", "state.bloch.lam", -1),
+    ("larmor", "measure.stability_reference.bloch.lam", -1),
     # a misspelt measure name
     ("larmor", "measure.precesion", {"element": [0, 1]}),
     # keys that no parse reads: integrator keys other than dt, t_final and
@@ -373,13 +392,10 @@ class TestExitCodes:
         monkeypatch.setitem(nvne.ensemble.WEIGHTS, "tilted-lambda", flat)
         shape = dict(zip(("n_lam", "n_phi", "n_psi"), sizes))
         # the node choice read off the product grid, as the node check once did
-        g = nvne.ensemble.EnsembleSpec(weight=flat, f=nvne.PowerLaw(q=3.0), h=-nvne.SIGMA_Z, **shape).grids()
-        idx = np.linspace(0, g["lam"].size - 1, count).astype(int)
-        expected = [tuple(float(g[k].flat[i]) for k in ("lam", "phi", "psi")) for i in idx]
-
-        def fail(self):
-            raise AssertionError("the product grid was built")
-
+        spec = nvne.ensemble.EnsembleSpec(weight=flat, f=nvne.PowerLaw(q=3.0), h=-nvne.SIGMA_Z, **shape)
+        grid = np.meshgrid(*(nodes for nodes, _ in spec.rules()), indexing="ij")
+        idx = np.linspace(0, grid[0].size - 1, count).astype(int)
+        expected = [tuple(float(x.flat[i]) for x in grid) for i in idx]
         chosen = []
         evolve_node = nvne.ensemble.evolve_node
 
@@ -387,7 +403,6 @@ class TestExitCodes:
             chosen.append((lam, phi, psi))
             return evolve_node(spec, lam, phi, psi, t)
 
-        monkeypatch.setattr(nvne.ensemble.EnsembleSpec, "grids", fail)
         monkeypatch.setattr(nvne.ensemble, "evolve_node", record)
         cfg = with_leaf(CAST_BASES["ensemble"], "ensemble", {"weight": "tilted-lambda", **shape})
         cfg["node_check"] = {"count": count, "t_final": 0.5, "dt": 1e-2}

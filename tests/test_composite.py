@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from nvne import dynamics
 from nvne.composite import (
     CompositeSystem,
     composite_energy,
@@ -74,6 +75,17 @@ class TestCompositeSystem:
         rho = random_density_matrix(3, rng)
         with pytest.raises(DomainError, match=re.escape("joint state dim 3 != 2*2")):
             evolve_composite(rho, sys_, IntegratorConfig(dt=1e-2, t_final=0.1))
+
+    def test_refuses_joint_stacks_past_the_budget(self, rng, monkeypatch):
+        # 11 records: 1,408 B of stacks per reduction, within a 2,000 B budget,
+        # and 5,632 B of joint stacks, past it, as evolve at d = 4 finds
+        monkeypatch.setattr(dynamics, "RECORD_BUDGET_BYTES", 2000)
+        cfg = IntegratorConfig(dt=0.1, t_final=1.0, record_every=1)
+        rho = random_density_matrix(4, rng)
+        with pytest.raises(DomainError, match="11 states of dim 4"):
+            dynamics.evolve(rho, random_hermitian(4, rng), PowerLaw(q=2.0), cfg)
+        with pytest.raises(DomainError, match="11 states of dim 4"):
+            evolve_composite(rho, spin_system(), cfg)
 
 
 class TestEvolveComposite:

@@ -7,7 +7,6 @@ import pytest
 from nvne.deformation import PowerLaw
 from nvne.dynamics import IntegratorConfig, evolve, invariant_report, larmor_frequency
 from nvne.ensemble import (
-    GRID_NODE_BYTES,
     EnsembleSpec,
     _larmor_rates,
     dephasing_analytic,
@@ -35,25 +34,33 @@ def analytic_transverse(t, f, mu, n_lam, lam_density):
     return rho_01.real, -rho_01.imag
 
 
+def product_grid(spec):
+    """(lam, phi, psi, node weight) over the whole product rule of spec,
+    built from its 1-D rules."""
+    (lam, wl), (phi, wp), (psi, ws) = spec.rules()
+    big_l, big_p, big_s = np.meshgrid(lam, phi, psi, indexing="ij")
+    w = spec.weight(big_l, big_p, big_s) * np.sin(big_p) * wl[:, None, None] * wp[:, None] * ws
+    return big_l, big_p, big_s, w
+
+
 def direct_node_sum(spec, t):
     """Closed-form average as a sum over every (lam, phi, psi) node at time t."""
-    g = spec.grids()
-    psi_t = g["psi"] - 2.0 * spec.mu * spec.f.divided_difference(g["lam"], 1.0 - g["lam"]) * t
-    w = g["w"]
-    c = 0.5 * (2.0 * g["lam"] - 1.0)
-    coeff_z = np.sum(w * c * np.cos(g["phi"]))
-    coeff_x = -np.sum(w * c * np.sin(g["phi"]) * np.cos(psi_t))
-    coeff_y = -np.sum(w * c * np.sin(g["phi"]) * np.sin(psi_t))
+    lam, phi, psi, w = product_grid(spec)
+    psi_t = psi - 2.0 * spec.mu * spec.f.divided_difference(lam, 1.0 - lam) * t
+    c = 0.5 * (2.0 * lam - 1.0)
+    coeff_z = np.sum(w * c * np.cos(phi))
+    coeff_x = -np.sum(w * c * np.sin(phi) * np.cos(psi_t))
+    coeff_y = -np.sum(w * c * np.sin(phi) * np.sin(psi_t))
     return (0.5 * np.sum(w) * IDENTITY_2 + coeff_x * SIGMA_X + coeff_y * SIGMA_Y
             + coeff_z * SIGMA_Z)
 
 
 class TestEnsembleSpec:
     def test_sin_psi_half_weight_normalized(self):
-        assert float(np.sum(make_spec().grids()["w"])) == pytest.approx(1.0, abs=1e-10)
+        assert float(np.sum(product_grid(make_spec())[3])) == pytest.approx(1.0, abs=1e-10)
 
     def test_tilted_weight_normalized(self):
-        assert float(np.sum(make_spec(weight=tilted_weight).grids()["w"])) == pytest.approx(1.0, abs=1e-10)
+        assert float(np.sum(product_grid(make_spec(weight=tilted_weight))[3])) == pytest.approx(1.0, abs=1e-10)
 
     def test_unnormalized_weight_rejected(self):
         with pytest.raises(DomainError):
@@ -75,22 +82,30 @@ class TestEnsembleSpec:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
-    @pytest.mark.parametrize("weight", [tilted_weight, sin_psi_half_weight])
-    def test_grids_peak_within_the_budget_per_node(self, weight):
-        # the grid budget counts GRID_NODE_BYTES per node, plus 4 KiB here for
-        # the Python objects of the call, which do not grow with the grid
-        # (about 2 KiB measured); the field is tilted, as where the integrated
-        # path builds the grids, and the sizes differ so that no axis is mixed up
-        n_lam, n_phi, n_psi = 40, 36, 44
-        spec = EnsembleSpec(weight=weight, f=PowerLaw(q=3.0), h=-SIGMA_X,
-                            n_lam=n_lam, n_phi=n_phi, n_psi=n_psi)
+    def test_integrated_average_never_allocates_the_product_grid(self):
+        # 4,096 nodes in a tilted field; the product grid's four float arrays
+        # alone are 32 bytes per node, the slices here 16 floats each, and the
+        # Python objects of the call, which do not grow with the grid, about
+        # 13 KiB measured
+        sizes = (256, 4, 4)
+        (_, wl), (phi, wp), (_, ws) = (gauss_legendre(n, 0.0, b) for n, b in zip(sizes, (1.0, np.pi, 2.0 * np.pi)))
+        scale = 1.0 / (np.sum(wl) * np.sum(np.sin(phi) * wp) * np.sum(ws))
+        spec = EnsembleSpec(weight=lambda lam, phi, psi: np.full(np.shape(lam), scale), f=PowerLaw(q=3.0),
+                            h=-SIGMA_X, n_lam=sizes[0], n_phi=sizes[1], n_psi=sizes[2])
         tracemalloc.start()
         try:
-            spec.grids()
+            ensemble_average(spec, 0.0, IntegratorConfig(dt=0.1, t_final=0.1))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= GRID_NODE_BYTES * n_lam * n_phi * n_psi + 4096
+        assert peak < 8 * 256 * 4 * 4
+
+    @pytest.mark.parametrize("sizes", [(0, 8, 8), (8, 2.5, 8), (8, 8, -1), (True, 8, 8), (8, 8, "8")],
+                             ids=["zero", "fraction", "negative", "bool", "string"])
+    def test_sizes_must_be_positive_integers(self, sizes):
+        with pytest.raises(DomainError, match="must be an integer at least 1"):
+            EnsembleSpec(weight=tilted_weight, f=PowerLaw(q=3.0), h=-SIGMA_Z,
+                         **dict(zip(("n_lam", "n_phi", "n_psi"), sizes)))
 
     def test_budget_counts_the_grids_peak(self):
         # 282^3 nodes keep 0.67 GiB of grids but peak past 1 GiB while built
@@ -202,14 +217,14 @@ class TestClosedFormMoments:
         # unequal axes, so that a slice taken along the wrong axis shows
         spec = EnsembleSpec(weight=weight, f=PowerLaw(q=3.0), h=-SIGMA_Z,
                             n_lam=n_lam, n_phi=n_phi, n_psi=n_psi)
-        total = np.sum(spec.grids()["w"])
-        assert abs(spec.moments()["total"] - total) < 1e-15
+        total = np.sum(product_grid(spec)[3])
+        assert abs(spec.moments[0] - total) < 1e-15
         for t in (0.0, 0.7, 40.0):
             # at 7 phi nodes the weights sum to 1 - 9e-13; the average has unit trace
             avg = ensemble_average(spec, t)
             assert np.max(np.abs(avg.matrix - direct_node_sum(spec, t) / total)) < 1e-14
 
-    def test_memo_is_per_spec(self):
+    def test_replaced_spec_has_its_own_moments(self):
         spec = make_spec(weight=tilted_weight, q=3.0)
         first = ensemble_average(spec, 5.0).matrix
         other = dataclasses.replace(spec, f=PowerLaw(q=2.5))
