@@ -20,7 +20,6 @@ from .composite import (
 from .deformation import CoefficientSeries, DeformationFunction, PowerLaw
 from .dynamics import (
     IntegratorConfig,
-    InvariantReport,
     Trajectory,
     evolve,
     invariant_report,

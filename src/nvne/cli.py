@@ -282,9 +282,10 @@ COMPARATORS = {"convergence_ratio_min": ">=", "second_derivative_positive": ">",
 
 # ---------------------------------------------------------------------------
 # scenario kinds: parse(cfg) -> (measured names, run), where run() returns
-# (headline, measured values by name, trajectory, plot series); evolve
-# measures: parse(spec, path, **evolve objects) -> (measured names, run),
-# where run(traj, headline, measured) adds to evolve's results
+# (results, trajectory, plot series): results holds each measured name's
+# value at its top level and every other value in a block named for the
+# measure that produced it; evolve measures: parse(spec, path, **evolve
+# objects) -> (measured names, run), where run(traj, results) adds to them
 
 
 def _parse_evolve(cfg: dict):
@@ -315,28 +316,17 @@ def _parse_evolve(cfg: dict):
 
     def run():
         traj = dynamics.evolve(state, h, f, icfg)
-        inv = dynamics.invariant_report(traj)
-        invariants, measured = _invariants(inv, "max_hermiticity_defect", "max_negativity")
-        headline = {"invariants": invariants}
-        measured["hermiticity"] = inv.max_hermiticity_defect
+        results = dynamics.invariant_report(traj)
+        results["invariants"] = {"negativity": results.pop("negativity")}
         plot = None
         if dim == 2:
-            measured["sz_drift"] = _sz_drift(traj)
+            results["sz_drift"] = _sz_drift(traj)
             plot = ([(t, float(abs(m01))) for t, m01 in zip(traj.times, traj.matrices[:, 0, 1])],
                     ["t", "offdiag_abs"])
         for measure in measures:
-            measure(traj, headline, measured)
-        return headline, measured, traj, plot
+            measure(traj, results)
+        return results, traj, plot
     return names, run
-
-
-def _invariants(inv: dynamics.InvariantReport, *extra: str):
-    """Headline entry and measured drifts of a run's invariant report; the
-    entry adds the fields named in extra."""
-    fields = ("eigenvalue_drift", "max_casimir_drift", "energy_drift") + extra
-    return ({k: getattr(inv, k) for k in fields},
-            {"eigenvalue_drift": inv.eigenvalue_drift, "casimir_drift": inv.max_casimir_drift,
-             "energy_drift": inv.energy_drift})
 
 
 def _sz_drift(traj: dynamics.Trajectory) -> float:
@@ -368,15 +358,15 @@ def _parse_precession(spec, path: str, dim, h, state, f, spin, **_):
     if dim == 2 and h[0, 1] == 0:
         _require_signal(state, element, f"{path}.element")
 
-    def run(traj, headline, measured):
+    def run(traj, results):
         omega_meas = dynamics.precession_frequency(traj, element)
-        headline["omega_measured"] = omega_meas
+        results["precession"] = {"omega_measured": omega_meas}
         if spin:
             mu, lam = spin[:2]
             omega_pred = dynamics.larmor_frequency(lam, f, mu)
-            headline["omega_predicted"] = omega_pred
-            measured["omega_relative_error"] = (abs(omega_meas - omega_pred)
-                                                / max(abs(omega_pred), 1e-12))
+            results["precession"]["omega_predicted"] = omega_pred
+            results["omega_relative_error"] = (abs(omega_meas - omega_pred)
+                                               / max(abs(omega_pred), 1e-12))
     return ["omega_relative_error"] if spin else [], run
 
 
@@ -389,18 +379,17 @@ def _parse_compare_linear(spec, path: str, state, h, icfg, **_):
         laws = [_power_law(q, f"{path}.q_values")
                 for q in _numbers(spec["q_values"], f"{path}.q_values")]
 
-    def run(traj, headline, measured):
+    def run(traj, results):
         w, v = np.linalg.eigh(h)
         u = (v * np.exp(-1j * w * traj.times[-1])) @ v.conj().T
         linear = u @ state.matrix @ u.conj().T
         if laws:
             dists = [trace_distance(dynamics.evolve(state, h, law, icfg).matrices[-1], linear)
                      for law in laws]
-            headline["linear_trace_distance"] = {f"q={law.q:g}": d for law, d in zip(laws, dists)}
-            measured["linear_trace_distance"] = max(dists)
+            results["compare_linear"] = {f"q={law.q:g}": d for law, d in zip(laws, dists)}
+            results["linear_trace_distance"] = max(dists)
         else:
-            dist = trace_distance(traj.matrices[-1], linear)
-            headline["linear_trace_distance"] = measured["linear_trace_distance"] = dist
+            results["linear_trace_distance"] = trace_distance(traj.matrices[-1], linear)
     return ["linear_trace_distance"], run
 
 
@@ -416,7 +405,7 @@ def _parse_larmor_grid(spec, path: str, h, icfg, spin, **_):
     for _, rho0 in starts:
         _require_signal(rho0, (0, 1), f"{path}.lams")
 
-    def run(traj, headline, measured):
+    def run(traj, results):
         worst_rel = worst_sz = 0.0
         grid_rows = []
         for f_q in laws:
@@ -429,10 +418,8 @@ def _parse_larmor_grid(spec, path: str, h, icfg, spin, **_):
                 worst_sz = max(worst_sz, _sz_drift(t_q))
                 grid_rows.append({"q": f_q.q, "lam": lam, "omega_measured": omega_meas,
                                   "omega_predicted": omega_pred})
-        headline["larmor_grid"] = {"points": grid_rows,
-                                   "max_relative_error": worst_rel,
-                                   "max_sz_drift": worst_sz}
-        measured.update(omega_relative_error=worst_rel, sz_drift=worst_sz)
+        results["larmor_grid"] = {"points": grid_rows}
+        results.update(omega_relative_error=worst_rel, sz_drift=worst_sz)
     return ["omega_relative_error", "sz_drift"], run
 
 
@@ -442,11 +429,10 @@ def _parse_stability_reference(spec, path: str, dim, state, **_):
     if d0 < 1e-15:
         raise ConfigError(f"config key {path} equals the initial state")
 
-    def run(traj, headline, measured):
+    def run(traj, results):
         worst = float(np.max(trace_distance(traj.matrices, ref)))
-        headline["stability"] = {"initial_distance": d0, "max_distance": worst,
-                                 "factor": worst / d0}
-        measured["stability_factor"] = worst / d0
+        results["stability"] = {"initial_distance": d0, "max_distance": worst}
+        results["stability_factor"] = worst / d0
     return ["stability_factor"], run
 
 
@@ -460,13 +446,13 @@ def _parse_convergence(spec, path: str, dim, state, h, f, **_):
                              record_every=10**9), dim, path)
             for step in (dt / divisor, dt, dt / 2)]
 
-    def run(traj, headline, measured):
+    def run(traj, results):
         ref, coarse, fine = (dynamics.evolve(state, h, f, c).matrices[-1] for c in runs)
         err_coarse = float(np.linalg.norm(coarse - ref))
         err_fine = float(np.linalg.norm(fine - ref))
         ratio = err_coarse / max(err_fine, 1e-300)
-        headline["convergence"] = {"err_dt": err_coarse, "err_dt_half": err_fine, "ratio": ratio}
-        measured.update(convergence_ratio_min=ratio, convergence_ratio_max=ratio)
+        results["convergence"] = {"err_dt": err_coarse, "err_dt_half": err_fine}
+        results.update(convergence_ratio_min=ratio, convergence_ratio_max=ratio)
     return ["convergence_ratio_min", "convergence_ratio_max"], run
 
 
@@ -500,12 +486,12 @@ def _parse_composite(cfg: dict):
     def run():
         traj = composite_mod.evolve_composite(state, composite, icfg)
         closure = composite_mod.reduction_consistency(traj, composite, icfg)
-        invariants, measured = _invariants(dynamics.invariant_report(traj))
-        headline = {"closure": {"max_deviation_I": closure.max_deviation_1,
-                                "max_deviation_II": closure.max_deviation_2},
-                    "invariants": invariants}
-        measured["closure"] = closure.max_deviation
-        return headline, measured, traj, None
+        results = dynamics.invariant_report(traj)
+        results["invariants"] = {k: results.pop(k) for k in ("hermiticity", "negativity")}
+        results["closure"] = closure.max_deviation
+        results["reductions"] = {"max_deviation_I": closure.max_deviation_1,
+                                 "max_deviation_II": closure.max_deviation_2}
+        return results, traj, None
     return {"closure", "casimir_drift", "eigenvalue_drift", "energy_drift"}, run
 
 
@@ -524,13 +510,12 @@ def _parse_equilibrium(cfg: dict):
     mu = _number(_get(spec, "mu", "thermo."), "thermo.mu", 0.0, strict=True)
     result = _equilibrium("thermo", mu, q, beta, "thermo.beta")
     # along lam, dF/dlam = g_0 - g_1 and d^2F/dlam^2 = H_00 + H_11
-    curvature = float(np.sum(result.hessian))
-    headline = {"lambda_eq": float(result.populations[0]), "free_energy": result.free_energy,
-                "second_derivative": curvature}
-    measured = {"stationarity": float(np.ptp(result.gradient)),
-                "second_derivative_positive": curvature}
+    lam_eq = float(result.populations[0])
+    results = {"stationarity": float(np.ptp(result.gradient)),
+               "second_derivative_positive": float(np.sum(result.hessian)),
+               "equilibrium": {"lambda_eq": lam_eq, "free_energy": result.free_energy}}
     if "expected_lambda" in cfg:
-        measured["lambda_error"] = abs(headline["lambda_eq"] - _number(cfg["expected_lambda"], "expected_lambda"))
+        results["lambda_error"] = abs(lam_eq - _number(cfg["expected_lambda"], "expected_lambda"))
     if "gibbs_check" in cfg:
         g = cfg["gibbs_check"]
         beta = _number(_get(g, "beta", "gibbs_check."), "gibbs_check.beta")
@@ -538,7 +523,7 @@ def _parse_equilibrium(cfg: dict):
         # q = 1 last, so that a field past its neighbours' domain is named where q = 1 underflows
         *near, target = (_equilibrium("gibbs_check", mu_gibbs, q_near, beta, "gibbs_check.beta").populations[0]
                          for q_near in (1.0 + 1e-6, 1.0 - 1e-6, 1.0))
-        headline["gibbs_limit_gap"] = measured["gibbs_limit"] = float(max(abs(lam - target) for lam in near))
+        results["gibbs_limit"] = float(max(abs(lam - target) for lam in near))
     if "grid" in cfg:
         g = _object(cfg["grid"], "grid")
         q_values = [_power_law(qv, "grid.q_values").q
@@ -547,14 +532,16 @@ def _parse_equilibrium(cfg: dict):
         if any(abs(qv - 1.0) < thermo.Q_ONE_THRESHOLD for qv in q_values):
             raise ConfigError("config key grid.q_values must exclude 1")
         # c = |q-1| beta mu, the spin's domain product: 1 + (q-1) beta E > 0 at E = -+mu for c < 1
-        results = [_equilibrium("grid", mu, qv, c / (abs(qv - 1.0) * mu), "grid.domain_products")
-                   for qv in q_values for c in products]
-        min_curv = min(float(np.sum(res.hessian)) for res in results)
-        max_stat = max(float(np.ptp(res.gradient)) for res in results)
-        headline["grid"] = {"points": len(results), "min_second_derivative": min_curv,
-                            "max_stationarity": max_stat}
-        measured.update(grid_second_derivative_positive=min_curv, grid_stationarity=max_stat)
-    return set(measured), lambda: (headline, measured, None, None)
+        outside = next((c for c in products if not 0.0 < c < 1.0), None)
+        if outside is not None:
+            raise ConfigError(f"config key grid.domain_products must lie in (0, 1), got {outside:g}")
+        points = [_equilibrium("grid", mu, qv, c / (abs(qv - 1.0) * mu), "grid.domain_products")
+                  for qv in q_values for c in products]
+        min_curv = min(float(np.sum(res.hessian)) for res in points)
+        max_stat = max(float(np.ptp(res.gradient)) for res in points)
+        results["grid"] = {"points": len(points)}
+        results.update(grid_second_derivative_positive=min_curv, grid_stationarity=max_stat)
+    return set(results) - {"equilibrium", "grid"}, lambda: (results, None, None)
 
 
 def _parse_ensemble(cfg: dict):
@@ -616,8 +603,7 @@ def _parse_ensemble(cfg: dict):
                                                    lam_density=lam_density)
             match_gap = max(match_gap, float(np.max(np.abs(avg.matrix - analytic.matrix))))
             series.append((t, abs(avg.matrix[0, 1]), avg.purity()))
-        headline = {"analytic_match_gap": match_gap}
-        measured = {"analytic_match": match_gap}
+        results = {"analytic_match": match_gap}
         plot = (series, ["t", "offdiag_abs", "purity"])
         if window_times is not None:
             offs = [abs(ensemble.ensemble_average(espec, float(t)).matrix[0, 1]) for t in window_times]
@@ -625,8 +611,8 @@ def _parse_ensemble(cfg: dict):
             peak = float(np.max(offs))
             # a peak at round-off level is no signal whose decay could be measured
             ratio = late / peak if peak > TOL_HERM else np.inf
-            headline["decay"] = {"window_peak": peak, "late_value": late, "ratio": ratio}
-            measured["decay_ratio"] = ratio
+            results["decay"] = {"window_peak": peak, "late_value": late}
+            results["decay_ratio"] = ratio
             plot = ([(float(t), off) for t, off in zip(window_times, offs)]
                     + [(float(t_late), late)], ["t", "offdiag_abs"])
         if nodes is not None:
@@ -634,12 +620,11 @@ def _parse_ensemble(cfg: dict):
             for lam, phi, psi in nodes:
                 rho0 = bloch_state(lam=lam, phi=phi, psi=psi)
                 traj = dynamics.evolve(rho0, h, f, icfg, also_at=n_cross)
-                drift = max(drift, dynamics.invariant_report(traj).eigenvalue_drift)
+                drift = max(drift, dynamics.invariant_report(traj)["eigenvalue_drift"])
                 closed = ensemble.evolve_node(espec, lam, phi, psi, traj.times[cross_row])
                 cross = max(cross, float(np.max(np.abs(traj.matrices[cross_row] - closed.matrix))))
-            headline["node_check"] = {"eigenvalue_drift": drift, "closed_form_gap": cross}
-            measured.update(node_eigenvalue_drift=drift, node_crosscheck=cross)
-        return headline, measured, None, plot
+            results.update(node_eigenvalue_drift=drift, node_crosscheck=cross)
+        return results, None, plot
     return names, run
 
 
@@ -670,15 +655,9 @@ def _parse_bracket_check(cfg: dict):
             ba = structure.poisson_bracket(b, a, rho)
             worst_antisym = max(worst_antisym, abs(ab + ba))
         gap, gap_half = _hamilton_gaps()
-        hamilton = {"hamilton_gap": gap, "hamilton_ratio": gap / gap_half}
-        headline = {"bracket": {
-            "max_casimir_bracket": worst_casimir,
-            "max_average_bracket": worst_avg,
-            "max_antisymmetry_defect": worst_antisym, **hamilton,
-        }}
-        measured = {"casimir_bracket": worst_casimir, "average_bracket": worst_avg,
-                    "antisymmetry": worst_antisym, **hamilton}
-        return headline, measured, None, None
+        results = {"casimir_bracket": worst_casimir, "average_bracket": worst_avg,
+                   "antisymmetry": worst_antisym, "hamilton_gap": gap, "hamilton_ratio": gap / gap_half}
+        return results, None, None
     return {"casimir_bracket", "average_bracket", "antisymmetry", "hamilton_gap", "hamilton_ratio"}, run
 
 
@@ -762,13 +741,15 @@ def _kind(cfg: dict) -> str:
 
 def load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError(f"config file {path} nests too deeply to parse")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     _kind(cfg)
@@ -800,9 +781,9 @@ def run_scenario(cfg: dict, out_dir: Path | None = None) -> RunReport:
     label, run, thresholds = parse_scenario(cfg)
     report = RunReport(scenario=cfg["kind"], label=label, config=cfg)
     start = time.perf_counter()
-    report.headline, measured, traj, series = run()
+    report.headline, traj, series = run()
     for name, threshold in thresholds.items():
-        report.check(name, measured[name], threshold, COMPARATORS.get(name, "<="))
+        report.check(name, report.headline[name], threshold, COMPARATORS.get(name, "<="))
     report.wall_clock_s = time.perf_counter() - start
     if out_dir is not None:
         emit_outputs(report, traj, series, Path(out_dir))

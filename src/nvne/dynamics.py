@@ -321,31 +321,23 @@ def _record(rho0: DensityMatrix, vs: np.ndarray, cfg: IntegratorConfig, energy, 
     return Trajectory(times=times, eigenvalues=w, eigenvectors=vs, matrices=matrices, _energy=energy)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    eigenvalue_drift: float
-    max_casimir_drift: float = 0.0
-    energy_drift: float = 0.0
-    max_hermiticity_defect: float = 0.0
-    max_negativity: float = 0.0
-
-
 def _relative_drift(series: np.ndarray) -> float:
     ref = series[0]
     return float(np.max(np.abs(series - ref)) / max(abs(ref), 1e-12))
 
 
-def invariant_report(traj: Trajectory) -> InvariantReport:
-    """Worst-case drift of spectrum, Casimirs and energy over the run."""
+def invariant_report(traj: Trajectory) -> dict:
+    """Worst-case drift of spectrum, Casimirs and energy over the run, and the
+    largest Hermiticity defect and negativity, keyed by their measured names."""
     log = traj.invariant_log
     ev = log["eigenvalues"]
-    return InvariantReport(
-        eigenvalue_drift=float(np.max(np.abs(ev - ev[0]))),
-        max_casimir_drift=max(_relative_drift(log[f"C{n}"]) for n in range(1, 6)),
-        energy_drift=_relative_drift(log["Hq"]),
-        max_hermiticity_defect=float(np.max(log["hermiticity"])),
-        max_negativity=float(max(0.0, -np.min(ev[:, 0]))),
-    )
+    return {
+        "eigenvalue_drift": float(np.max(np.abs(ev - ev[0]))),
+        "casimir_drift": max(_relative_drift(log[f"C{n}"]) for n in range(1, 6)),
+        "energy_drift": _relative_drift(log["Hq"]),
+        "hermiticity": float(np.max(log["hermiticity"])),
+        "negativity": float(max(0.0, -np.min(ev[:, 0]))),
+    }
 
 
 def precession_frequency(traj: Trajectory, element: tuple[int, int]) -> float:

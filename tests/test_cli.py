@@ -195,6 +195,8 @@ MALFORMED_CASTS = [
     ("equilibrium", "grid.q_values", [0]),
     ("equilibrium", "grid.domain_products", [-1]),
     ("equilibrium", "grid.domain_products", [0]),
+    ("equilibrium", "grid.domain_products", [1]),
+    ("equilibrium", "grid.domain_products", [1.5]),
     ("larmor", "state.bloch.lam", -1),
     ("larmor", "measure.stability_reference.bloch.lam", -1),
     # a misspelt measure name
@@ -310,6 +312,25 @@ class TestExitCodes:
                "assertions": {"grid_stationarity": 1e-8, "grid_second_derivative_positive": 0.0}}
         assert main(["run", str(write_config(tmp_path, cfg))]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("product", [-1, 0])
+    def test_domain_product_error_quotes_the_product(self, tmp_path, capsys, product):
+        # not the beta = c / (|q-1| mu) derived from it, which the config never set
+        cfg = with_leaf(CAST_BASES["equilibrium"], "grid.domain_products", [product])
+        assert main(["check", str(write_config(tmp_path, cfg))]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config key grid.domain_products must lie in (0, 1), got {product}\n"
+        assert "beta" not in err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+                             ids=["not-utf8", "nested-1e5-deep"])
+    def test_unparsable_config_file_exit_2_names_file(self, tmp_path, capsys, content):
+        # a UnicodeDecodeError and a RecursionError, which ended in tracebacks
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"config file {path}" in err
 
     @pytest.mark.parametrize("mu", [0.5, 2.0, 4.0])
     def test_grid_that_check_accepts_runs(self, tmp_path, capsys, mu):
@@ -553,14 +574,27 @@ class TestFuzzedConfigs:
             assert check == 2, cfg
 
 
+DECLARED = pytest.mark.parametrize(
+    "cfg", [presets.get(name) for name in presets.names()] + list(CAST_BASES.values()),
+    ids=list(presets.names()) + [f"cast-{kind}" for kind in CAST_BASES])
+
+
 class TestDeclaredNames:
-    @pytest.mark.parametrize("cfg", [presets.get(name) for name in presets.names()] + list(CAST_BASES.values()),
-                             ids=list(presets.names()) + [f"cast-{kind}" for kind in CAST_BASES])
+    @DECLARED
     def test_declared_names_are_measured(self, cfg):
-        # an assertion on a declared name that the run leaves unmeasured
-        # would end in a KeyError
+        # the results' top-level numbers are exactly the names an assertion
+        # may read; every other value sits in a block named for its measure
         names, run = nvne.cli.KINDS[cfg["kind"]](cfg)
-        assert set(names) == set(run()[1])
+        results = run()[0]
+        assert set(names) == {key for key, value in results.items() if not isinstance(value, dict)}
+
+    @DECLARED
+    def test_assertions_read_the_headline(self, cfg):
+        # every declared name asserted, each valued as its headline entry
+        names = nvne.cli.KINDS[cfg["kind"]](cfg)[0]
+        report = run_scenario({**cfg, "assertions": {**dict.fromkeys(names, 0.0), **cfg.get("assertions", {})}})
+        assert {a.name for a in report.assertions} == set(names)
+        assert all(a.value == report.headline[a.name] for a in report.assertions)
 
 
 class TestOutputs:
@@ -603,8 +637,8 @@ class TestOutputs:
         rerun = run_scenario(summary["config"], out_dir=tmp_path / "out2")
         assert rerun.passed
         assert all("threshold" in a for a in summary["assertions"])
-        assert summary["headline"]["omega_measured"] == pytest.approx(2.0, abs=1e-5)
-        assert summary["headline"]["omega_predicted"] == pytest.approx(2.0)
+        assert summary["headline"]["precession"]["omega_measured"] == pytest.approx(2.0, abs=1e-5)
+        assert summary["headline"]["precession"]["omega_predicted"] == pytest.approx(2.0)
 
     def test_csv_bytes_match_per_element_format(self, tmp_path):
         # one "%.17g" format per row writes what format(x, ".17g") per
@@ -649,9 +683,9 @@ class TestOutputs:
         # peak is round-off (about 2e-17), whose ratio would be noise
         cfg = presets.get("dephasing-demo-tilted")
         cfg["ensemble"]["weight"] = weight
-        decay = run_scenario(cfg).headline["decay"]
-        assert decay["ratio"] == pytest.approx(ratio, rel=1e-5)
-        assert (decay["window_peak"] <= nvne.hermitian.TOL_HERM) == (weight == "sin-psi-half")
+        headline = run_scenario(cfg).headline
+        assert headline["decay_ratio"] == pytest.approx(ratio, rel=1e-5)
+        assert (headline["decay"]["window_peak"] <= nvne.hermitian.TOL_HERM) == (weight == "sin-psi-half")
 
     def test_node_check_records_every_1000_steps_and_the_crosscheck(self, monkeypatch):
         # 337 steps, prime to 1000: the run records at steps 0, 337 and 1000,
@@ -706,13 +740,23 @@ class TestCompositeAndBracketKinds:
         # Hamilton's equation ties U_q to evolve; the three older values hold
         # for any symmetric kernel, so they cannot see the integrator's
         cfg = presets.get("criterion8-bracket-algebra")
-        clean = run_scenario(cfg).headline["bracket"]
+        clean = run_scenario(cfg).headline
         monkeypatch.setattr(nvne.dynamics, "_kernel", wrong_kernel)
         report = run_scenario(cfg)
         failed = {a.name for a in report.assertions if not a.passed}
         assert failed == {"hamilton_gap", "hamilton_ratio"}
-        older = ("max_casimir_bracket", "max_average_bracket", "max_antisymmetry_defect")
-        assert [report.headline["bracket"][k] for k in older] == [clean[k] for k in older]
+        older = ("casimir_bracket", "average_bracket", "antisymmetry")
+        assert [report.headline[k] for k in older] == [clean[k] for k in older]
+
+
+def benchmark_workloads(monkeypatch):
+    """perfbench/workloads.py, loaded from its file without editing it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 class TestPresets:
@@ -728,16 +772,24 @@ class TestPresets:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_benchmark_configs_validate(self, tmp_path, monkeypatch, capsys, seed):
         # every config the benchmark workloads generate, which a config error
-        # would count as failed operations; perfbench/ is loaded, not edited
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-        spec.loader.exec_module(workloads)
-        for workload in workloads.WORKLOADS.values():
+        # would count as failed operations
+        for workload in benchmark_workloads(monkeypatch).WORKLOADS.values():
             for sc in workload.scenarios(np.random.default_rng(seed)).scenarios:
                 cfg_path = write_config(tmp_path, sc.cfg, f"{workload.name}-{sc.name}.json")
                 assert main(["check", str(cfg_path)]) == 0, capsys.readouterr().err
+
+    def test_benchmark_reads_every_larmor_point(self, tmp_path, monkeypatch):
+        # the benchmark's phase_error is the worst of these points, read with
+        # .get(..., {}), so a summary without them would read as an error of 0
+        scenarios = benchmark_workloads(monkeypatch).WORKLOADS["qubit-sweep"].scenarios(np.random.default_rng(3))
+        cfg = next(sc.cfg for sc in scenarios.scenarios if sc.name == "larmor")
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, cfg)), "--out", str(out), "--quiet"]) == 0
+        points = json.loads((out / "summary.json").read_text())["headline"]["larmor_grid"]["points"]
+        grid = cfg["measure"]["larmor_grid"]
+        assert sorted((p["q"], p["lam"]) for p in points) == sorted(
+            (q, lam) for q in grid["q_values"] for lam in grid["lams"])
+        assert all(isinstance(p["omega_measured"], float) for p in points)
 
     def test_get_returns_copy(self):
         a = presets.get("criterion4-equilibrium")
@@ -747,4 +799,4 @@ class TestPresets:
     def test_equilibrium_preset_runs(self):
         report = run_scenario(presets.get("criterion4-equilibrium"))
         assert report.passed
-        assert report.headline["lambda_eq"] == pytest.approx(0.75, abs=1e-10)
+        assert report.headline["equilibrium"]["lambda_eq"] == pytest.approx(0.75, abs=1e-10)

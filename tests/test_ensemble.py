@@ -250,7 +250,7 @@ class TestNodes:
         spec = make_spec(n=16)
         cfg = IntegratorConfig(dt=1e-3, t_final=5.0, record_every=500)
         traj = evolve(bloch_state(lam=0.8, phi=1.3, psi=0.2), spec.h, spec.f, cfg)
-        assert invariant_report(traj).eigenvalue_drift < 1e-9
+        assert invariant_report(traj)["eigenvalue_drift"] < 1e-9
 
     def test_linearity_of_averaging(self):
         # two-point mixture average equals the weighted sum of the
