@@ -509,8 +509,8 @@ def _parse_equilibrium(cfg: dict):
     beta = _number(_get(spec, "beta", "thermo."), "thermo.beta")
     mu = _number(_get(spec, "mu", "thermo."), "thermo.mu", 0.0, strict=True)
     result = _equilibrium("thermo", mu, q, beta, "thermo.beta")
-    # along lam, dF/dlam = g_0 - g_1 and d^2F/dlam^2 = H_00 + H_11
     lam_eq = float(result.populations[0])
+    # along lam, dF/dlam = g_0 - g_1 and d^2F/dlam^2 = H_00 + H_11
     results = {"stationarity": float(np.ptp(result.gradient)),
                "second_derivative_positive": float(np.sum(result.hessian)),
                "equilibrium": {"lambda_eq": lam_eq, "free_energy": result.free_energy}}
