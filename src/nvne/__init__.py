@@ -11,7 +11,6 @@ diagnostics, and a JSON-config CLI (`nvne run`).
 """
 
 from .composite import (
-    ClosureReport,
     CompositeSystem,
     composite_energy,
     evolve_composite,

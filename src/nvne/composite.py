@@ -78,23 +78,11 @@ def composite_energy(state: DensityMatrix, sys: CompositeSystem) -> float:
             + hamiltonian_function(partial_trace(state, dims, "II"), sys.h2, sys.f2))
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    """Worst-case trace-norm gap between the reduced joint trajectory and
-    the independently evolved subsystem trajectories."""
-
-    max_deviation_1: float
-    max_deviation_2: float
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.max_deviation_1, self.max_deviation_2)
-
-
-def reduction_consistency(traj_ab: Trajectory, sys: CompositeSystem, cfg: IntegratorConfig) -> ClosureReport:
+def reduction_consistency(traj_ab: Trajectory, sys: CompositeSystem, cfg: IntegratorConfig) -> dict:
     """Evolve each reduction of the initial state under its own single-system
     equation and compare against the partial traces of the joint run at the
-    recorded times."""
+    recorded times: the worst trace-norm gap of each reduction, as
+    max_deviation_I and max_deviation_II."""
     dims = (sys.dim_1, sys.dim_2)
     r1_traj = evolve(partial_trace(traj_ab.matrices[0], dims, "I"), sys.h1, sys.f1, cfg)
     r2_traj = evolve(partial_trace(traj_ab.matrices[0], dims, "II"), sys.h2, sys.f2, cfg)
@@ -103,6 +91,5 @@ def reduction_consistency(traj_ab: Trajectory, sys: CompositeSystem, cfg: Integr
                           f"its times differ from the joint run's {len(traj_ab.times)} recorded times")
     # the reductions of every recorded joint state at once
     t = traj_ab.matrices.reshape(-1, sys.dim_1, sys.dim_2, sys.dim_1, sys.dim_2)
-    return ClosureReport(
-        max_deviation_1=float(np.max(trace_norm(np.einsum("nijkj->nik", t) - r1_traj.matrices))),
-        max_deviation_2=float(np.max(trace_norm(np.einsum("nijil->njl", t) - r2_traj.matrices))))
+    return {"max_deviation_I": float(np.max(trace_norm(np.einsum("nijkj->nik", t) - r1_traj.matrices))),
+            "max_deviation_II": float(np.max(trace_norm(np.einsum("nijil->njl", t) - r2_traj.matrices)))}

@@ -33,6 +33,7 @@ breaks that symmetry and exhibits genuine dephasing decay.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -44,10 +45,13 @@ from .errors import DomainError
 from .hermitian import DensityMatrix, _qubit_state, bloch_state, require_hermitian, validate_density
 
 NORMALIZATION_TOL = 1e-8
-# most quadrature nodes of a spec (22,369,621), set by the 48-byte peak per node of
-# the product grid the integrated path once built; it caps the nodes that
-# construction walks and that each integrated average evolves
+# most quadrature nodes of a spec (22,369,621, the record budget at 48 bytes a
+# node); it bounds the nodes that construction walks and that each integrated
+# average evolves
 MAX_NODES = RECORD_BUDGET_BYTES // 48
+# most points of one Gauss-Legendre rule (11,585): leggauss builds an n x n
+# companion matrix, which must fit the record budget
+MAX_RULE_NODES = math.isqrt(RECORD_BUDGET_BYTES // 8)
 
 
 def sin_psi_half_weight(lam, phi, psi):
@@ -70,8 +74,10 @@ def gauss_legendre(n: int, a: float, b: float):
     """n-point Gauss-Legendre nodes and weights on [a, b].
 
     Rules are cached per (n, a, b) and shared between callers, so the
-    arrays are read-only.
+    arrays are read-only. DomainError: n above MAX_RULE_NODES.
     """
+    if n > MAX_RULE_NODES:
+        raise DomainError(f"a {n}-point Gauss-Legendre rule is past the bound of {MAX_RULE_NODES} points")
     x, w = np.polynomial.legendre.leggauss(int(n))
     nodes, weights = 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
     nodes.flags.writeable = False
@@ -98,7 +104,9 @@ class EnsembleSpec:
     n_lam: int = 32
     n_phi: int = 32
     n_psi: int = 32
-    # from construction: total weight, sigma_z coefficient, A_c, A_s, omega (None unless H = -mu sigma_z)
+    # from construction: the field strength of H = -mu sigma_z, None for any other field
+    mu: float | None = field(init=False, compare=False)
+    # from construction: total weight, sigma_z coefficient, A_c, A_s, omega (None unless mu is set)
     moments: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -106,6 +114,8 @@ class EnsembleSpec:
         if h.shape != (2, 2):
             raise DomainError("ensemble spins are 2x2; H must be 2x2")
         object.__setattr__(self, "h", h)
+        spin_z = abs(h[0, 1]) <= 1e-12 and abs(h[0, 0] + h[1, 1]) <= 1e-12
+        object.__setattr__(self, "mu", float(-h[0, 0].real) if spin_z else None)
         for name in ("n_lam", "n_phi", "n_psi"):
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
@@ -123,7 +133,7 @@ class EnsembleSpec:
         if not abs(norm - 1.0) <= NORMALIZATION_TOL:
             raise DomainError(f"weight quadrature normalizes to {norm!r}, expected 1 "
                               f"within {NORMALIZATION_TOL:.0e}")
-        omega = _larmor_rates(self.n_lam, self.f, self.mu) if self.uses_closed_form() else None
+        omega = None if self.mu is None else _larmor_rates(self.n_lam, self.f, self.mu)
         object.__setattr__(self, "moments", (norm, float(np.sum(sums[3])), sums[1], sums[2], omega))
 
     def rules(self):
@@ -142,17 +152,6 @@ class EnsembleSpec:
         for lam_i, wl_i in zip(lam, wl):
             w = self.weight(np.full_like(big_p, lam_i), big_p, big_s) * sin_p * wl_i * wp[:, None] * ws
             yield lam_i, big_p, big_s, w
-
-    @property
-    def mu(self) -> float:
-        """Field strength for H = -mu sigma_z (closed-form node motion)."""
-        if not self.uses_closed_form():
-            raise DomainError("closed-form node evolution needs H = -mu*sigma_z")
-        return float(-self.h[0, 0].real)
-
-    def uses_closed_form(self) -> bool:
-        h = self.h
-        return bool(abs(h[0, 1]) <= 1e-12 and abs(h[0, 0] + h[1, 1]) <= 1e-12)
 
 
 def ensemble_average(spec: EnsembleSpec, t: float, cfg: IntegratorConfig | None = None) -> DensityMatrix:
@@ -187,6 +186,8 @@ def _ensemble_average_integrated(spec: EnsembleSpec, t: float, cfg: IntegratorCo
 
 def evolve_node(spec: EnsembleSpec, lam: float, phi: float, psi: float, t: float) -> DensityMatrix:
     """Closed-form node state at time t (frozen spectrum, rotated azimuth)."""
+    if spec.mu is None:
+        raise DomainError("closed-form node evolution needs H = -mu*sigma_z")
     omega = larmor_frequency(lam, spec.f, spec.mu)
     return bloch_state(lam=lam, phi=phi, psi=psi - omega * t)
 

@@ -76,9 +76,6 @@ class ObservableFunctional:
     evaluator: Callable
     gradient: Callable
 
-    def __call__(self, rho: DensityMatrix) -> float:
-        return float(self.evaluator(rho.matrix))
-
 
 def finite_difference_gradient(evaluator: Callable, m: np.ndarray) -> np.ndarray:
     """Central differences over every complex matrix entry (real and

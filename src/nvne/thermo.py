@@ -35,7 +35,10 @@ class ThermoParams:
         return 1.0 / self.beta
 
 
-def entropy_from_eigenvalues(eigenvalues: np.ndarray, q: float) -> float:
+def tsallis_entropy(eigenvalues: np.ndarray, q: float) -> float:
+    """S_q = (sum w - sum w^q)/(q - 1) over the eigenvalues w of a state;
+    the q -> 1 branch returns the von Neumann entropy -sum(w ln w) with
+    0 ln 0 = 0."""
     w = np.asarray(eigenvalues, dtype=float)
     if abs(q - 1.0) < Q_ONE_THRESHOLD:
         pos = w[w > 0]
@@ -43,15 +46,9 @@ def entropy_from_eigenvalues(eigenvalues: np.ndarray, q: float) -> float:
     return float((np.sum(w) - np.sum(PowerLaw(q).f(w))) / (q - 1.0))
 
 
-def tsallis_entropy(rho: DensityMatrix, q: float) -> float:
-    """S_q = (Tr rho - Tr rho^q)/(q - 1); the q -> 1 branch returns the
-    von Neumann entropy -sum(lam ln lam) with 0 ln 0 = 0."""
-    return entropy_from_eigenvalues(rho.eigenvalues, q)
-
-
 def free_energy(rho: DensityMatrix, h: np.ndarray, p: ThermoParams) -> float:
     """F = U_q - T S_q, with U_q = Tr(rho^q H)."""
-    return hamiltonian_function(rho, h, PowerLaw(p.q)) - p.temperature * tsallis_entropy(rho, p.q)
+    return hamiltonian_function(rho, h, PowerLaw(p.q)) - p.temperature * tsallis_entropy(rho.eigenvalues, p.q)
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ def q_equilibrium(h: np.ndarray, p: ThermoParams) -> EquilibriumResult:
     q_log = log_p if near_one else np.expm1((q - 1.0) * log_p) / (q - 1.0)
     energy_terms = q * np.exp((q - 1.0) * log_p) * energies
     grad = energy_terms + t * (1.0 + q * q_log)
-    f = float(np.sum(pops**q * energies)) - t * entropy_from_eigenvalues(pops, q)
+    f = float(np.sum(pops**q * energies)) - t * tsallis_entropy(pops, q)
     if np.ptp(grad) > 1e-8 * max(1.0, t, float(np.max(np.abs(energy_terms)))):
         raise NumericalFailure(f"q-equilibrium {pops!r} has gradient spread {np.ptp(grad):.3e}")
     return EquilibriumResult(pops, f, grad, hess)

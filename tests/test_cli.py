@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +445,32 @@ class TestExitCodes:
         assert main(["check", str(write_config(tmp_path, cfg))]) == 2
         assert capsys.readouterr().err == f"config error: missing config key: grid.{key}\n"
 
+    def test_empty_decay_section_exit_2(self, tmp_path, capsys):
+        # a section is given when its key is present, so an empty one misses
+        # t_late rather than measuring nothing
+        path = write_config(tmp_path, {**CAST_BASES["ensemble"], "decay": {},
+                                       "assertions": {"decay_ratio": 0.5}})
+        for command in ("check", "run"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err == "config error: missing config key: decay.t_late\n"
+
+    def test_empty_node_check_section_runs_the_defaults(self, tmp_path, monkeypatch):
+        # 4 nodes, each run to t = 20 at dt = 1e-3, recording every 1000
+        # steps and after the 2000 steps to the cross-check at t = 2
+        runs, evolve = [], nvne.dynamics.evolve
+
+        def recorded(rho0, h, f, icfg, **kwargs):
+            runs.append((icfg.dt, icfg.t_final, icfg.record_every, kwargs))
+            return evolve(rho0, h, f, icfg, **kwargs)
+
+        monkeypatch.setattr(nvne.dynamics, "evolve", recorded)
+        cfg = {**CAST_BASES["ensemble"], "node_check": {},
+               "assertions": {"node_eigenvalue_drift": 1e-9, "node_crosscheck": 1e-7}}
+        assert main(["check", str(write_config(tmp_path, cfg))]) == 0
+        report = run_scenario(cfg)
+        assert report.passed
+        assert runs == [(1e-3, 20.0, 1000, {"also_at": 2000})] * 4
+
     @pytest.mark.parametrize("key, value", [("state.bloch.lam", 0.5), ("state.bloch.phi", 0.0)])
     def test_precession_without_signal_exit_2(self, tmp_path, capsys, key, value):
         # |rho_01| = |2 lam - 1| sin(phi) / 2 is 0, and a field along z keeps
@@ -595,6 +622,23 @@ class TestDeclaredNames:
         report = run_scenario({**cfg, "assertions": {**dict.fromkeys(names, 0.0), **cfg.get("assertions", {})}})
         assert {a.name for a in report.assertions} == set(names)
         assert all(a.value == report.headline[a.name] for a in report.assertions)
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["declared", "reversed"])
+    def test_larmor_grid_keeps_the_worst_case(self, monkeypatch, order):
+        # the run's own point (lam = 0.95, q = 3) has a larger phase error and
+        # sz drift than the grid's one point (0.55, 1.5), in either measure order
+        monkeypatch.setattr(nvne.cli, "MEASURES", dict(list(nvne.cli.MEASURES.items())[::order]))
+        cfg = {"kind": "evolve", "system": {"dim": 2, "hamiltonian": {"preset": "spin-z", "mu": 1.0}},
+               "q": 3.0, "state": {"bloch": {"lam": 0.95, "phi": 1.0, "psi": 0.0}},
+               "integrator": {"dt": 2e-2, "t_final": 2.0}, "measure": {"precession": {}}}
+        alone = run_scenario(cfg).headline
+        grid = {"larmor_grid": {"lams": [0.55], "q_values": [1.5]}}
+        both = run_scenario({**cfg, "measure": {"precession": {}, **grid}}).headline
+        only_grid = run_scenario({**cfg, "measure": grid}).headline
+        assert alone["omega_relative_error"] > 1e-5 and alone["sz_drift"] > 1e-7
+        assert both["omega_relative_error"] == alone["omega_relative_error"]
+        assert both["sz_drift"] == only_grid["sz_drift"] == alone["sz_drift"]
+        assert only_grid["omega_relative_error"] < 1e-7
 
 
 class TestOutputs:
@@ -777,6 +821,15 @@ class TestPresets:
             for sc in workload.scenarios(np.random.default_rng(seed)).scenarios:
                 cfg_path = write_config(tmp_path, sc.cfg, f"{workload.name}-{sc.name}.json")
                 assert main(["check", str(cfg_path)]) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_benchmark_setup_runs(self, tmp_path, monkeypatch, seed):
+        # setup calls the parse_* functions and EnsembleSpec with the plain
+        # config dicts, outside nvne check; a break there fails every run
+        for workload in benchmark_workloads(monkeypatch).WORKLOADS.values():
+            (tmp_path / workload.name).mkdir()
+            inputs = workload.setup(nvne, seed, tmp_path / workload.name, time.perf_counter)[0]
+            assert all(sc.path.is_file() for sc in inputs.scenarios)
 
     def test_benchmark_reads_every_larmor_point(self, tmp_path, monkeypatch):
         # the benchmark's phase_error is the worst of these points, read with

@@ -203,7 +203,7 @@ class TestReductionConsistency:
         cfg = IntegratorConfig(dt=1e-3, t_final=10.0, record_every=50)
         traj = evolve_composite(rho, sys_, cfg)
         report = reduction_consistency(traj, sys_, cfg)
-        assert report.max_deviation < 1e-7
+        assert max(report.values()) < 1e-7
 
     def test_product_closure(self, rng):
         a = random_density_matrix(2, rng)
@@ -212,7 +212,7 @@ class TestReductionConsistency:
         sys_ = spin_system()
         cfg = IntegratorConfig(dt=1e-3, t_final=10.0, record_every=50)
         report = reduction_consistency(evolve_composite(joint, sys_, cfg), sys_, cfg)
-        assert report.max_deviation < 1e-7
+        assert max(report.values()) < 1e-7
 
     def test_pure_product_q_below_one_follows_linear_dynamics(self, rng):
         # the reductions of a product of pure states are pure up to round-off;
@@ -224,7 +224,7 @@ class TestReductionConsistency:
         sys_ = CompositeSystem(dim_1=2, dim_2=3, h1=h1, h2=h2, q1=0.5, q2=0.5)
         cfg = IntegratorConfig(dt=1e-3, t_final=1.0, record_every=100)
         traj = evolve_composite(validate_density(np.kron(a.matrix, b.matrix)), sys_, cfg)
-        assert reduction_consistency(traj, sys_, cfg).max_deviation < 1e-6
+        assert max(reduction_consistency(traj, sys_, cfg).values()) < 1e-6
         for t, s in zip(traj.times, traj.states):
             for keep, r0, h in (("I", a, sys_.h1), ("II", b, sys_.h2)):
                 w, v = np.linalg.eigh(h)
@@ -247,7 +247,7 @@ class TestReductionConsistency:
         cfg = IntegratorConfig(dt=1e-2, t_final=1.0)
         traj = evolve_composite(joint, sys_, cfg)
         report = reduction_consistency(traj, sys_, cfg)
-        assert report.max_deviation < 1e-12
+        assert max(report.values()) < 1e-12
         for s in traj.states:
             assert np.allclose(s.matrix, joint.matrix, atol=1e-13)
 

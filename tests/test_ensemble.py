@@ -141,6 +141,22 @@ class TestEnsembleSpec:
 
     def test_mu_extraction(self):
         assert make_spec(mu=1.7).mu == pytest.approx(1.7)
+        tilted = EnsembleSpec(weight=tilted_weight, f=PowerLaw(q=3.0), h=-(SIGMA_Z + SIGMA_X),
+                              n_lam=8, n_phi=8, n_psi=8)
+        assert tilted.mu is None
+        with pytest.raises(DomainError, match=r"closed-form node evolution needs H = -mu\*sigma_z"):
+            evolve_node(tilted, 0.7, 1.0, 0.5, 1.0)
+
+    def test_rule_past_the_budget_is_never_built(self, monkeypatch):
+        # leggauss would build a 20000 x 20000 companion matrix (3.2 GB)
+        def fail(n):
+            raise AssertionError(f"a {n}-point rule was built")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", fail)
+        with pytest.raises(DomainError, match="past the bound of 11585 points"):
+            EnsembleSpec(weight=tilted_weight, f=PowerLaw(q=3.0), h=-SIGMA_Z, n_lam=20000, n_phi=1, n_psi=1)
+        with pytest.raises(DomainError, match="past the bound of 11585 points"):
+            dephasing_analytic(1.0, PowerLaw(q=3.0), 1.0, n_lam=20000)
 
 
 class TestQuadratureAgainstAnalytic:
