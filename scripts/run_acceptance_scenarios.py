@@ -11,9 +11,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from nvne import presets
 from nvne.cli import load_config, run_scenario
 from nvne.errors import NvneError
+from nvne.presets import PRESETS, write_all
 
 EXPECTED_RED = {"criterion7-dephasing": {"decay_ratio"}}
 
@@ -25,8 +25,8 @@ def main() -> int:
     parser.add_argument("--only", nargs="*", help="subset of preset names")
     args = parser.parse_args()
 
-    presets.write_all(args.config_dir)
-    names = args.only or [n for n in presets.names() if n.startswith("criterion")]
+    write_all(args.config_dir)
+    names = args.only or [n for n in sorted(PRESETS) if n.startswith("criterion")]
     surprises = 0
     for name in names:
         cfg_path = Path(args.config_dir) / f"{name}.json"

@@ -7,64 +7,14 @@ the divided-difference generator, so spectra, Casimirs Tr(rho^n) and the
 deformed energy are conserved structurally. Includes the two-subsystem
 extension, nonextensive thermodynamics (S_q, U_q, F = U_q - T S_q,
 the q-equilibrium of any Hamiltonian), classical-ensemble averaging with dephasing
-diagnostics, and a JSON-config CLI (`nvne run`).
+diagnostics, and a JSON-config CLI (`nvne run`). Names are imported from
+their modules.
 """
 
-from .composite import (
-    CompositeSystem,
-    composite_energy,
-    evolve_composite,
-    reduction_consistency,
-)
-from .deformation import CoefficientSeries, DeformationFunction, PowerLaw
-from .dynamics import (
-    IntegratorConfig,
-    Trajectory,
-    evolve,
-    invariant_report,
-    larmor_frequency,
-    precession_frequency,
-)
-from .ensemble import (
-    EnsembleSpec,
-    dephasing_analytic,
-    ensemble_average,
-    evolve_node,
-    gauss_legendre,
-    sin_psi_half_weight,
-    tilted_weight,
-)
-from .errors import ConfigError, DomainError, IoError, NumericalFailure, NvneError
-from .hermitian import (
-    SIGMA_X,
-    SIGMA_Z,
-    DensityMatrix,
-    bloch_state,
-    matrix_function,
-    partial_trace,
-    pure_state,
-    random_density_matrix,
-    random_hermitian,
-    trace_distance,
-    trace_norm,
-    validate_density,
-)
-from .structure import (
-    ObservableFunctional,
-    casimir_functional,
-    finite_difference_gradient,
-    generator,
-    hamiltonian_function,
-    poisson_bracket,
-    q_average_functional,
-    trace_polynomial_functional,
-)
-from .thermo import (
-    EquilibriumResult,
-    ThermoParams,
-    free_energy,
-    q_equilibrium,
-    tsallis_entropy,
-)
+# the names perfbench/ reads as nvne.<name>
+from .composite import CompositeSystem, evolve_composite, reduction_consistency
+from .deformation import PowerLaw
+from .dynamics import IntegratorConfig
+from .hermitian import SIGMA_X, SIGMA_Z, random_density_matrix, random_hermitian
 
 __version__ = "0.1.0"

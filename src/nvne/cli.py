@@ -270,10 +270,6 @@ class RunReport:
               ">=": value >= threshold, ">": value > threshold}[comparator]
         self.assertions.append(AssertionResult(name, float(threshold), float(value), bool(ok), comparator))
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "passed": self.passed,
-                "assertions": [vars(a) for a in self.assertions]}
-
 
 # an assertion holds when the measured value is <= its threshold, except for
 COMPARATORS = {"convergence_ratio_min": ">=", "second_derivative_positive": ">",
@@ -708,6 +704,17 @@ def write_series_csv(rows, header: list, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _finite_json(value):
+    """value with each non-finite float as the string float() reads back."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(item) for item in value]
+    return value
+
+
 def emit_outputs(report: RunReport, traj, series, out_dir: Path) -> None:
     """series is a (rows, header) plot table or None."""
     try:
@@ -721,7 +728,8 @@ def emit_outputs(report: RunReport, traj, series, out_dir: Path) -> None:
             write_series_csv(*series, p)
             report.outputs.append(str(p))
         p = out_dir / "summary.json"
-        p.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        summary = {**vars(report), "passed": report.passed, "assertions": [vars(a) for a in report.assertions]}
+        p.write_text(json.dumps(_finite_json(summary), indent=2, sort_keys=True, allow_nan=False) + "\n")
         report.outputs.append(str(p))
     except OSError as exc:
         raise IoError(f"cannot write outputs under {out_dir}: {exc}")
@@ -738,13 +746,24 @@ def _kind(cfg: dict) -> str:
     return kind
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct: json.loads would keep a
+    repeated key's last value without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config key {key} is repeated in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     except RecursionError:

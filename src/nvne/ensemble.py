@@ -69,13 +69,16 @@ def tilted_weight(lam, phi, psi):
 WEIGHTS = {"sin-psi-half": sin_psi_half_weight, "tilted-lambda": tilted_weight}
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def gauss_legendre(n: int, a: float, b: float):
     """n-point Gauss-Legendre nodes and weights on [a, b].
 
-    Rules are cached per (n, a, b) and shared between callers, so the
-    arrays are read-only. DomainError: n above MAX_RULE_NODES.
+    Rules are cached per (n, a, b), typed so that 2.0 and True never read
+    the rules of 2 and 1, and shared, so the arrays are read-only.
+    DomainError: n not a (non-bool) integer from 1 to MAX_RULE_NODES.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"the point count of a Gauss-Legendre rule must be an integer at least 1, got {n!r}")
     if n > MAX_RULE_NODES:
         raise DomainError(f"a {n}-point Gauss-Legendre rule is past the bound of {MAX_RULE_NODES} points")
     x, w = np.polynomial.legendre.leggauss(int(n))

@@ -9,7 +9,6 @@ tilted-lambda for the variant that actually dephases).
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 from pathlib import Path
 
@@ -139,21 +138,11 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def names() -> list[str]:
-    return sorted(PRESETS)
-
-
-def get(name: str) -> dict:
-    if name not in PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(names())}")
-    return copy.deepcopy(PRESETS[name])
-
-
 def write_all(directory) -> list[Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    for name in names():
+    for name in sorted(PRESETS):
         path = directory / f"{name}.json"
         path.write_text(json.dumps(PRESETS[name], indent=2, sort_keys=True) + "\n")
         written.append(path)
@@ -166,7 +155,7 @@ def main(argv=None) -> int:
     parser.add_argument("--list", action="store_true", help="list preset names")
     args = parser.parse_args(argv)
     if args.list or not args.write:
-        for name in names():
+        for name in sorted(PRESETS):
             print(name)
     if args.write:
         for path in write_all(args.write):

@@ -8,14 +8,17 @@ integrand against even omega(lam)), so its window peak is round-off, which
 counts as no signal, and its ratio reads inf. The README and scripts/dephasing_demo.py
 cover the tilted-lambda variant with a real decaying signal.
 """
+import copy
+
 import pytest
 
-from nvne import dynamics, presets
+from nvne import dynamics
 from nvne.cli import run_scenario
+from nvne.presets import PRESETS
 
 
 def run_preset(name):
-    return run_scenario(presets.get(name))
+    return run_scenario(PRESETS[name])
 
 
 def emit_and_check(criterion, report, budget_s, only=None, expect_note=""):
@@ -48,7 +51,7 @@ def test_criterion2_pure_state_reduction():
 def test_criterion2_catches_a_step_error_of_every_run(monkeypatch):
     # steps 1 % too long shift a q = 1 run as much as the q-runs, so only the
     # exact linear solution, which takes no steps, sees them
-    cfg = presets.get("criterion2-pure-state")
+    cfg = copy.deepcopy(PRESETS["criterion2-pure-state"])
     cfg["integrator"]["t_final"] = 1.0
     report = run_scenario(cfg)
     assert report.passed and report.assertions[0].value > 0.0

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import json
 import os
@@ -12,9 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import nvne
-from nvne import presets
 from nvne.cli import load_config, main, run_scenario
-from nvne.errors import ConfigError, NumericalFailure
+from nvne.errors import ConfigError, DomainError, NumericalFailure
+from nvne.presets import PRESETS
 
 
 def write_config(tmp_path, cfg, name="scenario.json"):
@@ -36,14 +37,18 @@ def tiny_evolve_config():
     }
 
 
-def run_in_subprocess(path, *args):
-    """`nvne run --quiet` (plus args) in a separate process, so that an
-    uncaught exception shows on stderr."""
+def run_module(*args):
+    """`python -m` args in a separate process that imports this nvne."""
     src = str(Path(nvne.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    return subprocess.run([sys.executable, "-m", "nvne", "run", str(path), "--quiet", *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_in_subprocess(path, *args):
+    """`nvne run --quiet` (plus args) in a separate process, so that an
+    uncaught exception shows on stderr."""
+    return run_module("nvne", "run", str(path), "--quiet", *args)
 
 
 def with_leaf(base, key, value):
@@ -296,7 +301,7 @@ class TestExitCodes:
     def test_domain_error_exit_3(self, tmp_path, monkeypatch, capsys):
         # a domain error raised during a run, past every check of the parse
         def fail(*args, **kwargs):
-            raise nvne.DomainError("no such state")
+            raise DomainError("no such state")
 
         path = write_config(tmp_path, tiny_evolve_config())
         assert main(["check", str(path)]) == 0
@@ -332,6 +337,22 @@ class TestExitCodes:
         assert main(["check", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"config file {path}" in err
+
+    @pytest.mark.parametrize("key", ["assertions", "dim"], ids=["top-level", "nested"])
+    def test_repeated_key_exit_2(self, tmp_path, capsys, key):
+        # json.loads kept a repeated key's last value without a word: check
+        # said ok and run exited 0 on a failing first assertions block
+        cfg = {**tiny_evolve_config(), "assertions": {"eigenvalue_drift": -1.0}}
+        text = json.dumps(cfg)
+        if key == "assertions":
+            text = text[:-1] + ', "assertions": {}}'
+        else:
+            text = text.replace('"dim": 2', '"dim": 4, "dim": 2')
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        for command in (["check", str(path)], ["run", str(path), "--quiet"]):
+            assert main(command) == 2
+            assert capsys.readouterr().err == f"config error: config key {key} is repeated in one object\n"
 
     @pytest.mark.parametrize("mu", [0.5, 2.0, 4.0])
     def test_grid_that_check_accepts_runs(self, tmp_path, capsys, mu):
@@ -602,8 +623,8 @@ class TestFuzzedConfigs:
 
 
 DECLARED = pytest.mark.parametrize(
-    "cfg", [presets.get(name) for name in presets.names()] + list(CAST_BASES.values()),
-    ids=list(presets.names()) + [f"cast-{kind}" for kind in CAST_BASES])
+    "cfg", [PRESETS[name] for name in sorted(PRESETS)] + list(CAST_BASES.values()),
+    ids=sorted(PRESETS) + [f"cast-{kind}" for kind in CAST_BASES])
 
 
 class TestDeclaredNames:
@@ -684,6 +705,17 @@ class TestOutputs:
         assert summary["headline"]["precession"]["omega_measured"] == pytest.approx(2.0, abs=1e-5)
         assert summary["headline"]["precession"]["omega_predicted"] == pytest.approx(2.0)
 
+    def test_summary_is_strict_json(self, tmp_path):
+        # criterion 7's decay ratio is inf, which json.dumps wrote as the bare
+        # token Infinity: not JSON, so a strict parser rejected the file
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        run_scenario(PRESETS["criterion7-dephasing"], out_dir=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject)
+        assert float(summary["headline"]["decay_ratio"]) == np.inf
+        assert [a["value"] for a in summary["assertions"] if a["name"] == "decay_ratio"] == ["inf"]
+
     def test_csv_bytes_match_per_element_format(self, tmp_path):
         # one "%.17g" format per row writes what format(x, ".17g") per
         # element wrote, on special values, signed zeros and subnormals too
@@ -725,7 +757,7 @@ class TestOutputs:
     def test_decay_ratio_of_a_signal(self, weight, ratio):
         # the literal weight's average has no transverse signal: its window
         # peak is round-off (about 2e-17), whose ratio would be noise
-        cfg = presets.get("dephasing-demo-tilted")
+        cfg = copy.deepcopy(PRESETS["dephasing-demo-tilted"])
         cfg["ensemble"]["weight"] = weight
         headline = run_scenario(cfg).headline
         assert headline["decay_ratio"] == pytest.approx(ratio, rel=1e-5)
@@ -734,7 +766,7 @@ class TestOutputs:
     def test_node_check_records_every_1000_steps_and_the_crosscheck(self, monkeypatch):
         # 337 steps, prime to 1000: the run records at steps 0, 337 and 1000,
         # and its state at 337 is that of a 337-step run
-        cfg = {**presets.get("dephasing-demo-tilted"), "times": [1.0],
+        cfg = {**PRESETS["dephasing-demo-tilted"], "times": [1.0],
                "node_check": {"count": 2, "t_final": 1.0, "dt": 1e-3, "crosscheck_t_final": 0.337}}
         del cfg["decay"]
         runs, evolve = [], nvne.dynamics.evolve
@@ -772,7 +804,7 @@ class TestCompositeAndBracketKinds:
         assert (tmp_path / "out" / "trajectory.csv").exists()
 
     def test_bracket_scenario(self):
-        report = run_scenario(presets.get("criterion8-bracket-algebra"))
+        report = run_scenario(PRESETS["criterion8-bracket-algebra"])
         assert report.passed
 
     @pytest.mark.parametrize("wrong_kernel", [
@@ -783,7 +815,7 @@ class TestCompositeAndBracketKinds:
     def test_bracket_scenario_sees_a_wrong_integrator_kernel(self, monkeypatch, wrong_kernel):
         # Hamilton's equation ties U_q to evolve; the three older values hold
         # for any symmetric kernel, so they cannot see the integrator's
-        cfg = presets.get("criterion8-bracket-algebra")
+        cfg = PRESETS["criterion8-bracket-algebra"]
         clean = run_scenario(cfg).headline
         monkeypatch.setattr(nvne.dynamics, "_kernel", wrong_kernel)
         report = run_scenario(cfg)
@@ -804,14 +836,16 @@ def benchmark_workloads(monkeypatch):
 
 
 class TestPresets:
-    def test_all_presets_validate(self, tmp_path):
-        paths = presets.write_all(tmp_path)
-        assert len(paths) == len(presets.names())
+    def test_all_presets_validate(self, tmp_path, capsys):
+        # through python -m nvne.presets --list and --write DIR, as the README shows them
+        listed = run_module("nvne.presets", "--list")
+        assert listed.returncode == 0 and listed.stdout.splitlines() == sorted(PRESETS)
+        written = run_module("nvne.presets", "--write", str(tmp_path))
+        assert written.returncode == 0
+        paths = written.stdout.splitlines()
+        assert paths == [str(tmp_path / f"{name}.json") for name in sorted(PRESETS)]
         for path in paths:
-            cfg = load_config(str(path))
-            assert cfg["kind"] in ("evolve", "composite", "equilibrium", "ensemble",
-                                   "bracket-check")
-            assert main(["check", str(path)]) == 0
+            assert main(["check", path]) == 0, capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_benchmark_configs_validate(self, tmp_path, monkeypatch, capsys, seed):
@@ -844,12 +878,7 @@ class TestPresets:
             (q, lam) for q in grid["q_values"] for lam in grid["lams"])
         assert all(isinstance(p["omega_measured"], float) for p in points)
 
-    def test_get_returns_copy(self):
-        a = presets.get("criterion4-equilibrium")
-        a["thermo"]["q"] = 99.0
-        assert presets.get("criterion4-equilibrium")["thermo"]["q"] == 2.0
-
     def test_equilibrium_preset_runs(self):
-        report = run_scenario(presets.get("criterion4-equilibrium"))
+        report = run_scenario(PRESETS["criterion4-equilibrium"])
         assert report.passed
         assert report.headline["equilibrium"]["lambda_eq"] == pytest.approx(0.75, abs=1e-10)

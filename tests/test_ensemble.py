@@ -158,6 +158,19 @@ class TestEnsembleSpec:
         with pytest.raises(DomainError, match="past the bound of 11585 points"):
             dephasing_analytic(1.0, PowerLaw(q=3.0), 1.0, n_lam=20000)
 
+    @pytest.mark.parametrize("n", [2.5, 0, -3, True, 2.0], ids=["fraction", "zero", "negative", "bool", "float"])
+    def test_rule_size_must_be_a_positive_integer(self, n):
+        # 2.5 built a 2-point rule, 0 and -3 ended in numpy's ValueError, and
+        # True and 2.0 read the cached rules of 1 and 2
+        gauss_legendre(1, 0.0, 1.0), gauss_legendre(2, 0.0, 1.0)
+        with pytest.raises(DomainError, match="rule must be an integer at least 1"):
+            gauss_legendre(n, 0.0, 1.0)
+
+    def test_analytic_rule_size_must_be_an_integer(self):
+        # n_lam = 20.5 quietly used 20 points
+        with pytest.raises(DomainError, match="rule must be an integer at least 1, got 20.5"):
+            dephasing_analytic(1.0, PowerLaw(q=3.0), 1.0, n_lam=20.5)
+
 
 class TestQuadratureAgainstAnalytic:
     @pytest.mark.parametrize("t", [0.0, 1.0, 5.0, 20.0])
