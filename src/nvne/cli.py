@@ -787,7 +787,9 @@ def parse_scenario(cfg: dict):
         if name not in names:
             raise ConfigError(f"config key assertions.{name}: nothing measured under that name")
         thresholds[name] = _number(threshold, f"assertions.{name}")
-    label = str(tracked.get("label", kind))
+    label = tracked.get("label", kind)
+    if not isinstance(label, str):
+        raise ConfigError(f"config key label must be a string, got {label!r}")
     unread = next(_unread(cfg, read), None)
     if unread:
         raise ConfigError(f"config key {'.'.join(unread)} is not used by kind {kind}")

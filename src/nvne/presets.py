@@ -1,7 +1,7 @@
 """Embedded scenario configs, one per acceptance check in the test suite.
 
-`python -m nvne.presets --write DIR` dumps them as JSON files for the CLI;
-scripts/run_acceptance_scenarios.py drives them end to end. The dephasing
+`python -m nvne.presets --write DIR` dumps them as JSON files for
+`nvne run`; tests/test_acceptance.py runs each in-process. The dephasing
 preset keeps the literal sin(psi/2) weight; its decay_ratio assertion is
 expected to fail because that weight has no transverse signal (see
 tilted-lambda for the variant that actually dephases).
@@ -138,17 +138,6 @@ PRESETS: dict[str, dict] = {
 }
 
 
-def write_all(directory) -> list[Path]:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name in sorted(PRESETS):
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(PRESETS[name], indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    return written
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="nvne.presets")
     parser.add_argument("--write", metavar="DIR", help="write preset JSON files to DIR")
@@ -158,7 +147,10 @@ def main(argv=None) -> int:
         for name in sorted(PRESETS):
             print(name)
     if args.write:
-        for path in write_all(args.write):
+        Path(args.write).mkdir(parents=True, exist_ok=True)
+        for name in sorted(PRESETS):
+            path = Path(args.write, f"{name}.json")
+            path.write_text(json.dumps(PRESETS[name], indent=2, sort_keys=True) + "\n")
             print(path)
     return 0
 

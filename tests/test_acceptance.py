@@ -5,8 +5,9 @@ Criterion 7 is split: 7a quadrature-vs-analytic, 7b late-time decay ratio,
 7c per-node reversibility. 7b is expected to fail: the shipped sin(psi/2)
 weight has transverse components that vanish identically (odd lam
 integrand against even omega(lam)), so its window peak is round-off, which
-counts as no signal, and its ratio reads inf. The README and scripts/dephasing_demo.py
-cover the tilted-lambda variant with a real decaying signal.
+counts as no signal, and its ratio reads inf. The dephasing-demo-tilted
+preset and the README's dephasing recipe cover the tilted-lambda variant
+with a real decaying signal.
 """
 import copy
 

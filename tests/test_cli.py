@@ -233,6 +233,8 @@ MALFORMED_CASTS = [
     ("bracket-check", "average_orders", 3),
     ("series", "deformation.kind", "series"),
     ("series", "deformation.q", 2.0),
+    # the non-JSON token NaN, which json.loads reads; check printed label=nan
+    ("evolve", "label", float("nan")),
 ]
 
 
@@ -647,19 +649,21 @@ class TestDeclaredNames:
     @pytest.mark.parametrize("order", [1, -1], ids=["declared", "reversed"])
     def test_larmor_grid_keeps_the_worst_case(self, monkeypatch, order):
         # the run's own point (lam = 0.95, q = 3) has a larger phase error and
-        # sz drift than the grid's one point (0.55, 1.5), in either measure order
+        # sz drift than the grid's points (0.55 at q = 1 and 1.5), in either measure order
         monkeypatch.setattr(nvne.cli, "MEASURES", dict(list(nvne.cli.MEASURES.items())[::order]))
         cfg = {"kind": "evolve", "system": {"dim": 2, "hamiltonian": {"preset": "spin-z", "mu": 1.0}},
                "q": 3.0, "state": {"bloch": {"lam": 0.95, "phi": 1.0, "psi": 0.0}},
                "integrator": {"dt": 2e-2, "t_final": 2.0}, "measure": {"precession": {}}}
         alone = run_scenario(cfg).headline
-        grid = {"larmor_grid": {"lams": [0.55], "q_values": [1.5]}}
+        grid = {"larmor_grid": {"lams": [0.55], "q_values": [1.0, 1.5]}}
         both = run_scenario({**cfg, "measure": {"precession": {}, **grid}}).headline
         only_grid = run_scenario({**cfg, "measure": grid}).headline
         assert alone["omega_relative_error"] > 1e-5 and alone["sz_drift"] > 1e-7
         assert both["omega_relative_error"] == alone["omega_relative_error"]
         assert both["sz_drift"] == only_grid["sz_drift"] == alone["sz_drift"]
         assert only_grid["omega_relative_error"] < 1e-7
+        # at q = 1 every eigenvalue precesses at 2 mu
+        assert only_grid["larmor_grid"]["points"][0]["omega_measured"] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestOutputs:
@@ -803,9 +807,9 @@ class TestCompositeAndBracketKinds:
         assert report.passed
         assert (tmp_path / "out" / "trajectory.csv").exists()
 
-    def test_bracket_scenario(self):
-        report = run_scenario(PRESETS["criterion8-bracket-algebra"])
-        assert report.passed
+    def test_bracket_scenario(self, tmp_path):
+        report = run_scenario(PRESETS["criterion8-bracket-algebra"], out_dir=tmp_path)
+        assert report.passed and report.outputs == [str(tmp_path / "summary.json")]
 
     @pytest.mark.parametrize("wrong_kernel", [
         lambda w, f: nvne.structure._kernel(w, f) + 0.3,
@@ -878,7 +882,7 @@ class TestPresets:
             (q, lam) for q in grid["q_values"] for lam in grid["lams"])
         assert all(isinstance(p["omega_measured"], float) for p in points)
 
-    def test_equilibrium_preset_runs(self):
-        report = run_scenario(PRESETS["criterion4-equilibrium"])
-        assert report.passed
+    def test_equilibrium_preset_runs(self, tmp_path):
+        report = run_scenario(PRESETS["criterion4-equilibrium"], out_dir=tmp_path)
+        assert report.passed and report.outputs == [str(tmp_path / "summary.json")]
         assert report.headline["equilibrium"]["lambda_eq"] == pytest.approx(0.75, abs=1e-10)

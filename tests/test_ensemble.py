@@ -382,3 +382,6 @@ class TestAnalyticFormula:
         cx, cy = analytic_transverse(0.0, PowerLaw(q=3.0), 1.0, 64, lambda lam: 2 * lam)
         assert cx == pytest.approx(np.pi / 72.0, abs=1e-12)
         assert cy == pytest.approx(0.0, abs=1e-14)
+        # and so does the quadrature average of the tilted weight
+        avg = ensemble_average(make_spec(weight=tilted_weight, n=32), 0.0)
+        assert abs(avg.matrix[0, 1]) == pytest.approx(np.pi / 72.0, rel=1e-6)
