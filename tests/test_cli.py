@@ -886,3 +886,76 @@ class TestPresets:
         report = run_scenario(PRESETS["criterion4-equilibrium"], out_dir=tmp_path)
         assert report.passed and report.outputs == [str(tmp_path / "summary.json")]
         assert report.headline["equilibrium"]["lambda_eq"] == pytest.approx(0.75, abs=1e-10)
+
+
+class TestRecipes:
+    """The README's recipes step by step: `python -m nvne.presets --write
+    configs/`, then `nvne run configs/<name>.json --out out/<name>`."""
+
+    @pytest.fixture
+    def configs(self, tmp_path, capsys):
+        assert nvne.presets.main(["--write", str(tmp_path / "configs")]) == 0
+        capsys.readouterr()
+        return tmp_path / "configs"
+
+    @staticmethod
+    def run(config):
+        out = config.parent.parent / "out" / config.stem
+        return main(["run", str(config), "--out", str(out), "--quiet"]), out
+
+    @staticmethod
+    def summary(out):
+        return json.loads((out / "summary.json").read_text())
+
+    def test_precession_sweep(self, configs):
+        code, out = self.run(configs / "criterion3-larmor.json")
+        assert code == 0
+        points = self.summary(out)["headline"]["larmor_grid"]["points"]
+        lams = [round(0.55 + 0.05 * i, 2) for i in range(9)]
+        assert sorted((p["q"], p["lam"]) for p in points) == [(q, lam) for q in (2.0, 3.0) for lam in lams]
+        assert all(p["omega_measured"] == pytest.approx(p["omega_predicted"], rel=1e-5) for p in points)
+
+    def test_precession_sweep_at_q_one(self, configs):
+        # adding 1.0 to q_values gives 9 more points, each precessing at 2 mu
+        config = configs / "criterion3-larmor.json"
+        cfg = json.loads(config.read_text())
+        cfg["measure"]["larmor_grid"]["q_values"].append(1.0)
+        config.write_text(json.dumps(cfg))
+        code, out = self.run(config)
+        assert code == 0
+        points = self.summary(out)["headline"]["larmor_grid"]["points"]
+        at_one = [p for p in points if p["q"] == 1.0]
+        assert len(points) == 27 and len(at_one) == 9
+        assert all(abs(p["omega_measured"] - 2.0) <= 2e-15 for p in at_one)
+
+    def test_dephasing_demo(self, configs):
+        literal, literal_out = self.run(configs / "criterion7-dephasing.json")
+        tilted, tilted_out = self.run(configs / "dephasing-demo-tilted.json")
+        # the literal weight exits 1 on its known red decay_ratio alone
+        assert (literal, tilted) == (1, 0)
+        assert [a["name"] for a in self.summary(literal_out)["assertions"] if not a["passed"]] == ["decay_ratio"]
+
+        def offdiag(out):
+            lines = (out / "plotdata.csv").read_text().splitlines()
+            assert lines[0] == "t,offdiag_abs"
+            return [float(line.split(",")[1]) for line in lines[1:]]
+
+        # round-off for sin(psi/2); a decay from pi/72 for the tilted weight
+        assert max(offdiag(literal_out)) < 1e-15
+        tilted_abs = offdiag(tilted_out)
+        assert tilted_abs[0] == pytest.approx(np.pi / 72, rel=1e-6)
+        assert tilted_abs[-1] < 0.1 * tilted_abs[0]
+        for out in (literal_out, tilted_out):
+            match = {a["name"]: a["value"] for a in self.summary(out)["assertions"]}["analytic_match"]
+            assert match < 1e-15
+
+    def test_acceptance_sweep(self, configs):
+        outputs = {"evolve": {"summary.json", "trajectory.csv"},
+                   "composite": {"summary.json", "trajectory.csv"},
+                   "ensemble": {"summary.json", "plotdata.csv"}}
+        for config in sorted(configs.glob("*.json")):
+            code, out = self.run(config)
+            assert code == (1 if config.stem == "criterion7-dephasing" else 0), config.stem
+            kind = PRESETS[config.stem]["kind"]
+            written = {p.name for p in out.iterdir()}
+            assert "summary.json" in written and outputs.get(kind, set()) <= written, (config.stem, written)
