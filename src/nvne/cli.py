@@ -266,8 +266,7 @@ class RunReport:
         return all(a.passed for a in self.assertions)
 
     def check(self, name: str, value: float, threshold: float, comparator: str = "<=") -> None:
-        ok = {"<=": value <= threshold, "<": value < threshold,
-              ">=": value >= threshold, ">": value > threshold}[comparator]
+        ok = {"<=": value <= threshold, ">=": value >= threshold, ">": value > threshold}[comparator]
         self.assertions.append(AssertionResult(name, float(threshold), float(value), bool(ok), comparator))
 
 
@@ -334,25 +333,23 @@ def _sz_drift(traj: dynamics.Trajectory) -> float:
 
 
 def _require_signal(rho0: DensityMatrix, element: tuple, path: str) -> None:
-    """Reject a start whose |rho_ij| is below the phase-fit floor. A 2x2
-    state in a field along z keeps |rho_ij| at its initial value, so
-    dynamics.precession_frequency would fail after the run."""
+    """Reject a start whose |rho_ij| is below the phase-fit floor:
+    dynamics.precession_frequency reads every recorded time, t = 0 too, so
+    it would fail after the run."""
     mag = float(abs(rho0.matrix[element]))
     if mag < dynamics.PHASE_FIT_FLOOR:
         raise ConfigError(f"config key {path} gives |rho_{element[0]}{element[1]}| = {mag:.3e} "
-                          f"at t = 0, below the phase-fit floor {dynamics.PHASE_FIT_FLOOR:g}, "
-                          "and a field along z keeps it there")
+                          f"at t = 0, below the phase-fit floor {dynamics.PHASE_FIT_FLOOR:g}")
 
 
-def _parse_precession(spec, path: str, dim, h, state, f, spin, **_):
+def _parse_precession(spec, path: str, dim, state, f, spin, **_):
     element = _object(spec, path).get("element", [0, 1])
     if not isinstance(element, list) or len(element) != 2:
         raise ConfigError(f"config key {path}.element must be [i, j], got {element!r}")
     element = tuple(_integer(x, f"{path}.element", 0) for x in element)
     if max(element) >= dim:
         raise ConfigError(f"config key {path}.element {list(element)} is outside dim {dim}")
-    if dim == 2 and h[0, 1] == 0:
-        _require_signal(state, element, f"{path}.element")
+    _require_signal(state, element, f"{path}.element")
 
     def run(traj, results):
         omega_meas = dynamics.precession_frequency(traj, element)
@@ -597,7 +594,8 @@ def _parse_ensemble(cfg: dict):
             analytic = ensemble.dephasing_analytic(t, f, espec.mu, n_lam=max(64, espec.n_lam),
                                                    lam_density=lam_density)
             match_gap = max(match_gap, float(np.max(np.abs(avg.matrix - analytic.matrix))))
-            series.append((t, abs(avg.matrix[0, 1]), avg.purity()))
+            if window_times is None:
+                series.append((t, abs(avg.matrix[0, 1]), avg.purity()))
         results = {"analytic_match": match_gap}
         plot = (series, ["t", "offdiag_abs", "purity"])
         if window_times is not None:
@@ -728,9 +726,9 @@ def emit_outputs(report: RunReport, traj, series, out_dir: Path) -> None:
             write_series_csv(*series, p)
             report.outputs.append(str(p))
         p = out_dir / "summary.json"
+        report.outputs.append(str(p))
         summary = {**vars(report), "passed": report.passed, "assertions": [vars(a) for a in report.assertions]}
         p.write_text(json.dumps(_finite_json(summary), indent=2, sort_keys=True, allow_nan=False) + "\n")
-        report.outputs.append(str(p))
     except OSError as exc:
         raise IoError(f"cannot write outputs under {out_dir}: {exc}")
 

@@ -12,9 +12,10 @@ eigenvectors V_I, V_II of the two reductions through dynamics._advance
 (kernels taken once from the initial reductions) and forms the joint state
 at the record points, with eigenvectors kron(W_I, W_II) V_0, where
 W = V(t) V(0)^dagger, and the invariant spectrum of rho_AB(0); the energy
-log comes from the spectra and eigenvector stacks of the reductions. The
-partial trace of the joint trajectory tracks the independently integrated
-subsystem equations to round-off.
+log comes from the spectra and eigenvector stacks of the reductions. Every
+reduction here, of one state or of the whole recorded stack, comes from one
+hermitian.partial_trace call, and the partial traces of the joint trajectory
+track the independently integrated subsystem equations to round-off.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import numpy as np
 from .deformation import PowerLaw
 from .dynamics import IntegratorConfig, Trajectory, _advance, _record, evolve, record_count
 from .errors import DomainError
-from .hermitian import DensityMatrix, partial_trace, require_hermitian, trace_norm
+from .hermitian import DensityMatrix, partial_trace, require_hermitian, trace_norm, validate_density
 from .structure import _kernel, hamiltonian_function
 
 
@@ -57,10 +58,9 @@ def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorC
         raise DomainError(f"joint state dim {rho0.dim} != {sys.dim_1}*{sys.dim_2}")
     # _advance checks the stacks of each reduction; the joint ones are larger
     record_count(cfg.n_steps, cfg.record_every, d)
-    dims = (sys.dim_1, sys.dim_2)
     runs = []
-    for keep, h, f in (("I", sys.h1, sys.f1), ("II", sys.h2, sys.f2)):
-        red = partial_trace(rho0, dims, keep)
+    for red, h, f in zip(partial_trace(rho0.matrix, (sys.dim_1, sys.dim_2)), (sys.h1, sys.h2), (sys.f1, sys.f2)):
+        red = validate_density(red)
         runs.append((red.eigenvalues, _advance(red.eigenvectors, h, _kernel(red.eigenvalues, f),
                                                cfg.dt, cfg.n_steps, cfg.record_every), h, f))
     # W = V(t) V(0)^dagger of each reduction
@@ -73,9 +73,8 @@ def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorC
 
 def composite_energy(state: DensityMatrix, sys: CompositeSystem) -> float:
     """Sum of the subsystem q-averages evaluated on the reductions."""
-    dims = (sys.dim_1, sys.dim_2)
-    return (hamiltonian_function(partial_trace(state, dims, "I"), sys.h1, sys.f1)
-            + hamiltonian_function(partial_trace(state, dims, "II"), sys.h2, sys.f2))
+    return sum(hamiltonian_function(validate_density(red), h, f) for red, h, f in
+               zip(partial_trace(state.matrix, (sys.dim_1, sys.dim_2)), (sys.h1, sys.h2), (sys.f1, sys.f2)))
 
 
 def reduction_consistency(traj_ab: Trajectory, sys: CompositeSystem, cfg: IntegratorConfig) -> dict:
@@ -83,13 +82,12 @@ def reduction_consistency(traj_ab: Trajectory, sys: CompositeSystem, cfg: Integr
     equation and compare against the partial traces of the joint run at the
     recorded times: the worst trace-norm gap of each reduction, as
     max_deviation_I and max_deviation_II."""
-    dims = (sys.dim_1, sys.dim_2)
-    r1_traj = evolve(partial_trace(traj_ab.matrices[0], dims, "I"), sys.h1, sys.f1, cfg)
-    r2_traj = evolve(partial_trace(traj_ab.matrices[0], dims, "II"), sys.h2, sys.f2, cfg)
-    if not np.array_equal(r1_traj.times, traj_ab.times):
-        raise DomainError("reduction_consistency needs the integrator config of the joint run: "
-                          f"its times differ from the joint run's {len(traj_ab.times)} recorded times")
-    # the reductions of every recorded joint state at once
-    t = traj_ab.matrices.reshape(-1, sys.dim_1, sys.dim_2, sys.dim_1, sys.dim_2)
-    return {"max_deviation_I": float(np.max(trace_norm(np.einsum("nijkj->nik", t) - r1_traj.matrices))),
-            "max_deviation_II": float(np.max(trace_norm(np.einsum("nijil->njl", t) - r2_traj.matrices)))}
+    gaps = {}
+    for side, reds, h, f in zip(("I", "II"), partial_trace(traj_ab.matrices, (sys.dim_1, sys.dim_2)),
+                                (sys.h1, sys.h2), (sys.f1, sys.f2)):
+        own = evolve(validate_density(reds[0]), h, f, cfg)
+        if not np.array_equal(own.times, traj_ab.times):
+            raise DomainError("reduction_consistency needs the integrator config of the joint run: "
+                              f"its times differ from the joint run's {len(traj_ab.times)} recorded times")
+        gaps[f"max_deviation_{side}"] = float(np.max(trace_norm(reds - own.matrices)))
+    return gaps

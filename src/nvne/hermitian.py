@@ -8,7 +8,8 @@ dynamics._expm1.) Every validated state, from eigh or in closed form,
 passes the one checked tail, _checked_state.
 
 Conventions: hbar = k_B = 1; subsystem I is the slow (leftmost) Kronecker
-index.
+index. partial_trace returns both reductions as raw arrays, of one matrix or
+of a stack; a caller that needs a state validates it.
 """
 from __future__ import annotations
 
@@ -169,34 +170,22 @@ def pure_state(vector: np.ndarray) -> DensityMatrix:
 def matrix_function(state: DensityMatrix, f) -> np.ndarray:
     """f applied on the spectrum: V diag(f(lambda_i)) V^dagger.
 
-    f is a DeformationFunction (or anything with .f). Raises DomainError,
-    via the deformation, if a clearly negative eigenvalue meets a
-    non-integer power.
+    f is a DeformationFunction. Raises DomainError, via the deformation, if
+    a clearly negative eigenvalue meets a non-integer power.
     """
     w, v = state.eigenvalues, state.eigenvectors
-    fw = f.f(w) if hasattr(f, "f") else f(w)
-    return hermitian_part((v * fw) @ v.conj().T)
+    return hermitian_part((v * f.f(w)) @ v.conj().T)
 
 
-def partial_trace(rho_ab, dims: tuple[int, int], keep: str) -> DensityMatrix:
-    """Reduce a bipartite state to subsystem 'I' (slow index) or 'II'.
-
-    Accepts a DensityMatrix or a raw matrix; the result is validated.
-    """
-    m = rho_ab.matrix if isinstance(rho_ab, DensityMatrix) else np.asarray(rho_ab, dtype=complex)
+def partial_trace(m: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The reductions (rho_I, rho_II) of a bipartite matrix, or of each matrix
+    in a (T, d, d) stack, as arrays; a caller that needs a state validates it."""
+    m = np.asarray(m, dtype=complex)
     d1, d2 = int(dims[0]), int(dims[1])
-    if m.shape != (d1 * d2, d1 * d2):
-        raise DomainError(
-            f"state of shape {m.shape} does not factor as ({d1}x{d2})^2"
-        )
-    t = m.reshape(d1, d2, d1, d2)
-    if keep == "I":
-        red = np.einsum("ijkj->ik", t)
-    elif keep == "II":
-        red = np.einsum("ijil->jl", t)
-    else:
-        raise DomainError(f"keep must be 'I' or 'II', got {keep!r}")
-    return validate_density(red)
+    if m.shape[-2:] != (d1 * d2, d1 * d2):
+        raise DomainError(f"state of shape {m.shape} does not factor as ({d1}x{d2})^2")
+    t = m.reshape(*m.shape[:-2], d1, d2, d1, d2)
+    return np.einsum("...ijkj->...ik", t), np.einsum("...ijil->...jl", t)
 
 
 def _qubit_state(x: float, y: float, z: float, trace: float = 1.0) -> DensityMatrix:

@@ -75,6 +75,11 @@ def assert_run_and_check_exit_2(tmp_path, capsys, cfg, key):
     assert capsys.readouterr().err.splitlines() == error_line
 
 
+# [re, im] entries of diag(-1, 1) with |h_01| = 1e-13, a field along z up
+# to round-off, and of sigma_x
+NEAR_Z = [[[-1.0, 0.0], [1e-13, 0.0]], [[1e-13, 0.0], [1.0, 0.0]]]
+SIGMA_X_ENTRIES = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+
 # smallest valid config of each kind that reaches the keys below
 CAST_BASES = {
     "evolve": {
@@ -501,6 +506,23 @@ class TestExitCodes:
         assert_run_and_check_exit_2(tmp_path, capsys, with_leaf(CAST_BASES["larmor"], key, value),
                                     "measure.precession.element")
 
+    @pytest.mark.parametrize("matrix, bloch", [
+        # a field along z up to round-off, |h_01| = 1e-13, at the maximally
+        # mixed start, which commutes with H
+        (NEAR_Z, {"lam": 0.5, "phi": 1.0, "psi": 0.0}),
+        # ... and at a start that does not, with |rho_01| = sin(1e-7) / 2
+        (NEAR_Z, {"lam": 1.0, "phi": 1e-7, "psi": 0.0}),
+        # H = sigma_x, of which the maximally mixed start is a fixed point
+        (SIGMA_X_ENTRIES, {"lam": 0.5, "phi": 1.0, "psi": 0.0}),
+        # ... and a start along z, whose rho_01 leaves 0 under it
+        (SIGMA_X_ENTRIES, {"lam": 0.75, "phi": 0.0, "psi": 0.0}),
+    ], ids=["near-z-mixed", "near-z-tilted", "sigma-x-mixed", "sigma-x-along-z"])
+    def test_precession_start_below_floor_exit_2(self, tmp_path, capsys, matrix, bloch):
+        # the phase fit reads |rho_01| at t = 0 too, so run would exit 3 after integrating
+        cfg = {**tiny_evolve_config(), "system": {"dim": 2, "hamiltonian": {"matrix": matrix}},
+               "state": {"bloch": bloch}, "measure": {"precession": {}}, "assertions": {}}
+        assert_run_and_check_exit_2(tmp_path, capsys, cfg, "measure.precession.element")
+
     def test_unwritable_out_exit_3(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -756,6 +778,23 @@ class TestOutputs:
         lines = (tmp_path / "out" / "plotdata.csv").read_text().splitlines()
         assert lines[0] == "t,offdiag_abs"
         assert len(lines) == 203  # 201 window samples + late point + header
+
+    def test_decay_run_takes_no_purity(self, monkeypatch):
+        # with a decay section the window is the plot, so the per-times
+        # purity column, which no output showed, is not computed
+        def fail(self):
+            raise AssertionError("purity computed")
+
+        monkeypatch.setattr(nvne.hermitian.DensityMatrix, "purity", fail)
+        assert run_scenario(PRESETS["dephasing-demo-tilted"]).headline["analytic_match"] < 1e-12
+
+    @pytest.mark.parametrize("cfg", [PRESETS["criterion4-equilibrium"], tiny_evolve_config()],
+                             ids=["equilibrium", "evolve"])
+    def test_summary_lists_every_output(self, tmp_path, cfg):
+        # summary.json lists itself too: its path is recorded before it is written
+        report = run_scenario(cfg, out_dir=tmp_path)
+        assert report.outputs[-1] == str(tmp_path / "summary.json")
+        assert json.loads((tmp_path / "summary.json").read_text())["outputs"] == report.outputs
 
     @pytest.mark.parametrize("weight, ratio", [("sin-psi-half", np.inf), ("tilted-lambda", 0.054054)])
     def test_decay_ratio_of_a_signal(self, weight, ratio):

@@ -104,11 +104,8 @@ class TestEvolveComposite:
         sys_ = spin_system()
         cfg = IntegratorConfig(dt=1e-3, t_final=2.0, record_every=100)
         traj = evolve_composite(joint, sys_, cfg)
-        for s in traj.states:
-            ra = partial_trace(s, (2, 2), "I")
-            rb = partial_trace(s, (2, 2), "II")
-            rebuilt = np.kron(ra.matrix, rb.matrix)
-            assert np.max(np.abs(rebuilt - s.matrix)) < 1e-7
+        for m, ra, rb in zip(traj.matrices, *partial_trace(traj.matrices, (2, 2))):
+            assert np.max(np.abs(np.kron(ra, rb) - m)) < 1e-7
 
     def test_bell_reduction_is_fixed_point(self):
         bell = pure_state(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
@@ -116,9 +113,8 @@ class TestEvolveComposite:
                                h2=np.zeros((2, 2), dtype=complex), q1=2.0, q2=2.0)
         cfg = IntegratorConfig(dt=1e-3, t_final=2.0, record_every=100)
         traj = evolve_composite(bell, sys_, cfg)
-        for s in traj.states:
-            red = partial_trace(s, (2, 2), "I")
-            assert np.allclose(red.matrix, 0.5 * np.eye(2), atol=1e-10)
+        for red in partial_trace(traj.matrices, (2, 2))[0]:
+            assert np.allclose(red, 0.5 * np.eye(2), atol=1e-10)
 
     def test_casimirs_and_spectrum_conserved(self, rng):
         rho = random_density_matrix(4, rng)
@@ -191,7 +187,7 @@ class TestEvolveComposite:
         cfg = IntegratorConfig(dt=1e-3, t_final=5.0, record_every=100)
         traj = evolve_composite(rho, spin_system(), cfg)
         purities = np.array(
-            [partial_trace(s, (2, 2), "I").purity() for s in traj.states]
+            [validate_density(red).purity() for red in partial_trace(traj.matrices, (2, 2))[0]]
         )
         assert np.max(np.abs(purities - purities[0])) < 1e-8
 
@@ -225,11 +221,10 @@ class TestReductionConsistency:
         cfg = IntegratorConfig(dt=1e-3, t_final=1.0, record_every=100)
         traj = evolve_composite(validate_density(np.kron(a.matrix, b.matrix)), sys_, cfg)
         assert max(reduction_consistency(traj, sys_, cfg).values()) < 1e-6
-        for t, s in zip(traj.times, traj.states):
-            for keep, r0, h in (("I", a, sys_.h1), ("II", b, sys_.h2)):
-                w, v = np.linalg.eigh(h)
+        for reds, r0, h in zip(partial_trace(traj.matrices, (2, 3)), (a, b), (sys_.h1, sys_.h2)):
+            w, v = np.linalg.eigh(h)
+            for t, red in zip(traj.times, reds):
                 u = (v * np.exp(-1j * w * t)) @ v.conj().T
-                red = partial_trace(s, (2, 3), keep)
                 assert trace_distance(red, u @ r0.matrix @ u.conj().T) < 1e-6
 
     def test_rejects_config_of_another_run(self, rng):
@@ -256,6 +251,7 @@ class TestReductionConsistency:
         sys_ = spin_system()
 
         e = composite_energy(rho, sys_)
-        e1 = hamiltonian_function(partial_trace(rho, (2, 2), "I"), sys_.h1, PowerLaw(sys_.q1))
-        e2 = hamiltonian_function(partial_trace(rho, (2, 2), "II"), sys_.h2, PowerLaw(sys_.q2))
+        r1, r2 = partial_trace(rho.matrix, (2, 2))
+        e1 = hamiltonian_function(validate_density(r1), sys_.h1, PowerLaw(sys_.q1))
+        e2 = hamiltonian_function(validate_density(r2), sys_.h2, PowerLaw(sys_.q2))
         assert e == pytest.approx(e1 + e2, abs=1e-12)

@@ -210,40 +210,46 @@ class TestTensorAndPartialTrace:
     def test_product_state_reduction(self):
         a = validate_density(np.diag([0.75, 0.25]).astype(complex))
         b = validate_density(np.diag([0.6, 0.4]).astype(complex))
-        red = partial_trace(validate_density(np.kron(a.matrix, b.matrix)), (2, 2), "I")
-        assert np.allclose(red.matrix, a.matrix, atol=1e-14)
+        red, _ = partial_trace(validate_density(np.kron(a.matrix, b.matrix)).matrix, (2, 2))
+        assert np.allclose(red, a.matrix, atol=1e-14)
 
     def test_bell_state_reduction(self):
         bell = pure_state(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
-        red = partial_trace(bell, (2, 2), "I")
-        assert np.allclose(red.matrix, 0.5 * np.eye(2), atol=1e-12)
+        red, _ = partial_trace(bell.matrix, (2, 2))
+        assert np.allclose(red, 0.5 * np.eye(2), atol=1e-12)
 
     def test_keep_second(self):
         rho = validate_density(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-        red = partial_trace(rho, (2, 2), "II")
-        assert np.allclose(red.matrix, np.diag([1.0, 0.0]), atol=1e-14)
+        _, red = partial_trace(rho.matrix, (2, 2))
+        assert np.allclose(red, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_dimension_mismatch(self, rng):
         rho = random_density_matrix(4, rng)
         message = "state of shape (4, 4) does not factor as (3x2)^2"
         with pytest.raises(DomainError, match=re.escape(message)):
-            partial_trace(rho, (3, 2), "I")
+            partial_trace(rho.matrix, (3, 2))
 
     def test_against_brute_force(self, rng):
         for d1, d2 in [(2, 2), (2, 3), (3, 2), (4, 2)]:
             rho = random_density_matrix(d1 * d2, rng)
-            for keep in ("I", "II"):
-                got = partial_trace(rho, (d1, d2), keep).matrix
+            for keep, got in zip(("I", "II"), partial_trace(rho.matrix, (d1, d2))):
                 want = brute_force_partial_trace(rho.matrix, (d1, d2), keep)
                 assert np.allclose(got, want, atol=1e-12)
+            # a (T, d, d) stack, reduced in one call, matrix by matrix
+            stack = np.array([random_density_matrix(d1 * d2, rng).matrix for _ in range(3)])
+            for keep, d, reds in zip(("I", "II"), (d1, d2), partial_trace(stack, (d1, d2))):
+                assert reds.shape == (3, d, d)
+                for m, got in zip(stack, reds):
+                    assert np.allclose(got, brute_force_partial_trace(m, (d1, d2), keep), atol=1e-12)
 
     def test_round_trip_random_products(self, rng):
         for d1, d2 in [(2, 2), (3, 4), (4, 3)]:
             a = random_density_matrix(d1, rng)
             b = random_density_matrix(d2, rng)
             joint = validate_density(np.kron(a.matrix, b.matrix))
-            assert np.max(np.abs(partial_trace(joint, (d1, d2), "I").matrix - a.matrix)) < 1e-12
-            assert np.max(np.abs(partial_trace(joint, (d1, d2), "II").matrix - b.matrix)) < 1e-12
+            red_a, red_b = partial_trace(joint.matrix, (d1, d2))
+            assert np.max(np.abs(red_a - a.matrix)) < 1e-12
+            assert np.max(np.abs(red_b - b.matrix)) < 1e-12
 
 
 class TestBloch:
