@@ -6,7 +6,7 @@ files; complex matrix entries are [re, im] pairs. Each kind and measure
 parses every key it uses into domain objects, whose own checks are the
 validity rules, and returns the names it measures with a run function
 that uses only those objects (equilibrium finds its q-equilibria in the
-parse). A bad value, a key the kind's parse does not read (a misspelt or
+parse). Spin-z fields are told by their matrix (dynamics.spin_z_mu). A bad value, a key the kind's parse does not read (a misspelt or
 unknown key, an unknown measure) or an assertion on nothing measured is
 a config error naming the key (counts such as nodes and quadrature sizes
 must be at least 1, and sizes must fit the record budget); `nvne check`
@@ -288,24 +288,20 @@ def _parse_evolve(cfg: dict):
     dim = _integer(_get(system, "dim", "system."), "system.dim", 1)
     # the record budget first, so that no dim-sized matrix is built past it
     icfg = _recorded(parse_integrator(cfg), dim, "integrator")
-    h_spec = _get(system, "hamiltonian", "system.")
-    h = parse_hamiltonian(h_spec, "system.hamiltonian", dim)
+    h = parse_hamiltonian(_get(system, "hamiltonian", "system."), "system.hamiltonian", dim)
     f = parse_deformation(cfg)
     state = parse_state(_get(cfg, "state", ""), "state", dim)
-    # (mu, lam, phi, psi) of a spin-z field h = -mu sigma_z and a Bloch state,
-    # whose Larmor rate the precession measures predict
-    spin = None
-    if "preset" in h_spec and "bloch" in cfg["state"]:
-        spin = (-float(h[0, 0].real), *_bloch(cfg["state"]["bloch"], "state.bloch"))
     spec = _object(cfg.get("measure", {}), "measure")
+    # the Larmor rates need the mu of a spin-z field (None for any other) and a Bloch state's angles
+    objects = {"dim": dim, "h": h, "f": f, "state": state, "icfg": icfg, "mu": dynamics.spin_z_mu(h),
+               "angles": _bloch(cfg["state"]["bloch"], "state.bloch")[1:] if "bloch" in cfg["state"] else None}
     names = {"eigenvalue_drift", "casimir_drift", "energy_drift", "hermiticity"}
     if dim == 2:
         names.add("sz_drift")
     measures = []
     for name, parse in MEASURES.items():
         if name in spec:
-            produced, measure = parse(spec[name], f"measure.{name}", dim=dim, h=h, f=f,
-                                      state=state, icfg=icfg, spin=spin)
+            produced, measure = parse(spec[name], f"measure.{name}", **objects)
             names.update(produced)
             measures.append(measure)
 
@@ -342,7 +338,7 @@ def _require_signal(rho0: DensityMatrix, element: tuple, path: str) -> None:
                           f"at t = 0, below the phase-fit floor {dynamics.PHASE_FIT_FLOOR:g}")
 
 
-def _parse_precession(spec, path: str, dim, state, f, spin, **_):
+def _parse_precession(spec, path: str, dim, state, f, mu, **_):
     element = _object(spec, path).get("element", [0, 1])
     if not isinstance(element, list) or len(element) != 2:
         raise ConfigError(f"config key {path}.element must be [i, j], got {element!r}")
@@ -354,13 +350,13 @@ def _parse_precession(spec, path: str, dim, state, f, spin, **_):
     def run(traj, results):
         omega_meas = dynamics.precession_frequency(traj, element)
         results["precession"] = {"omega_measured": omega_meas}
-        if spin:
-            mu, lam = spin[:2]
-            omega_pred = dynamics.larmor_frequency(lam, f, mu)
+        if mu is not None:
+            # larmor_frequency is symmetric in lam <-> 1 - lam
+            omega_pred = dynamics.larmor_frequency(float(state.eigenvalues.max()), f, mu)
             results["precession"]["omega_predicted"] = omega_pred
             rel = abs(omega_meas - omega_pred) / max(abs(omega_pred), 1e-12)
             results["omega_relative_error"] = max(results.get("omega_relative_error", rel), rel)
-    return ["omega_relative_error"] if spin else [], run
+    return [] if mu is None else ["omega_relative_error"], run
 
 
 def _parse_compare_linear(spec, path: str, state, h, icfg, **_):
@@ -386,13 +382,13 @@ def _parse_compare_linear(spec, path: str, state, h, icfg, **_):
     return ["linear_trace_distance"], run
 
 
-def _parse_larmor_grid(spec, path: str, h, icfg, spin, **_):
+def _parse_larmor_grid(spec, path: str, h, icfg, mu, angles, **_):
     lams = _numbers(_get(spec, "lams", f"{path}."), f"{path}.lams")
     laws = [_power_law(q, f"{path}.q_values")
             for q in _numbers(_get(spec, "q_values", f"{path}."), f"{path}.q_values")]
-    if spin is None:
-        raise ConfigError(f"config key {path} needs a spin-z preset and a bloch state")
-    mu, _, phi, psi = spin
+    if mu is None or angles is None:
+        raise ConfigError(f"config key {path} needs a spin-z field and a bloch state")
+    phi, psi = angles
     starts = [(lam, _build(f"{path}.lams", bloch_state, lam=lam, phi=phi, psi=psi))
               for lam in lams]
     for _, rho0 in starts:
@@ -575,12 +571,10 @@ def _parse_ensemble(cfg: dict):
         if t_cross > t_end:
             raise ConfigError(f"config key node_check.crosscheck_t_final must be at most "
                               f"node_check.t_final {t_end:g}, got {t_cross!r}")
-        # both horizons are checked positive, so a rejection is about dt; one
-        # run records every 1000 steps and after step n_cross, row ceil(n_cross/1000)
+        # both horizons are checked positive, so a rejection is about dt; row 1 is at t_cross
         n_cross = _build("node_check.dt", dynamics.IntegratorConfig, dt=dt, t_final=t_cross).n_steps
         icfg = _recorded(_build("node_check.dt", dynamics.IntegratorConfig, dt=dt, t_final=t_end,
-                                record_every=1000), 2, "node_check")
-        cross_row = -(-n_cross // 1000)
+                                record_every=n_cross), 2, "node_check")
         shape = tuple(sizes.values())
         idx = np.unravel_index(np.linspace(0, math.prod(shape) - 1, count).astype(int), shape)
         nodes = [tuple(float(x[i]) for (x, _), i in zip(espec.rules(), ijk)) for ijk in zip(*idx)]
@@ -612,10 +606,10 @@ def _parse_ensemble(cfg: dict):
             drift = cross = 0.0
             for lam, phi, psi in nodes:
                 rho0 = bloch_state(lam=lam, phi=phi, psi=psi)
-                traj = dynamics.evolve(rho0, h, f, icfg, also_at=n_cross)
+                traj = dynamics.evolve(rho0, h, f, icfg)
                 drift = max(drift, dynamics.invariant_report(traj)["eigenvalue_drift"])
-                closed = ensemble.evolve_node(espec, lam, phi, psi, traj.times[cross_row])
-                cross = max(cross, float(np.max(np.abs(traj.matrices[cross_row] - closed.matrix))))
+                closed = ensemble.evolve_node(espec, lam, phi, psi, traj.times[1])
+                cross = max(cross, float(np.max(np.abs(traj.matrices[1] - closed.matrix))))
             results.update(node_eigenvalue_drift=drift, node_crosscheck=cross)
         return results, None, plot
     return names, run

@@ -147,22 +147,12 @@ def record_count(n: int, every: int, dim: int) -> int:
     return count
 
 
-def _spans(lo: int, hi: int, every: int):
-    """The step counts between the record points after step lo up to hi: multiples of every, and hi."""
-    first = min(hi, (lo // every + 1) * every)
-    whole, rest = divmod(hi - first, every)
-    return itertools.chain([first - lo] * (first > lo), itertools.repeat(every, whole), [rest] * (rest != 0))
-
-
-def _advance(v, h, kernel, dt, n, every, also_at=0):
-    """The eigenvectors after every every-th of n steps from v, after step
-    also_at if 0 < also_at < n, and after the last: the (T, d, d) stack of
-    the record points, row 0 = v. The kernel is fixed: the eigenvalues are
-    invariants of the flow."""
-    cut = min(max(also_at, 0), n)
-    extra = 0 < cut < n and cut % every != 0
-    vs = np.empty((record_count(n, every, v.shape[0]) + extra,) + v.shape, dtype=complex)
-    sizes = itertools.chain(_spans(0, cut, every), _spans(cut, n, every))
+def _advance(v, h, kernel, dt, n, every):
+    """The eigenvectors after every every-th of n steps from v and after the
+    last: the (T, d, d) stack of the record points, row 0 = v. The kernel is
+    fixed: the eigenvalues are invariants of the flow."""
+    vs = np.empty((record_count(n, every, v.shape[0]),) + v.shape, dtype=complex)
+    sizes = itertools.chain(itertools.repeat(every, n // every), [n % every] * (n % every != 0))
     vs[0] = v
     if v.shape == (2, 2):
         try:
@@ -281,17 +271,14 @@ def _advance_su2(v, h, kernel, dt, sizes):
     return out
 
 
-def evolve(
-    rho0: DensityMatrix, h: np.ndarray, f: DeformationFunction, cfg: IntegratorConfig, *, also_at: int = 0
-) -> Trajectory:
-    """Integrate to t_final, recording every record_every steps (plus the
-    initial and final states, and the state after step 0 < also_at < n)."""
+def evolve(rho0: DensityMatrix, h: np.ndarray, f: DeformationFunction, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate to t_final, recording every record_every steps, the start and the end."""
     h = require_hermitian(h, what="hamiltonian")
     if h.shape[0] != rho0.dim:
         raise DomainError(f"hamiltonian dim {h.shape[0]} != state dim {rho0.dim}")
     kernel = _kernel(rho0.eigenvalues, f)
-    vs = _advance(rho0.eigenvectors, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every, also_at)
-    return _record(rho0, vs, cfg, lambda b: hamiltonian_function((rho0.eigenvalues, vs[b]), h, f), also_at)
+    vs = _advance(rho0.eigenvectors, h, kernel, cfg.dt, cfg.n_steps, cfg.record_every)
+    return _record(rho0, vs, cfg, lambda b: hamiltonian_function((rho0.eigenvalues, vs[b]), h, f))
 
 
 def _blocks(start: int, stop: int, dim: int) -> list:
@@ -299,15 +286,14 @@ def _blocks(start: int, stop: int, dim: int) -> list:
     return [slice(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
 
 
-def _record(rho0: DensityMatrix, vs: np.ndarray, cfg: IntegratorConfig, energy, also_at: int = 0) -> Trajectory:
+def _record(rho0: DensityMatrix, vs: np.ndarray, cfg: IntegratorConfig, energy) -> Trajectory:
     """Trajectory of rho0 from vs, its eigenvectors at the record points of
-    cfg and also_at (see _advance), with the matrices taken in blocks of the
-    stack; energy maps a slice of the stack to the energies of its states."""
+    cfg (see _advance), with the matrices taken in blocks of the stack;
+    energy maps a slice of the stack to the energies of its states."""
     if not np.all(np.isfinite(vs)):
         raise NumericalFailure("the integrator produced non-finite eigenvectors")
     count, dim = vs.shape[:2]
-    steps = np.minimum(np.arange(count) * cfg.record_every, cfg.n_steps)
-    times = (np.union1d(steps, [also_at]) if 0 < also_at < cfg.n_steps else steps) * cfg.dt
+    times = np.minimum(np.arange(count) * cfg.record_every, cfg.n_steps) * cfg.dt
     # the step leaves the eigenvalues untouched, so every recorded state
     # shares the spectrum of rho0, whose round-off zeros its constructor set
     w = rho0.eigenvalues
@@ -353,6 +339,12 @@ def precession_frequency(traj: Trajectory, element: tuple[int, int]) -> float:
     phase = np.unwrap(np.angle(signal))
     slope = np.polyfit(traj.times, phase, 1)[0]
     return float(abs(slope))
+
+
+def spin_z_mu(h: np.ndarray) -> float | None:
+    """mu of a field h = -mu sigma_z: h 2x2 with |h_01| and |Tr h| at most TOL_HERM; else None."""
+    spin_z = h.shape == (2, 2) and abs(h[0, 1]) <= TOL_HERM and abs(h[0, 0] + h[1, 1]) <= TOL_HERM
+    return float(-h[0, 0].real) if spin_z else None
 
 
 def larmor_frequency(lam, f: DeformationFunction, mu: float) -> float | np.ndarray:

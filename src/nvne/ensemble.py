@@ -40,8 +40,8 @@ from typing import Callable
 import numpy as np
 
 from .deformation import DeformationFunction
-from .dynamics import RECORD_BUDGET_BYTES, IntegratorConfig, evolve, larmor_frequency
-from .errors import DomainError
+from .dynamics import RECORD_BUDGET_BYTES, IntegratorConfig, evolve, larmor_frequency, spin_z_mu
+from .errors import DomainError, NumericalFailure
 from .hermitian import DensityMatrix, _qubit_state, bloch_state, require_hermitian, validate_density
 
 NORMALIZATION_TOL = 1e-8
@@ -117,8 +117,7 @@ class EnsembleSpec:
         if h.shape != (2, 2):
             raise DomainError("ensemble spins are 2x2; H must be 2x2")
         object.__setattr__(self, "h", h)
-        spin_z = abs(h[0, 1]) <= 1e-12 and abs(h[0, 0] + h[1, 1]) <= 1e-12
-        object.__setattr__(self, "mu", float(-h[0, 0].real) if spin_z else None)
+        object.__setattr__(self, "mu", spin_z_mu(h))
         for name in ("n_lam", "n_phi", "n_psi"):
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
@@ -157,16 +156,24 @@ class EnsembleSpec:
             yield lam_i, big_p, big_s, w
 
 
+def _rotated(a_c, a_s, omega: np.ndarray, t: float) -> tuple:
+    """(sum a_c cos + a_s sin, sum a_s cos - a_c sin) at phases omega t; NumericalFailure if one is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        wt = omega * t
+    if not np.all(np.isfinite(wt)):
+        raise NumericalFailure(f"the phase omega*t is not finite at t = {t:g}, omega up to {np.max(np.abs(omega)):.3e}")
+    cos_wt, sin_wt = np.cos(wt), np.sin(wt)
+    return float(np.sum(a_c * cos_wt + a_s * sin_wt)), float(np.sum(a_s * cos_wt - a_c * sin_wt))
+
+
 def ensemble_average(spec: EnsembleSpec, t: float, cfg: IntegratorConfig | None = None) -> DensityMatrix:
     """Quadrature-weighted average of the node states at time t."""
     if not (np.isfinite(t) and t >= 0):
         raise DomainError(f"time must be finite and nonnegative, got {t}")
     total, coeff_z, a_c, a_s, omega = spec.moments
     if omega is not None:
-        cos_wt, sin_wt = np.cos(omega * t), np.sin(omega * t)
-        coeff_x = -float(np.sum(a_c * cos_wt + a_s * sin_wt))
-        coeff_y = -float(np.sum(a_s * cos_wt - a_c * sin_wt))
-        return _qubit_state(coeff_x, coeff_y, coeff_z, trace=total)
+        rot_c, rot_s = _rotated(a_c, a_s, omega, t)
+        return _qubit_state(-rot_c, -rot_s, coeff_z, trace=total)
     if cfg is None:
         raise DomainError("integrator config required when H is not -mu*sigma_z")
     return _ensemble_average_integrated(spec, t, cfg)
@@ -211,8 +218,5 @@ def dephasing_analytic(t: float, f: DeformationFunction, mu: float, n_lam: int =
         raise DomainError(f"n_lam must be at least 16, got {n_lam}")
     lam, wl = gauss_legendre(n_lam, 0.0, 1.0)
     u = np.ones_like(lam) if lam_density is None else lam_density(lam)
-    omega = _larmor_rates(n_lam, f, mu)
-    base = wl * u * (2.0 * lam - 1.0)
-    cx = (np.pi / 24.0) * float(np.sum(base * np.cos(omega * t)))
-    cy = -(np.pi / 24.0) * float(np.sum(base * np.sin(omega * t)))
-    return _qubit_state(cx, cy, 0.0)
+    sum_cos, minus_sum_sin = _rotated(wl * u * (2.0 * lam - 1.0), 0.0, _larmor_rates(n_lam, f, mu), t)
+    return _qubit_state((np.pi / 24.0) * sum_cos, (np.pi / 24.0) * minus_sum_sin, 0.0)

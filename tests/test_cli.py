@@ -42,7 +42,9 @@ def run_module(*args):
     src = str(Path(nvne.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    return subprocess.run([sys.executable, "-m", *args], capture_output=True, text=True, env=env, timeout=120)
+    # as pytest turns an in-process RuntimeWarning into an error, so that a leaked one fails
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def run_in_subprocess(path, *args):
@@ -483,8 +485,8 @@ class TestExitCodes:
             assert capsys.readouterr().err == "config error: missing config key: decay.t_late\n"
 
     def test_empty_node_check_section_runs_the_defaults(self, tmp_path, monkeypatch):
-        # 4 nodes, each run to t = 20 at dt = 1e-3, recording every 1000
-        # steps and after the 2000 steps to the cross-check at t = 2
+        # 4 nodes, each run to t = 20 at dt = 1e-3, recording every 2000
+        # steps, the steps to the cross-check at t = 2
         runs, evolve = [], nvne.dynamics.evolve
 
         def recorded(rho0, h, f, icfg, **kwargs):
@@ -497,7 +499,7 @@ class TestExitCodes:
         assert main(["check", str(write_config(tmp_path, cfg))]) == 0
         report = run_scenario(cfg)
         assert report.passed
-        assert runs == [(1e-3, 20.0, 1000, {"also_at": 2000})] * 4
+        assert runs == [(1e-3, 20.0, 2000, {})] * 4
 
     @pytest.mark.parametrize("key, value", [("state.bloch.lam", 0.5), ("state.bloch.phi", 0.0)])
     def test_precession_without_signal_exit_2(self, tmp_path, capsys, key, value):
@@ -522,6 +524,16 @@ class TestExitCodes:
         cfg = {**tiny_evolve_config(), "system": {"dim": 2, "hamiltonian": {"matrix": matrix}},
                "state": {"bloch": bloch}, "measure": {"precession": {}}, "assertions": {}}
         assert_run_and_check_exit_2(tmp_path, capsys, cfg, "measure.precession.element")
+
+    @pytest.mark.parametrize("key", ["decay.t_late", "system.hamiltonian.mu"])
+    def test_overflowing_ensemble_phase_exit_3(self, tmp_path, key):
+        # omega t past the float range (or an infinite omega at t = 0) names
+        # the phase, with no numpy warning on the way
+        cfg = with_leaf(CAST_BASES["ensemble"], key, 1e308)
+        proc = run_in_subprocess(write_config(tmp_path, cfg))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: the phase omega*t is not finite at t = "), proc.stderr
+        assert "Warning" not in proc.stderr
 
     def test_unwritable_out_exit_3(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -731,6 +743,28 @@ class TestOutputs:
         assert summary["headline"]["precession"]["omega_measured"] == pytest.approx(2.0, abs=1e-5)
         assert summary["headline"]["precession"]["omega_predicted"] == pytest.approx(2.0)
 
+    def test_spin_z_field_spelt_as_a_matrix(self, tmp_path):
+        # -sigma_z as a matrix is the spin-z preset's field: precession
+        # predicts the Larmor rate and larmor_grid runs, as for the preset
+        cfg = {**tiny_evolve_config(), "measure": {
+            "precession": {}, "larmor_grid": {"lams": [0.6, 0.9], "q_values": [2.0, 3.0]}}}
+        matrix = with_leaf(cfg, "system.hamiltonian", {"matrix": [[[-1.0, 0.0], [0.0, 0.0]],
+                                                                  [[0.0, 0.0], [1.0, 0.0]]]})
+        assert main(["run", str(write_config(tmp_path, matrix)), "--quiet"]) == 0
+        assert run_scenario(matrix).headline == run_scenario(cfg).headline
+
+    def test_precession_predicts_from_the_larger_eigenvalue(self):
+        # a start at lam = 0.25, given as a Bloch state or as its matrix,
+        # precesses at the rate of lam = 0.75
+        cfg = tiny_evolve_config()
+        rho = nvne.hermitian.bloch_state(lam=0.25, phi=1.0, psi=0.5).matrix
+        starts = [{"bloch": {"lam": 0.25, "phi": 1.0, "psi": 0.5}},
+                  {"matrix": np.stack([rho.real, rho.imag], axis=-1).tolist()}]
+        for state in starts:
+            report = run_scenario({**cfg, "state": state})
+            assert report.passed
+            assert report.headline["precession"]["omega_predicted"] == pytest.approx(2.0, rel=1e-12)
+
     def test_summary_is_strict_json(self, tmp_path):
         # criterion 7's decay ratio is inf, which json.dumps wrote as the bare
         # token Infinity: not JSON, so a strict parser rejected the file
@@ -806,12 +840,20 @@ class TestOutputs:
         assert headline["decay_ratio"] == pytest.approx(ratio, rel=1e-5)
         assert (headline["decay"]["window_peak"] <= nvne.hermitian.TOL_HERM) == (weight == "sin-psi-half")
 
-    def test_node_check_records_every_1000_steps_and_the_crosscheck(self, monkeypatch):
-        # 337 steps, prime to 1000: the run records at steps 0, 337 and 1000,
-        # and its state at 337 is that of a 337-step run
-        cfg = {**PRESETS["dephasing-demo-tilted"], "times": [1.0],
-               "node_check": {"count": 2, "t_final": 1.0, "dt": 1e-3, "crosscheck_t_final": 0.337}}
+    @staticmethod
+    def short_node_check():
+        # 337 steps to the cross-check, which do not divide the run's 1000
+        base = PRESETS["dephasing-demo-tilted"]
+        cfg = {**base, "times": [1.0],
+               "node_check": {"count": 2, "t_final": 1.0, "dt": 1e-3, "crosscheck_t_final": 0.337},
+               "assertions": {**base["assertions"], "node_crosscheck": 1e-8}}
         del cfg["decay"]
+        return cfg
+
+    def test_node_check_records_every_n_cross_steps_and_reads_row_1(self, monkeypatch):
+        # the run records at steps 0, 337, 674 and 1000, and its state at 337
+        # is that of a 337-step run
+        cfg = self.short_node_check()
         runs, evolve = [], nvne.dynamics.evolve
 
         def recorded(*args, **kwargs):
@@ -822,9 +864,20 @@ class TestOutputs:
         report = run_scenario(cfg)
         assert report.passed and len(runs) == 2
         for (rho0, h, f, _), traj in runs:
-            assert traj.times.tolist() == [0.0, 0.337, 1.0]
+            assert traj.times.tolist() == [0.0, 0.337, 0.674, 1.0]
             short = evolve(rho0, h, f, nvne.IntegratorConfig(dt=1e-3, t_final=0.337))
             assert np.array_equal(traj.matrices[1], short.matrices[-1])
+
+    def test_node_crosscheck_catches_a_step_error(self, monkeypatch):
+        # steps 1 % too long move row 1 off the closed form at t_cross; row 0,
+        # the start, would not show them
+        cfg = self.short_node_check()
+        assert run_scenario(cfg).passed
+        advance = nvne.dynamics._advance
+        monkeypatch.setattr(nvne.dynamics, "_advance",
+                            lambda v, h, kernel, dt, *rest: advance(v, h, kernel, 1.01 * dt, *rest))
+        report = run_scenario(cfg)
+        assert not report.passed and report.headline["node_crosscheck"] > 1e-6
 
 
 class TestCompositeAndBracketKinds:

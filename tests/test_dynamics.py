@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from nvne.dynamics import (
     larmor_frequency,
     precession_frequency,
     record_count,
+    spin_z_mu,
 )
 from nvne.errors import DomainError, NumericalFailure
 from nvne.hermitian import (
@@ -205,6 +208,10 @@ class TestStep:
 
 
 class TestEvolve:
+    def test_parameters(self):
+        # the config's record_every is the one record schedule of a run
+        assert list(inspect.signature(evolve).parameters) == ["rho0", "h", "f", "cfg"]
+
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_hamiltonian_rejected(self, rng, dim, bad):
@@ -378,19 +385,16 @@ class TestRecordedStack:
             assert np.array_equal(log[key], value), key
         assert traj.invariant_log is log
 
-    @pytest.mark.parametrize("n, every, also_at", [
-        (1000, 1000, 337), (25, 7, 10), (25, 7, 14), (25, 7, 24), (25, 7, 25), (25, 7, 0), (5, 7, 3),
-    ])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_also_at_adds_one_record(self, dim, n, every, also_at):
-        # the rows of a run recording every step at the multiples of every,
-        # at also_at when it lies strictly inside the run, and at the end
+    def test_records_at_multiples_of_every_and_the_end(self, dim):
+        # the rows of a run recording every step at the multiples of every
+        # and at the end, which every does not divide
+        n, every = 25, 7
         rho, h = seeded_problem(dim, False, seed=dim)
         f = PowerLaw(q=1.5)
         full = evolve(rho, h, f, IntegratorConfig(dt=1e-2, t_final=n * 1e-2))
-        traj = evolve(rho, h, f, IntegratorConfig(dt=1e-2, t_final=n * 1e-2, record_every=every),
-                      also_at=also_at)
-        rows = sorted({0, n, *range(every, n, every), *([also_at] if 0 < also_at < n else [])})
+        traj = evolve(rho, h, f, IntegratorConfig(dt=1e-2, t_final=n * 1e-2, record_every=every))
+        rows = sorted({0, n, *range(every, n, every)})
         assert np.array_equal(traj.times, full.times[rows])
         assert np.array_equal(traj.eigenvectors, full.eigenvectors[rows])
         assert np.array_equal(traj.matrices, full.matrices[rows])
@@ -675,6 +679,18 @@ class TestLarmorLaw:
                       IntegratorConfig(dt=1e-3, t_final=5.0, record_every=50))
         sz = (traj.matrices[:, 0, 0] - traj.matrices[:, 1, 1]).real
         assert np.max(np.abs(sz - sz[0])) < 1e-8
+
+    @pytest.mark.parametrize("h, mu", [
+        (-1.3 * SIGMA_Z, 1.3),
+        (np.diag([-1.0, 1.0]), 1.0),
+        # |h_01| and |Tr h| within TOL_HERM, and past it
+        (np.array([[-1.0, 1e-13], [1e-13, 1.0 + 1e-13]]), 1.0),
+        (np.array([[-1.0, 1e-11], [1e-11, 1.0]]), None),
+        (np.diag([0.0, 2.0]), None),
+        (np.diag([-1.0, 1.0, 0.0]), None),
+    ], ids=["preset", "matrix", "near-z", "tilted", "traced", "3x3"])
+    def test_spin_z_mu(self, h, mu):
+        assert spin_z_mu(h.astype(complex)) == mu
 
     def test_spec_example_lam09_q3(self):
         assert larmor_frequency(0.9, PowerLaw(q=3.0), 1.0) == pytest.approx(1.82, abs=1e-12)

@@ -16,7 +16,7 @@ from nvne.ensemble import (
     sin_psi_half_weight,
     tilted_weight,
 )
-from nvne.errors import DomainError
+from nvne.errors import DomainError, NumericalFailure
 from nvne.hermitian import SIGMA_X, SIGMA_Z, bloch_state
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -309,6 +309,15 @@ class TestNodes:
     def test_rejects_non_finite_or_negative_time(self, t):
         with pytest.raises(DomainError, match="finite and nonnegative"):
             ensemble_average(make_spec(n=8), t)
+
+    @pytest.mark.parametrize("t, mu", [(1e308, 1.0), (0.0, 1e308)], ids=["late-t", "infinite-omega"])
+    def test_non_finite_phase_raises_numerical_failure(self, t, mu):
+        # omega t overflows, or omega is infinite at t = 0: no numpy warning
+        # (an error under this suite's filter) and no NaN state
+        with pytest.raises(NumericalFailure, match=r"phase omega\*t is not finite"):
+            ensemble_average(make_spec(n=8, mu=mu), t)
+        with pytest.raises(NumericalFailure, match=r"phase omega\*t is not finite"):
+            dephasing_analytic(t, PowerLaw(q=3.0), mu)
 
 
 class TestIntegratorFallback:
