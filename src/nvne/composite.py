@@ -71,12 +71,6 @@ def evolve_composite(rho0: DensityMatrix, sys: CompositeSystem, cfg: IntegratorC
     return _record(rho0, vs, cfg, lambda b: sum(hamiltonian_function((w, v[b]), h, f) for w, v, h, f in runs))
 
 
-def composite_energy(state: DensityMatrix, sys: CompositeSystem) -> float:
-    """Sum of the subsystem q-averages evaluated on the reductions."""
-    return sum(hamiltonian_function(validate_density(red), h, f) for red, h, f in
-               zip(partial_trace(state.matrix, (sys.dim_1, sys.dim_2)), (sys.h1, sys.h2), (sys.f1, sys.f2)))
-
-
 def reduction_consistency(traj_ab: Trajectory, sys: CompositeSystem, cfg: IntegratorConfig) -> dict:
     """Evolve each reduction of the initial state under its own single-system
     equation and compare against the partial traces of the joint run at the

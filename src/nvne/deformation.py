@@ -29,10 +29,10 @@ class DeformationFunction:
 
         Where the derivative limit itself diverges (power law with q < 1 at
         zero) the entry is set to 0; the commutator it feeds vanishes there
-        regardless. That rule is reached by pairs of exact zeros:
-        validate_density and density_from_spectrum set round-off
-        eigenvalues to exactly 0, because a pair such as (0, 2e-19) would
-        take the finite limit f'(1e-19), of order 1e9 at q = 0.5.
+        regardless. That rule is reached by pairs of exact zeros: every
+        validated state has its round-off eigenvalues set to exactly 0,
+        because a pair such as (0, 2e-19) would take the finite limit
+        f'(1e-19), of order 1e9 at q = 0.5.
         """
         out = self._divided_difference(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
         if out.ndim == 0:
@@ -75,7 +75,8 @@ class PowerLaw(DeformationFunction):
         # numerator without cancellation, so no pair needs a threshold.
         a, b = self._domain(a), self._domain(b)
         hi, lo = np.maximum(a, b), np.minimum(a, b)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # over: q log1p(r) at extreme q, whose limit expm1(-inf) = -1 is exact
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             r = (lo - hi) / hi
             scale = hi ** (self.q - 1.0)
             out = scale * np.expm1(self.q * np.log1p(r)) / r

@@ -81,11 +81,6 @@ class DensityMatrix:
         return float(np.sum(self.eigenvalues**2))
 
 
-def _freeze(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.setflags(write=False)
-
-
 def _zero_round_off(w: np.ndarray) -> np.ndarray:
     """Eigenvalues at or below TOL_HERM/10 set to exactly 0 (a new array).
 
@@ -132,21 +127,8 @@ def _checked_state(w: np.ndarray, v: np.ndarray) -> DensityMatrix:
         raise DomainError(f"state trace {total:.3e} after clipping too close to zero")
     w /= total
     mat = hermitian_part((v * w) @ v.conj().T)
-    _freeze(mat, w, v)
-    return DensityMatrix(matrix=mat, eigenvalues=w, eigenvectors=v)
-
-
-def density_from_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> DensityMatrix:
-    """Assemble a state from a known spectral decomposition (trusted path).
-
-    The per-state form of the batched recording in dynamics._record (its
-    test oracle). Eigenvalues in [-TOL_HERM, TOL_HERM/10] become exactly 0,
-    as in validate_density.
-    """
-    w = _zero_round_off(np.asarray(eigenvalues, dtype=float))
-    v = np.ascontiguousarray(eigenvectors, dtype=complex)
-    mat = hermitian_part((v * w) @ v.conj().T)
-    _freeze(mat, w, v)
+    for a in (mat, w, v):
+        a.setflags(write=False)
     return DensityMatrix(matrix=mat, eigenvalues=w, eigenvectors=v)
 
 
@@ -165,16 +147,6 @@ def pure_state(vector: np.ndarray) -> DensityMatrix:
     psi = np.ldexp(parts, -np.frexp(peak)[1]).view(complex)
     psi = psi / np.linalg.norm(psi)
     return validate_density(np.outer(psi, psi.conj()))
-
-
-def matrix_function(state: DensityMatrix, f) -> np.ndarray:
-    """f applied on the spectrum: V diag(f(lambda_i)) V^dagger.
-
-    f is a DeformationFunction. Raises DomainError, via the deformation, if
-    a clearly negative eigenvalue meets a non-integer power.
-    """
-    w, v = state.eigenvalues, state.eigenvectors
-    return hermitian_part((v * f.f(w)) @ v.conj().T)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:

@@ -52,19 +52,6 @@ def _divided_difference_transform(v: np.ndarray, h: np.ndarray, kernel: np.ndarr
     return v @ ((v.conj().T @ h @ v) * kernel) @ v.conj().T
 
 
-def generator(rho: DensityMatrix, h: np.ndarray, f: DeformationFunction) -> np.ndarray:
-    """Hermitian G with [G, rho] = [H, f(rho)]: the gradient of the energy
-    U_f = Tr[f(rho) H] at rho (see _trace_functional).
-
-    Built in the rho eigenbasis from divided differences of f; degenerate
-    pairs take f' at the common eigenvalue, or 0 where f' diverges. The
-    latter applies to kernel pairs of a pure or rank-deficient state, whose
-    zero eigenvalues are exact because the state constructors set
-    round-off eigenvalues to 0.
-    """
-    return _trace_functional([(1.0, f)], h).gradient(rho)
-
-
 @dataclass(frozen=True)
 class ObservableFunctional:
     """Real functional of the state with a Hermitian gradient.
@@ -112,7 +99,9 @@ def _trace_functional(terms, b) -> ObservableFunctional:
     divided-difference transform of B with the kernel sum_k c_k K_(f_k);
     the value is sum_k c_k sum_i f_k(w_i) (V^dagger B V)_ii from eigh of the
     Hermitian part of the argument, which to first order equals Tr[f(M) B]
-    for the non-Hermitian M of finite differences, polynomial f or not."""
+    for the non-Hermitian M of finite differences, polynomial f or not.
+    For terms [(1, f)] and B = H the gradient is the generator G of the flow,
+    [G, rho] = [H, f(rho)]."""
     b = None if b is None else np.asarray(b, dtype=complex)
 
     def evaluate(m: np.ndarray) -> float:

@@ -1,5 +1,6 @@
-"""Nonextensive thermodynamics: entropy S_q, internal energy U_q, free
-energy F = U_q - T S_q, and the q-equilibrium of any Hamiltonian.
+"""Nonextensive thermodynamics: entropy S_q and the q-equilibrium of any
+Hamiltonian, the minimizer of the free energy F = U_q - T S_q, with U_q =
+structure.hamiltonian_function.
 
 F doubles as the energy-Casimir stability function: with Phi(C_1, C_q) =
 -T (C_1 - C_q)/(q - 1) one has F = U_q + Phi identically, so extremizing
@@ -8,14 +9,14 @@ dynamically stable fixed points. Units: k_B = 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .deformation import PowerLaw
 from .errors import DomainError, NumericalFailure
-from .hermitian import DensityMatrix, require_hermitian
-from .structure import hamiltonian_function
+from .hermitian import require_hermitian
 
 Q_ONE_THRESHOLD = 1e-8
 
@@ -29,6 +30,8 @@ class ThermoParams:
         PowerLaw(self.q)  # the exponent rule, NaN included, lives in PowerLaw
         if not self.beta > 0:
             raise DomainError(f"beta must be positive, got {self.beta}")
+        if not math.isfinite(1.0 / float(self.beta)):
+            raise DomainError(f"beta = {self.beta:g} has no finite temperature 1/beta")
 
     @property
     def temperature(self) -> float:
@@ -44,11 +47,6 @@ def tsallis_entropy(eigenvalues: np.ndarray, q: float) -> float:
         pos = w[w > 0]
         return float(-np.sum(pos * np.log(pos)))
     return float((np.sum(w) - np.sum(PowerLaw(q).f(w))) / (q - 1.0))
-
-
-def free_energy(rho: DensityMatrix, h: np.ndarray, p: ThermoParams) -> float:
-    """F = U_q - T S_q, with U_q = Tr(rho^q H)."""
-    return hamiltonian_function(rho, h, PowerLaw(p.q)) - p.temperature * tsallis_entropy(rho.eigenvalues, p.q)
 
 
 @dataclass(frozen=True)
@@ -84,11 +82,15 @@ def q_equilibrium(h: np.ndarray, p: ThermoParams) -> EquilibriumResult:
     log_p -= np.max(log_p)
     log_p -= np.log(np.sum(np.exp(log_p)))
     pops = np.exp(log_p)
-    with np.errstate(over="ignore"):
-        hess = q * np.exp((q - 2.0) * log_p) * ((q - 1.0) * energies + t)
-    if np.min(pops) < np.finfo(float).tiny or not np.all(np.isfinite(hess)):
+    if np.min(pops) < np.finfo(float).tiny:
         raise NumericalFailure(f"q-equilibrium population {float(np.min(pops)):.3e} "
                                f"is out of floating-point range at beta = {p.beta:g}")
+    # at extreme q, 0 * inf: the check below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        hess = q * np.exp((q - 2.0) * log_p) * ((q - 1.0) * energies + t)
+    if not np.all(np.isfinite(hess)):
+        raise NumericalFailure(f"q-equilibrium Hessian entry {hess[~np.isfinite(hess)][0]:.3e} is out of "
+                               f"floating-point range at q = {q:g}, beta = {p.beta:g}")
     q_log = log_p if near_one else np.expm1((q - 1.0) * log_p) / (q - 1.0)
     energy_terms = q * np.exp((q - 1.0) * log_p) * energies
     grad = energy_terms + t * (1.0 + q * q_log)

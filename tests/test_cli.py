@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +388,15 @@ class TestExitCodes:
         # check finds the equilibrium as run does
         assert main(["check", str(path)]) == 3
 
+    @pytest.mark.parametrize("key, value", [("thermo.beta", 1e-320), ("gibbs_check.beta", 1e-320),
+                                            ("grid.domain_products", [1e-320])])
+    def test_beta_without_finite_temperature_exit_2(self, tmp_path, key, value):
+        # T = 1/beta = inf: run exited 3, calling an in-range population of 1/2 out of range
+        proc = run_in_subprocess(write_config(tmp_path, with_leaf(PRESETS["criterion4-equilibrium"], key, value)))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"config error: config key {key} is invalid: beta = ")
+        assert proc.stderr.endswith(" has no finite temperature 1/beta\n")
+
     @pytest.mark.parametrize("section, key, value", [
         ("integrator", "dt", float("nan")),
         ("integrator", "t_final", float("inf")),
@@ -656,6 +666,34 @@ class TestFuzzedConfigs:
         assert (check == 2) == (run == 2), (check, run, cfg)
         if value is INSERT:
             assert check == 2, cfg
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_extreme_numbers_parse(self, tmp_path, capsys, name):
+        # every numeric leaf of the preset at each extreme: check exits 0, 2 or
+        # 3 with no exception and no warning, and a beta of 1e-320, whose
+        # temperature 1/beta overflows, is a config error
+        failures = []
+        for *parents, leaf in leaf_paths(PRESETS[name]):
+            for value in (1e308, -1e308, 1e-320):
+                cfg = json.loads(json.dumps(PRESETS[name]))
+                node = cfg
+                for key in parents:
+                    node = node[key]
+                if isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
+                    break
+                node[leaf] = value
+                path = str(write_config(tmp_path, cfg))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    try:
+                        code = main(["check", path])
+                    except Exception as exc:
+                        code = repr(exc)
+                beta = value == 1e-320 and ("beta" in parents + [leaf] or "domain_products" in parents)
+                if code not in ((2,) if beta else (0, 2, 3)):
+                    failures.append((*parents, leaf, value, code))
+        capsys.readouterr()
+        assert not failures
 
 
 DECLARED = pytest.mark.parametrize(

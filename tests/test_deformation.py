@@ -90,6 +90,12 @@ class TestDividedDifference:
         f = PowerLaw(q=0.5)
         assert f.divided_difference(0.0, 0.0) == 0.0
 
+    def test_extreme_q_takes_the_limit_silently(self):
+        # q log1p(r) overflows to -inf, whose expm1 is the limit -1
+        f = PowerLaw(q=1e308)
+        assert f.divided_difference(0.1, 0.9) == 0.0
+        assert f.divided_difference(1.0, 0.1) == pytest.approx(1.0 / 0.9, rel=1e-15)
+
     def test_identity_everywhere(self):
         f = PowerLaw(q=1.0)
         grid = np.linspace(0, 1, 7)

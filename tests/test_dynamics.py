@@ -29,7 +29,6 @@ from nvne.errors import DomainError, NumericalFailure
 from nvne.hermitian import (
     SIGMA_Z,
     bloch_state,
-    density_from_spectrum,
     hermiticity_defect,
     pure_state,
     random_density_matrix,
@@ -39,9 +38,11 @@ from nvne.hermitian import (
 )
 from nvne.structure import (
     _divided_difference_transform,
-    generator,
+    _trace_functional,
     hamiltonian_function,
 )
+
+from oracles import density_from_spectrum
 
 # theta_m of the Taylor exponential, by degree m
 THETA = {m: theta for m, (theta, _) in TAYLOR.items()}
@@ -112,6 +113,42 @@ def per_state_evolve(rho0, h, f, cfg, advance=_advance):
         log["Hq"].append(hamiltonian_function(s, h, f))
         log["hermiticity"].append(hermiticity_defect(s.matrix))
     return np.asarray(times), states, {key: np.asarray(x) for key, x in log.items()}
+
+
+def direct_sum_oracle(dim, f, rng):
+    """A rotated direct sum of dim/2 qubits and its exact flow under f:
+    rho = W (+)_k rho_k W^H and H = W (+)_k H_k W^H, with a Haar-random
+    unitary W, weighted random 2x2 states rho_k and 2x2 fields H_k. The flow is
+    covariant under W and f keeps the blocks apart, and on a 2x2 block
+    [H_k, f(rho_k)] = beta_k [H_k, rho_k] with beta_k = f[l_k0, l_k1], the
+    divided difference at its eigenvalues. So each block evolves exactly as
+    exp(-i beta_k H_k t) rho_k exp(i beta_k H_k t). Returns (rho, H, exact),
+    exact(t) the matrix at time t.
+
+    What it cannot see: a kernel entry across two blocks multiplies a zero
+    entry of V^H H V, so errors in those entries leave the flow unchanged.
+    """
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w, r = np.linalg.qr(z)
+    w = w * (np.diag(r) / np.abs(np.diag(r)))
+    rhos = [p * random_density_matrix(2, rng).matrix for p in rng.dirichlet(np.ones(dim // 2))]
+    hs = [random_hermitian(2, rng, spectral_norm=1.0) for _ in rhos]
+    betas = [f.divided_difference(*np.linalg.eigvalsh(r)) for r in rhos]
+
+    def rotated(blocks):
+        m = np.zeros((dim, dim), dtype=complex)
+        for k, b in enumerate(blocks):
+            m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = b
+        return w @ m @ w.conj().T
+
+    def exact(t):
+        us = []
+        for beta, h in zip(betas, hs):
+            e, v = np.linalg.eigh(h)
+            us.append((v * np.exp(-1j * beta * e * t)) @ v.conj().T)
+        return rotated([u @ r @ u.conj().T for u, r in zip(us, rhos)])
+
+    return validate_density(rotated(rhos)), rotated(hs), exact
 
 
 def one_step(rho, h, f, dt):
@@ -316,7 +353,7 @@ class TestEvolve:
             assert trace_distance(s, u @ rho.matrix @ u.conj().T) < 1e-6
             # the divided-difference kernel has entries in {0, 1, q}, so
             # ||G|| <= 3 ||H||
-            assert np.max(np.abs(generator(s, h, f))) < 3.0
+            assert np.max(np.abs(_trace_functional([(1.0, f)], h).gradient(s))) < 3.0
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_convergence_order_of_midpoint(self, dim):
@@ -581,6 +618,37 @@ class TestEigenframeStep:
         assert calls == {"eigh": 0, "eigvalsh": len(_blocks(0, len(traj.times), 16)), "stepping": 0}
         evolve_composite(rho, system, cfg)
         assert calls["stepping"] == 0
+
+
+class TestDirectSum:
+    @staticmethod
+    def error_ratios(dim, q):
+        """The errors at t = 2 against direct_sum_oracle for dt = 2e-2, 1e-2
+        and 5e-3: the two ratios of successive errors, and the last error."""
+        f = PowerLaw(q=q)
+        rho, h, exact = direct_sum_oracle(dim, f, np.random.default_rng(1000 * dim + int(10 * q)))
+        errors = [np.max(np.abs(evolve(rho, h, f, IntegratorConfig(dt=dt, t_final=2.0, record_every=1000))
+                                .matrices[-1] - exact(2.0))) for dt in (2e-2, 1e-2, 5e-3)]
+        return np.array(errors[:-1]) / errors[1:], errors[-1]
+
+    @pytest.mark.parametrize("q", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("dim", [4, 16, 64])
+    def test_midpoint_is_second_order(self, dim, q):
+        # halving dt divides the error by 4; at d = 64 and q = 3 the error is
+        # already round-off (1e-14), where the ratio says nothing
+        ratios, finest = self.error_ratios(dim, q)
+        if finest > 1e-13:
+            assert np.all((3.6 <= ratios) & (ratios <= 4.4)), ratios
+
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_catches_a_first_order_step(self, monkeypatch, dim):
+        # the Lie-Euler step exp(-i A(V) dt) V in place of the midpoint rule
+        def lie_euler(v, h, k_half, k_full):
+            return v + v.dot(_expm1(v.conj().T.dot(h).dot(v), k_full))
+
+        monkeypatch.setattr(nvne.dynamics, "_step_spectral", lie_euler)
+        ratios, finest = self.error_ratios(dim, 2.0)
+        assert finest > 1e-13 and np.all(ratios < 2.2), ratios
 
 
 class TestExpm1:

@@ -15,7 +15,6 @@ from nvne.hermitian import (
     _qubit_state,
     bloch_state,
     hermitian_part,
-    matrix_function,
     partial_trace,
     pure_state,
     random_density_matrix,
@@ -29,6 +28,7 @@ from nvne.hermitian import (
 from nvne.structure import casimir_functional
 
 from conftest import make_states
+from oracles import matrix_function
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -5,7 +5,7 @@ import pytest
 
 from nvne.deformation import PowerLaw
 from nvne.dynamics import IntegratorConfig, evolve
-from nvne.errors import DomainError
+from nvne.errors import DomainError, NumericalFailure
 from nvne.hermitian import (
     SIGMA_Z,
     bloch_state,
@@ -16,7 +16,7 @@ from nvne.hermitian import (
     validate_density,
 )
 from nvne.structure import hamiltonian_function
-from nvne.thermo import ThermoParams, free_energy, q_equilibrium, tsallis_entropy
+from nvne.thermo import ThermoParams, q_equilibrium, tsallis_entropy
 
 from conftest import make_states
 
@@ -88,9 +88,22 @@ def test_thermo_params_reject_nan(q, beta):
         ThermoParams(q=q, beta=beta)
 
 
+def test_thermo_params_reject_infinite_temperature():
+    # 1/beta overflows; the populations, 1/2 each, do not
+    with pytest.raises(DomainError, match="no finite temperature"):
+        ThermoParams(q=2.0, beta=1e-320)
+
+
+@pytest.mark.parametrize("q, beta, quantity", [(1.0, 1000.0, "population"), (1e308, 8e-309, "Hessian")])
+def test_out_of_range_equilibrium_names_the_quantity(q, beta, quantity):
+    with pytest.raises(NumericalFailure, match=f"q-equilibrium {quantity} "):
+        q_equilibrium(-SIGMA_Z, ThermoParams(q=q, beta=beta))
+
+
 def spin_free_energy(lam, p, mu=1.0):
-    """F of the state diag(lam, 1 - lam) aligned with H = -mu sigma_z."""
-    return free_energy(validate_density(np.diag([lam, 1.0 - lam]).astype(complex)), -mu * SIGMA_Z, p)
+    """F = U_q - T S_q of the state diag(lam, 1 - lam) aligned with H = -mu sigma_z."""
+    rho = validate_density(np.diag([lam, 1.0 - lam]).astype(complex))
+    return hamiltonian_function(rho, -mu * SIGMA_Z, PowerLaw(p.q)) - p.temperature * tsallis_entropy(rho.eigenvalues, p.q)
 
 
 def spin_equilibrium(q, beta, mu=1.0):
@@ -99,28 +112,26 @@ def spin_equilibrium(q, beta, mu=1.0):
 
 class TestFreeEnergy:
     def test_pure_excited(self):
-        rho = validate_density(np.diag([0.0, 1.0]).astype(complex))
         p = ThermoParams(q=2.0, beta=1.0)
-        assert free_energy(rho, -SIGMA_Z, p) == pytest.approx(1.0, abs=1e-12)
+        assert spin_free_energy(0.0, p) == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_oracle(self):
-        rho = validate_density(np.diag([0.75, 0.25]).astype(complex))
         p = ThermoParams(q=2.0, beta=1.0)
-        assert free_energy(rho, -SIGMA_Z, p) == pytest.approx(-0.875)
+        assert spin_free_energy(0.75, p) == pytest.approx(-0.875)
 
     def test_maximally_mixed_oracle(self):
-        rho = validate_density(0.5 * np.eye(2, dtype=complex))
         p = ThermoParams(q=2.0, beta=1.0)
-        assert free_energy(rho, -SIGMA_Z, p) == pytest.approx(-0.5)
+        assert spin_free_energy(0.5, p) == pytest.approx(-0.5)
 
     def test_energy_casimir_identity(self, rng):
         # F = U_q + Phi(C_1, C_q) identically in rho, Phi = -T (C_1 - C_q)/(q - 1)
         p = ThermoParams(q=2.5, beta=0.7)
         for rho in make_states(rng, dims=(2, 3), per_dim=3):
             h = random_hermitian(rho.dim, rng)
-            lhs = free_energy(rho, h, p)
+            u_q = hamiltonian_function(rho, h, PowerLaw(p.q))
+            lhs = u_q - p.temperature * tsallis_entropy(rho.eigenvalues, p.q)
             c1, cq = np.sum(rho.eigenvalues), np.sum(rho.eigenvalues**p.q)
-            rhs = hamiltonian_function(rho, h, PowerLaw(p.q)) - p.temperature * (c1 - cq) / (p.q - 1.0)
+            rhs = u_q - p.temperature * (c1 - cq) / (p.q - 1.0)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_equilibrium_free_energy_consistent_with_matrix_form(self):
@@ -271,8 +282,9 @@ class TestQEquilibrium:
 
     @staticmethod
     def f_at(pops, v, h, p):
-        """F at the state with populations pops in the eigenbasis v of H."""
-        return free_energy(validate_density((v * pops) @ v.conj().T), h, p)
+        """F = U_q - T S_q at the state with populations pops in the eigenbasis v of H."""
+        rho = validate_density((v * pops) @ v.conj().T)
+        return hamiltonian_function(rho, h, PowerLaw(p.q)) - p.temperature * tsallis_entropy(rho.eigenvalues, p.q)
 
     def test_stationary_with_positive_hessian(self, rng):
         h, v, p, res = self.random_case(rng)
