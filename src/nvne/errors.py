@@ -8,8 +8,8 @@
 
 DomainError covers non-Hermitian, non-positive and zero-trace matrices, mismatched
 dimensions and closed forms asked for outside their range. NumericalFailure covers a
-failed eigensolver, a non-Hermitian finite-difference gradient and a phase signal too
-weak to fit.
+failed eigensolver, a step whose generator overflows or is too stiff, a q-equilibrium
+outside floating-point range, and a phase signal too weak to fit or a phase that is not finite.
 """
 
 

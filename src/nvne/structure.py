@@ -17,10 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .deformation import DeformationFunction, PowerLaw
-from .errors import DomainError, NumericalFailure
-from .hermitian import DensityMatrix, hermitian_part, hermiticity_defect
-
-FD_STEP = 1e-6
+from .errors import DomainError
+from .hermitian import DensityMatrix, hermitian_part
 
 
 def hamiltonian_function(rho, h: np.ndarray, f: DeformationFunction):
@@ -64,42 +62,13 @@ class ObservableFunctional:
     gradient: Callable
 
 
-def finite_difference_gradient(evaluator: Callable, m: np.ndarray) -> np.ndarray:
-    """Central differences over every complex matrix entry (real and
-    imaginary parts separately), assembled into the Hermitian gradient.
-
-    The evaluator must accept slightly non-Hermitian arguments (matrix
-    polynomials do). The raw Wirtinger-style derivative matrix must come
-    out Hermitian on its own; a defect beyond 1e-6 raises NumericalFailure.
-    """
-    dim = m.shape[0]
-    raw = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            e = np.zeros((dim, dim), dtype=complex)
-            e[i, j] = 1.0
-            d_re = (evaluator(m + FD_STEP * e) - evaluator(m - FD_STEP * e)) / (2 * FD_STEP)
-            d_im = (evaluator(m + 1j * FD_STEP * e) - evaluator(m - 1j * FD_STEP * e)) / (2 * FD_STEP)
-            if not (np.isfinite(d_re) and np.isfinite(d_im)):
-                raise NumericalFailure(f"finite difference diverged at entry ({i}, {j})")
-            # holomorphic dA/drho_ij = d_re - i*d_im lands at grad_ji so that
-            # dA = Tr(X grad) for Hermitian perturbations X
-            raw[j, i] = d_re - 1j * d_im
-    defect = hermiticity_defect(raw)
-    if defect > 1e-6:
-        raise NumericalFailure(
-            f"finite-difference gradient non-Hermitian by {defect:.3e} (tol 1e-06)"
-        )
-    return hermitian_part(raw)
-
-
 def _trace_functional(terms, b) -> ObservableFunctional:
     """A(rho) = sum_k c_k Tr[f_k(rho) B] over the pairs (c_k, f_k) of terms,
     B the identity if b is None. The gradient at a DensityMatrix is the
     divided-difference transform of B with the kernel sum_k c_k K_(f_k);
     the value is sum_k c_k sum_i f_k(w_i) (V^dagger B V)_ii from eigh of the
-    Hermitian part of the argument, which to first order equals Tr[f(M) B]
-    for the non-Hermitian M of finite differences, polynomial f or not.
+    Hermitian part of the argument, so a rotated state's round-off drops out and
+    a finite difference's non-Hermitian M gives Tr[f(M) B] to first order, polynomial f or not.
     For terms [(1, f)] and B = H the gradient is the generator G of the flow,
     [G, rho] = [H, f(rho)]."""
     b = None if b is None else np.asarray(b, dtype=complex)

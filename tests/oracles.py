@@ -1,9 +1,15 @@
 """Reference implementations that tests compare the package against. The
-package itself never forms f(rho) as a matrix or rebuilds a state one at a
-time from a spectrum it already holds."""
+package itself never forms f(rho) as a matrix, rebuilds a state one at a
+time from a spectrum it already holds, or differentiates a functional entry
+by entry."""
+from typing import Callable
+
 import numpy as np
 
-from nvne.hermitian import DensityMatrix, _zero_round_off, hermitian_part
+from nvne.errors import NumericalFailure
+from nvne.hermitian import DensityMatrix, _zero_round_off, hermitian_part, hermiticity_defect
+
+FD_STEP = 1e-6
 
 
 def matrix_function(state: DensityMatrix, f) -> np.ndarray:
@@ -29,3 +35,32 @@ def density_from_spectrum(eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> 
     for a in (mat, w, v):
         a.setflags(write=False)
     return DensityMatrix(matrix=mat, eigenvalues=w, eigenvectors=v)
+
+
+def finite_difference_gradient(evaluator: Callable, m: np.ndarray) -> np.ndarray:
+    """Central differences over every complex matrix entry (real and
+    imaginary parts separately), assembled into the Hermitian gradient.
+
+    The evaluator must accept slightly non-Hermitian arguments (matrix
+    polynomials do). The raw Wirtinger-style derivative matrix must come
+    out Hermitian on its own; a defect beyond 1e-6 raises NumericalFailure.
+    """
+    dim = m.shape[0]
+    raw = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            e = np.zeros((dim, dim), dtype=complex)
+            e[i, j] = 1.0
+            d_re = (evaluator(m + FD_STEP * e) - evaluator(m - FD_STEP * e)) / (2 * FD_STEP)
+            d_im = (evaluator(m + 1j * FD_STEP * e) - evaluator(m - 1j * FD_STEP * e)) / (2 * FD_STEP)
+            if not (np.isfinite(d_re) and np.isfinite(d_im)):
+                raise NumericalFailure(f"finite difference diverged at entry ({i}, {j})")
+            # holomorphic dA/drho_ij = d_re - i*d_im lands at grad_ji so that
+            # dA = Tr(X grad) for Hermitian perturbations X
+            raw[j, i] = d_re - 1j * d_im
+    defect = hermiticity_defect(raw)
+    if defect > 1e-6:
+        raise NumericalFailure(
+            f"finite-difference gradient non-Hermitian by {defect:.3e} (tol 1e-06)"
+        )
+    return hermitian_part(raw)

@@ -389,7 +389,7 @@ class TestExitCodes:
         assert main(["check", str(path)]) == 3
 
     @pytest.mark.parametrize("key, value", [("thermo.beta", 1e-320), ("gibbs_check.beta", 1e-320),
-                                            ("grid.domain_products", [1e-320])])
+                                            ("grid.domain_products", [1e-320]), ("grid.q_values", [1e308])])
     def test_beta_without_finite_temperature_exit_2(self, tmp_path, key, value):
         # T = 1/beta = inf: run exited 3, calling an in-range population of 1/2 out of range
         proc = run_in_subprocess(write_config(tmp_path, with_leaf(PRESETS["criterion4-equilibrium"], key, value)))
@@ -918,6 +918,14 @@ class TestOutputs:
         assert not report.passed and report.headline["node_crosscheck"] > 1e-6
 
 
+def kernel_pair_12_off(w, f):
+    """The kernel with pair (1, 2) 1 % off, an error only d >= 3 has."""
+    kernel = nvne.structure._kernel(w, f)
+    if w.size >= 3:
+        kernel[[1, 2], [2, 1]] *= 1.01
+    return kernel
+
+
 class TestCompositeAndBracketKinds:
     def test_composite_scenario(self, tmp_path):
         cfg = {
@@ -945,7 +953,8 @@ class TestCompositeAndBracketKinds:
         lambda w, f: nvne.structure._kernel(w, f) + 0.3,
         lambda w, f: np.ones((w.size, w.size)),
         lambda w, f: nvne.structure._kernel(w, nvne.PowerLaw(f.q + 0.01)),
-    ], ids=["plus-0.3", "all-ones", "q-plus-0.01"])
+        kernel_pair_12_off,
+    ], ids=["plus-0.3", "all-ones", "q-plus-0.01", "pair-12-one-percent-d3"])
     def test_bracket_scenario_sees_a_wrong_integrator_kernel(self, monkeypatch, wrong_kernel):
         # Hamilton's equation ties U_q to evolve; the three older values hold
         # for any symmetric kernel, so they cannot see the integrator's

@@ -13,6 +13,7 @@ from nvne.deformation import PowerLaw
 from nvne.dynamics import IntegratorConfig
 from nvne.errors import DomainError
 from nvne.hermitian import (
+    SIGMA_X,
     SIGMA_Z,
     _zero_round_off,
     hermiticity_defect,
@@ -257,3 +258,31 @@ class TestReductionConsistency:
         e1 = hamiltonian_function(validate_density(r1), sys_.h1, PowerLaw(sys_.q1))
         e2 = hamiltonian_function(validate_density(r2), sys_.h2, PowerLaw(sys_.q2))
         assert e == pytest.approx(e1 + e2, abs=1e-12)
+
+
+class TestNoSignalling:
+    @pytest.mark.parametrize("q", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=str)
+    def test_partner_hamiltonian_leaves_rho_I_alone(self, dims, q):
+        # a nonlinear equation can signal through an entangled partner (Gisin,
+        # Phys. Lett. A 143 (1990) 1). Two H_II from one entangled mixed start
+        # give the same rho_I under the reduced-density composite, both in the
+        # oracle that steps the joint state and in evolve_composite (3.4e-14 at
+        # most), and not under the naive joint equation
+        # i drho/dt = [H_I (x) 1 + 1 (x) H_II, rho^q] (4.7e-3 at least)
+        rng = np.random.default_rng(11)
+        rho = random_density_matrix(dims[0] * dims[1], rng)
+        h1, h2 = (-SIGMA_Z + 0.3 * SIGMA_X if dims[0] == 2 else random_hermitian(3, rng, spectral_norm=1.0),
+                  -SIGMA_Z if dims[1] == 2 else random_hermitian(3, rng, spectral_norm=1.0))
+        cfg = IntegratorConfig(dt=1e-2, t_final=5.0, record_every=50)
+        rho_1 = {"oracle": [], "composite": [], "naive": []}
+        for mu2 in (0.7, 2.0):
+            sys_ = CompositeSystem(dim_1=dims[0], dim_2=dims[1], h1=h1, h2=mu2 * h2, q1=q, q2=q)
+            joint_h = np.kron(h1, np.eye(dims[1])) + np.kron(np.eye(dims[0]), mu2 * h2)
+            for name, mats in (("oracle", joint_scheme_oracle(rho, sys_, cfg)),
+                               ("composite", evolve_composite(rho, sys_, cfg).matrices),
+                               ("naive", dynamics.evolve(rho, joint_h, PowerLaw(q), cfg).matrices)):
+                rho_1[name].append(partial_trace(mats, dims)[0])
+        gaps = {name: float(np.max(trace_distance(*pair))) for name, pair in rho_1.items()}
+        assert gaps["oracle"] <= 1e-12 and gaps["composite"] <= 1e-12
+        assert gaps["naive"] >= 1e-3

@@ -15,7 +15,6 @@ from nvne.hermitian import (
 from nvne.structure import (
     _trace_functional,
     casimir_functional,
-    finite_difference_gradient,
     hamiltonian_function,
     poisson_bracket,
     q_average_functional,
@@ -24,7 +23,7 @@ from nvne.structure import (
 )
 
 from conftest import make_states
-from oracles import matrix_function
+from oracles import finite_difference_gradient, matrix_function
 
 
 def comm(a, b):
