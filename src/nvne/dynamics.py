@@ -25,7 +25,7 @@ of complex entries each); a Trajectory holds them as arrays and builds its
 invariant log in the same blocks on first read, which runs that never read
 it skip. The logged eigenvalues come from one eigvalsh per block of the
 materialized matrices, an independent check of the spectrum the integrator
-holds fixed. Composite runs record through the same pass.
+holds fixed. Composite runs go through evolve and the same pass.
 """
 from __future__ import annotations
 
@@ -104,13 +104,15 @@ class Trajectory:
     """A recorded run as read-only arrays: times (T,), the invariant spectrum
     eigenvalues (d,), the recorded eigenvectors and matrices (T, d, d), and
     the invariant log (C1..C5, Hq, recomputed eigenvalues, hermiticity),
-    computed on first read from the energy map of a slice of the stack."""
+    computed on first read from the energy map of a slice of the stack;
+    reductions, the runs of a composite run's two reductions, or none."""
 
     times: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     matrices: np.ndarray
     _energy: Callable = field(repr=False, compare=False)
+    reductions: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def states(self) -> tuple:
@@ -286,14 +288,20 @@ def _blocks(start: int, stop: int, dim: int) -> list:
     return [slice(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
 
 
-def _record(rho0: DensityMatrix, vs: np.ndarray, cfg: IntegratorConfig, energy) -> Trajectory:
+def _record_times(cfg: IntegratorConfig, dim: int) -> np.ndarray:
+    """The times of cfg's record points, for stacks at dimension dim (see record_count)."""
+    count = record_count(cfg.n_steps, cfg.record_every, dim)
+    return np.minimum(np.arange(count) * cfg.record_every, cfg.n_steps) * cfg.dt
+
+
+def _record(rho0: DensityMatrix, vs: np.ndarray, cfg: IntegratorConfig, energy, reductions=()) -> Trajectory:
     """Trajectory of rho0 from vs, its eigenvectors at the record points of
     cfg (see _advance), with the matrices taken in blocks of the stack;
     energy maps a slice of the stack to the energies of its states."""
     if not np.all(np.isfinite(vs)):
         raise NumericalFailure("the integrator produced non-finite eigenvectors")
     count, dim = vs.shape[:2]
-    times = np.minimum(np.arange(count) * cfg.record_every, cfg.n_steps) * cfg.dt
+    times = _record_times(cfg, dim)
     # the step leaves the eigenvalues untouched, so every recorded state
     # shares the spectrum of rho0, whose round-off zeros its constructor set
     w = rho0.eigenvalues
@@ -304,7 +312,7 @@ def _record(rho0: DensityMatrix, vs: np.ndarray, cfg: IntegratorConfig, energy) 
         matrices[b] = hermitian_part((vb * w) @ vb.conj().swapaxes(1, 2))
     for a in (times, vs, matrices, w):
         a.setflags(write=False)
-    return Trajectory(times=times, eigenvalues=w, eigenvectors=vs, matrices=matrices, _energy=energy)
+    return Trajectory(times=times, eigenvalues=w, eigenvectors=vs, matrices=matrices, _energy=energy, reductions=reductions)
 
 
 def _relative_drift(series: np.ndarray) -> float:

@@ -1,9 +1,11 @@
+import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
 
-from nvne import dynamics
+from nvne import cli, dynamics
 from nvne.composite import (
     CompositeSystem,
     evolve_composite,
@@ -24,6 +26,7 @@ from nvne.hermitian import (
     trace_distance,
     validate_density,
 )
+from nvne.presets import PRESETS
 from nvne.structure import _divided_difference_transform, _kernel, hamiltonian_function
 
 
@@ -59,6 +62,21 @@ def joint_scheme_oracle(rho0, sys_, cfg):
         if k % cfg.record_every == 0 or k == cfg.n_steps:
             mats.append(m)
     return np.array(mats)
+
+
+def count_advance(monkeypatch):
+    """The list of the state dimensions of every call of dynamics._advance,
+    through the binding of any nvne module that holds it."""
+    calls, original = [], dynamics._advance
+
+    def counted(v, *args):
+        calls.append(v.shape[0])
+        return original(v, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "nvne" and getattr(module, "_advance", None) is original:
+            monkeypatch.setattr(module, "_advance", counted)
+    return calls
 
 
 class TestCompositeSystem:
@@ -236,6 +254,51 @@ class TestReductionConsistency:
         traj = evolve_composite(rho, sys_, IntegratorConfig(dt=1e-2, t_final=0.3))
         with pytest.raises(DomainError, match="times"):
             reduction_consistency(traj, sys_, IntegratorConfig(dt=3e-3, t_final=0.3))
+
+    def test_each_reduction_integrated_once(self, rng, monkeypatch):
+        # evolve_composite runs each reduction once, and reduction_consistency
+        # compares against those runs instead of integrating them again
+        sys_ = CompositeSystem(dim_1=2, dim_2=3, h1=random_hermitian(2, rng), h2=random_hermitian(3, rng),
+                               q1=1.5, q2=0.7)
+        cfg = IntegratorConfig(dt=1e-2, t_final=0.3, record_every=4)
+        calls = count_advance(monkeypatch)
+        reduction_consistency(evolve_composite(random_density_matrix(6, rng), sys_, cfg), sys_, cfg)
+        assert calls == [2, 3]
+
+    def test_criterion6_run_integrates_each_reduction_once(self, monkeypatch):
+        calls = count_advance(monkeypatch)
+        assert cli.run_scenario(PRESETS["criterion6-composite-closure"]).passed
+        assert calls == [2, 2]
+
+    def test_rejects_single_run(self):
+        # a 4x4 run of evolve holds no reduced runs to compare with
+        sys_ = spin_system()
+        cfg = IntegratorConfig(dt=1e-2, t_final=0.3)
+        rho = random_density_matrix(4, np.random.default_rng(0))
+        h = np.kron(sys_.h1, np.eye(2)) + np.kron(np.eye(2), sys_.h2)
+        with pytest.raises(DomainError, match="joint run of evolve_composite"):
+            reduction_consistency(dynamics.evolve(rho, h, sys_.f1, cfg), sys_, cfg)
+
+    def test_rejects_system_of_other_dims(self):
+        # the partial traces of a 2x2 run at dims (4, 1) have no reduced runs
+        # of their shape
+        sys_ = spin_system()
+        cfg = IntegratorConfig(dt=1e-2, t_final=0.3)
+        traj = evolve_composite(random_density_matrix(4, np.random.default_rng(0)), sys_, cfg)
+        other = CompositeSystem(dim_1=4, dim_2=1, h1=np.kron(sys_.h1, np.eye(2)), h2=np.zeros((1, 1)),
+                                q1=1.5, q2=2.5)
+        with pytest.raises(DomainError, match=re.escape("dims (4, 1)")):
+            reduction_consistency(traj, other, cfg)
+
+    def test_closure_sees_a_joint_run_that_does_not_move(self):
+        # the joint matrices held at their start read 0.60 and 0.44 against
+        # the reduced runs; the true run reads 5.4e-15
+        sys_ = spin_system()
+        cfg = IntegratorConfig(dt=1e-2, t_final=1.0, record_every=10)
+        traj = evolve_composite(random_density_matrix(4, np.random.default_rng(0)), sys_, cfg)
+        held = dataclasses.replace(traj, matrices=np.broadcast_to(traj.matrices[0], traj.matrices.shape))
+        assert min(reduction_consistency(held, sys_, cfg).values()) >= 0.1
+        assert max(reduction_consistency(traj, sys_, cfg).values()) <= 1e-12
 
     def test_maximally_mixed_fixed_point(self):
         joint = validate_density(np.eye(4, dtype=complex) / 4)

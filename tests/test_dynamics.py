@@ -3,7 +3,6 @@ import inspect
 import numpy as np
 import pytest
 
-import nvne.composite
 import nvne.dynamics
 from nvne.composite import CompositeSystem, evolve_composite
 from nvne.deformation import PowerLaw
@@ -611,7 +610,6 @@ class TestEigenframeStep:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counted(name))
         monkeypatch.setattr(nvne.dynamics, "_advance", advance)
-        monkeypatch.setattr(nvne.composite, "_advance", advance)
         traj = evolve(rho, h, PowerLaw(q=2.0), cfg)
         assert calls == {"eigh": 0, "eigvalsh": 0, "stepping": 0}
         traj.invariant_log
